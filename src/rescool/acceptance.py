@@ -28,8 +28,8 @@ from .cooling import (
     run_iteration,
     success_probability_bound,
 )
-from .evolution import analytic_amplitudes, exact_step, trotter_propagator
-from .hamiltonian import AlgorithmConfig, build_algorithm_hamiltonian, split_parts
+from .evolution import analytic_amplitudes, step_propagator, trotter_propagator
+from .hamiltonian import AlgorithmConfig, split_parts
 from .linalg import fidelity, hermitian_eig, propagator
 from .models import build_aklt, build_diagonal, ground_truth
 from .sweep import SweepConfig, scan
@@ -252,7 +252,7 @@ def check_success_bound(scale: float) -> tuple[bool, str]:
 def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     model, _, _, _, phi0 = _chain_context()
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
-    u_exact = exact_step(build_algorithm_hamiltonian(model, config), config.tau)
+    u_exact = step_propagator(model, config)
     part_a, part_b = split_parts(model, config)
     errors = []
     for steps in (64, 128, 256):
@@ -269,16 +269,18 @@ def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     )
     report = run_algorithm(model, config_512, phi0)
     fid = report.records[-1].fidelity_to_target
-    fid_lo = 0.99 - (0.01 + 0.02) * scale
+    target_fid = 1.0 / (1.0 + (report.a0 * config.coupling) ** 2)
+    fid_dev = abs(fid - target_fid)
     passed = (
         errors[0] > errors[1] > errors[2]
         and all(ratio_lo <= r <= ratio_hi for r in ratios)
-        and fid_lo <= fid <= 1.0 + 1e-12
+        and fid_dev <= 1e-3 * scale
     )
     return passed, (
         f"errors {errors[0]:.3e}/{errors[1]:.3e}/{errors[2]:.3e}, "
         f"ratios {ratios[0]:.3f},{ratios[1]:.3f} (band [{ratio_lo:.2f}, {ratio_hi:.2f}]), "
-        f"L=512 fidelity {fid:.6f} (band [{fid_lo:.4f}, 1])"
+        f"L=512 fidelity {fid:.6f} vs closed form {target_fid:.6f}, "
+        f"deviation {fid_dev:.2e} (tol {1e-3 * scale:.1e})"
     )
 
 
@@ -314,7 +316,8 @@ def check_monotone_convergence(scale: float) -> tuple[bool, str]:
 def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     model, _, chi1, _, _ = _chain_context()
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
-    record = run_iteration(chi1, model, config, np.random.default_rng(0))
+    u = step_propagator(model, config)
+    record = run_iteration(chi1, model, config, np.random.default_rng(0), u_step=u, target=chi1)
     prob_dev = abs(record.excitation_probability - 1.0)
     state_dev = _state_deviation(chi1, record.system_state)
     passed = prob_dev <= 1e-9 * scale and state_dev <= 1e-8 * scale

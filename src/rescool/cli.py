@@ -19,7 +19,7 @@ from .acceptance import render_results, run_checks
 from .cooling import RestartCapExceeded, render_report, run_algorithm
 from .hamiltonian import AlgorithmConfig, resonance_reference
 from .models import from_registry, ground_truth
-from .sweep import FlatCurve, SweepConfig, render_csv, scan, write_csv
+from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -95,8 +95,8 @@ def _parse_init(text: str, n_qubits: int) -> np.ndarray:
         if vec.size != dim:
             raise ValueError(f"{path}: {vec.size} amplitudes for a {dim}-dim system")
         norm = float(np.linalg.norm(vec))
-        if norm < 1e-12:
-            raise ValueError(f"{path}: state has zero norm")
+        if not 1e-12 <= norm < float("inf"):
+            raise ValueError(f"{path}: state norm {norm} is zero or not finite")
         return vec / norm
     if len(text) != n_qubits or any(b not in "01" for b in text):
         raise ValueError(f"init {text!r} is not a {n_qubits}-bit string")
@@ -140,11 +140,7 @@ def cmd_sweep(args) -> int:
         seed=_resolve_seed(args),
     )
     result = scan(model, config, phi0)
-    out = _effective(args, "out", str, None)
-    if out is None:
-        sys.stdout.write(render_csv(result))
-    else:
-        write_csv(result, out)
+    _write_text(_effective(args, "out", str, None), render_csv(result))
     print(
         f"peak epsilon0={result.peak_epsilon:.12g} estimated E1={result.estimated_e1:.12g}",
         file=sys.stderr,

@@ -142,21 +142,19 @@ def run_iteration(
     config: AlgorithmConfig,
     rng,
     k: int = 1,
-    u_step: np.ndarray | None = None,
-    target: np.ndarray | None = None,
+    *,
+    u_step: np.ndarray,
+    target: np.ndarray,
 ) -> IterationRecord:
     """One prepare-evolve-measure cycle starting from the given system state.
 
-    u_step and target are recomputed from the model when not supplied;
-    run_algorithm passes them in so the propagator is built once per run.
+    u_step is the step_propagator result and target the ground_truth vector
+    or basis; run_algorithm builds both once per run.
     """
     phi = require_normalized(phi_in)
     if phi.size != model.dimension:
         raise DimensionMismatch(f"state is {phi.size}-dim, model is {model.dimension}-dim")
-    if target is None:
-        _, target, _ = ground_truth(model)
-    u = step_propagator(model, config) if u_step is None else u_step
-    evolved = u @ prepare_register(phi)
+    evolved = u_step @ prepare_register(phi)
     outcome, p_exc, collapsed = measure_first_ancilla(evolved, config.mode, rng)
     n_dim = model.dimension
     if outcome == "excited":

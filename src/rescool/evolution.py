@@ -15,7 +15,7 @@ from math import cos, pi, sqrt
 
 import numpy as np
 
-from .hamiltonian import AlgorithmConfig, SystemModel, build_algorithm_hamiltonian, split_parts
+from .hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
 from .linalg import DimensionMismatch, propagator, require_hermitian
 
 
@@ -72,11 +72,6 @@ def analytic_amplitudes(e1: float, ej: float, c: float, j: int = 0) -> BlockAmpl
     )
 
 
-def exact_step(h_full: np.ndarray, tau: float) -> np.ndarray:
-    """Exact unitary exp(-i H tau) for the assembled register Hamiltonian."""
-    return propagator(h_full, tau)
-
-
 def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: int) -> np.ndarray:
     """First-order split [exp(-i A tau/l) exp(-i B tau/l)]^l."""
     if l < 1:
@@ -92,6 +87,7 @@ def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: in
 def step_propagator(model: SystemModel, config: AlgorithmConfig) -> np.ndarray:
     """One-iteration register propagator; trotter_steps = 0 selects exact."""
     if config.trotter_steps == 0:
-        return exact_step(build_algorithm_hamiltonian(model, config), config.tau)
+        h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
+        return propagator(h_full, config.tau)
     part_a, part_b = split_parts(model, config)
     return trotter_propagator(part_a, part_b, config.tau, config.trotter_steps)

@@ -1,4 +1,4 @@
-"""Register Hamiltonian assembly and its exact 2x2 block decomposition.
+"""Register Hamiltonian assembly, run configuration and matrix file I/O.
 
 The register is (probe ancilla) x (tag ancilla) x (n system qubits) with the
 probe most significant: basis index a1*2^(n+1) + a2*2^n + s.  The assembled
@@ -13,18 +13,12 @@ eps0 = E_1 + 1, where the j = 1 block has equal diagonal entries.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from math import pi
+from math import inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatch,
-    EigenSystem,
-    kron_all,
-    require_hermitian,
-)
+from .linalg import DimensionMismatch, kron_all, require_hermitian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -32,11 +26,18 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
 PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
 
-RESONANCE_ATOL = 1e-9
+# Largest 4N the dense path may build: a 4096 x 4096 complex matrix is 256 MiB.
+REGISTER_CAP = 2**12
 
 
-class OffResonanceConfig(UserWarning):
-    """Reference eigenvalue is not on the cooling resonance eps0 = E_1 + 1."""
+class SizeCap(ValueError):
+    """The 4N-dimensional register would exceed REGISTER_CAP."""
+
+
+def require_register_fits(n_qubits: int) -> None:
+    """Refuse an n-qubit system before anything of its size is allocated."""
+    if 4 * 2**n_qubits > REGISTER_CAP:
+        raise SizeCap(f"register dimension {4 * 2**n_qubits} exceeds the cap {REGISTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class SystemModel:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise DimensionMismatch("system needs at least one qubit")
+        require_register_fits(self.n_qubits)
         h = require_hermitian(self.h_s)
         if h.shape[0] != 2**self.n_qubits:
             raise DimensionMismatch(
@@ -67,33 +69,31 @@ class AlgorithmConfig:
     """Cooling-run parameters.
 
     tau defaults to pi/(2*coupling), the half period of the resonant
-    transfer.  trotter_steps = 0 selects the exact propagator.  omega is the
-    probe splitting and is fixed at 1; it is a field only so reports can
-    echo it.  max_iterations counts the consecutive excited outcomes the run
-    must collect; restart_cap bounds how many failed attempts a stochastic
-    run may discard before giving up.
+    transfer.  trotter_steps = 0 selects the exact propagator.
+    max_iterations counts the consecutive excited outcomes the run must
+    collect; restart_cap bounds how many failed attempts a stochastic run
+    may discard before giving up.
     """
 
     epsilon0: float
     coupling: float
     tau: float | None = None
     trotter_steps: int = 0
-    omega: float = 1.0
     max_iterations: int = 1
     seed: int = 0
     mode: str = "post-selected"
     restart_cap: int = 1000
-    strict_resonance: bool = False
 
     def __post_init__(self):
-        if self.coupling <= 0:
-            raise ValueError(f"coupling must be positive, got {self.coupling}")
+        # Each condition is written so that NaN fails it.
+        if not isfinite(self.epsilon0):
+            raise ValueError(f"epsilon0 must be finite, got {self.epsilon0}")
+        if not 0 < self.coupling < inf:
+            raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
         if self.tau is None:
             self.tau = pi / (2.0 * self.coupling)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.omega != 1.0:
-            raise ValueError("the probe splitting is fixed at omega = 1")
+        if not 0 < self.tau < inf:
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.restart_cap < 0:
@@ -102,72 +102,30 @@ class AlgorithmConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def assemble_hamiltonian(h_s: np.ndarray, epsilon0: float, coupling: float) -> np.ndarray:
-    """Full register Hamiltonian from raw pieces; coupling may be zero."""
-    h = require_hermitian(h_s)
-    n_dim = h.shape[0]
+def _register_parts(h_s, epsilon0: float, coupling: float) -> tuple[np.ndarray, np.ndarray]:
+    """The energy terms and the transverse coupling of the register, apart."""
+    n_dim = h_s.shape[0]
     eye_n = np.eye(n_dim, dtype=complex)
     eye_2n = np.eye(2 * n_dim, dtype=complex)
-    h_r = np.kron(PROJ_0, epsilon0 * eye_n) + np.kron(PROJ_1, h)
-    full = (
-        np.kron(-0.5 * SIGMA_Z, eye_2n)
-        + np.kron(np.eye(2, dtype=complex), h_r)
-        + coupling * kron_all(SIGMA_X, SIGMA_X, eye_n)
-    )
-    return full
+    h_r = np.kron(PROJ_0, epsilon0 * eye_n) + np.kron(PROJ_1, h_s)
+    part_a = np.kron(-0.5 * SIGMA_Z, eye_2n) + np.kron(np.eye(2, dtype=complex), h_r)
+    part_b = coupling * kron_all(SIGMA_X, SIGMA_X, eye_n)
+    return part_a, part_b
 
 
-def build_algorithm_hamiltonian(model: SystemModel, config: AlgorithmConfig) -> np.ndarray:
-    """Assemble the 2^(n+2)-dimensional register Hamiltonian for a run."""
-    if model.h_s.shape[0] != 2**model.n_qubits:
-        raise DimensionMismatch("system matrix does not match the qubit count")
-    return assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
+def assemble_hamiltonian(h_s: np.ndarray, epsilon0: float, coupling: float) -> np.ndarray:
+    """Full register Hamiltonian from raw pieces; coupling may be zero."""
+    part_a, part_b = _register_parts(require_hermitian(h_s), epsilon0, coupling)
+    return part_a + part_b
 
 
 def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray, np.ndarray]:
     """The (diagonal-in-energy, coupling) splitting used by Trotterization.
 
     part_a collects the two commuting energy terms, part_b the transverse
-    coupling; part_a + part_b equals build_algorithm_hamiltonian.
+    coupling; part_a + part_b equals assemble_hamiltonian.
     """
-    n_dim = model.dimension
-    eye_n = np.eye(n_dim, dtype=complex)
-    eye_2n = np.eye(2 * n_dim, dtype=complex)
-    h_r = np.kron(PROJ_0, config.epsilon0 * eye_n) + np.kron(PROJ_1, model.h_s)
-    part_a = np.kron(-0.5 * SIGMA_Z, eye_2n) + np.kron(np.eye(2, dtype=complex), h_r)
-    part_b = config.coupling * kron_all(SIGMA_X, SIGMA_X, eye_n)
-    return part_a, part_b
-
-
-def extract_blocks(spectrum: EigenSystem, config: AlgorithmConfig) -> list[np.ndarray]:
-    """Per-eigenstate 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]].
-
-    The block basis is {|00 chi_j>, |11 chi_j>}.  When strict_resonance is
-    set, a reference eigenvalue off the ground resonance raises an
-    OffResonanceConfig warning rather than an error: the sweep deliberately
-    scans through off-resonant values.
-    """
-    e_vals = np.asarray(spectrum.eigenvalues, dtype=float)
-    if config.strict_resonance:
-        miss = abs(config.epsilon0 - e_vals[0] - 1.0)
-        if miss > RESONANCE_ATOL:
-            warnings.warn(
-                f"epsilon0 - E_1 - 1 = {config.epsilon0 - e_vals[0] - 1.0:.3e}",
-                OffResonanceConfig,
-                stacklevel=2,
-            )
-    blocks = []
-    for e_j in e_vals:
-        blocks.append(
-            np.array(
-                [
-                    [config.epsilon0 - 0.5, config.coupling],
-                    [config.coupling, 0.5 + e_j],
-                ],
-                dtype=complex,
-            )
-        )
-    return blocks
+    return _register_parts(model.h_s, config.epsilon0, config.coupling)
 
 
 def resonance_reference(e1: float) -> float:

@@ -13,11 +13,7 @@ from functools import reduce
 import numpy as np
 
 HERMITIAN_ATOL = 1e-10
-UNITARY_ATOL = 1e-9
 NORM_ATOL = 1e-10
-
-# Single global knob for loosening (or tightening) every numeric check.
-tolerance_scale = 1.0
 
 
 class NotHermitian(ValueError):
@@ -50,23 +46,21 @@ def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+    if not np.isfinite(m).all():
+        raise NotHermitian("matrix has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().T)))
-    if dev > atol * tolerance_scale:
-        raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {atol * tolerance_scale:.1e}")
+    # Written so that a NaN deviation fails the check.
+    if not dev <= atol:
+        raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {atol:.1e}")
     return m
 
 
 def require_normalized(v, atol: float = NORM_ATOL) -> np.ndarray:
     vec = as_state(v)
     dev = abs(float(np.linalg.norm(vec)) - 1.0)
-    if dev > atol * tolerance_scale:
-        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {atol * tolerance_scale:.1e}")
+    if not dev <= atol:
+        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {atol:.1e}")
     return vec
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_matrix(a), as_matrix(b))
 
 
 def kron_all(*ops) -> np.ndarray:

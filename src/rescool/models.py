@@ -13,14 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SIGMA_X, SIGMA_Y, SIGMA_Z, SystemModel, load_matrix_file
+from .hamiltonian import require_register_fits
 from .linalg import hermitian_eig, kron_all
 
-SIZE_CAP_DEFAULT = 2**14
 DEGENERACY_ATOL = 1e-9
-
-
-class SizeCap(ValueError):
-    """Requested chain exceeds the desk-scale dimension cap."""
 
 
 class BadDimension(ValueError):
@@ -75,7 +71,7 @@ def pair_swap(n_qubits: int, first_qubit: int) -> np.ndarray:
     return _embed(swap, first_qubit, n_qubits)
 
 
-def build_aklt(n_bulk: int, size_cap: int = SIZE_CAP_DEFAULT) -> SystemModel:
+def build_aklt(n_bulk: int) -> SystemModel:
     """Open AKLT chain: n_bulk spin-1 sites between two spin-1/2 ends.
 
     Each bulk bond contributes S_k.S_{k+1} + (S_k.S_{k+1})^2/3 + 2/3, twice
@@ -87,9 +83,8 @@ def build_aklt(n_bulk: int, size_cap: int = SIZE_CAP_DEFAULT) -> SystemModel:
     if n_bulk < 1:
         raise ValueError(f"need at least one spin-1 site, got {n_bulk}")
     n_qubits = 2 * n_bulk + 2
+    require_register_fits(n_qubits)
     dim = 2**n_qubits
-    if dim > size_cap:
-        raise SizeCap(f"dimension {dim} exceeds the cap {size_cap}")
     ops = spin_operators()
     small = (ops.sx, ops.sy, ops.sz)
     big = (ops.Sx, ops.Sy, ops.Sz)

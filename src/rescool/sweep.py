@@ -8,10 +8,8 @@ point derived from (seed, point index).
 """
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -43,18 +41,19 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.eps_min < self.eps_max:
+        # Each condition is written so that NaN and infinities fail it.
+        if not -inf < self.eps_min < self.eps_max < inf:
             raise ValueError(f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]")
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
         if self.shots < 0:
             raise ValueError(f"shots must be >= 0, got {self.shots}")
-        if self.coupling < 0:
-            raise ValueError(f"coupling must be >= 0, got {self.coupling}")
+        if not 0 <= self.coupling < inf:
+            raise ValueError(f"coupling must be >= 0 and finite, got {self.coupling}")
         if self.tau is None:
             self.tau = pi / (2.0 * self.coupling) if self.coupling > 0 else 0.0
-        if self.tau < 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if not 0 <= self.tau < inf:
+            raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
 
 
 @dataclass(frozen=True)
@@ -157,18 +156,3 @@ def render_csv(result: SweepResult) -> str:
     for eps0, p, err in zip(result.grid, result.probabilities, result.stderr):
         lines.append(f"{eps0:.12g},{p:.12g},{err:.12g},{result.shots}")
     return "\n".join(lines) + "\n"
-
-
-def write_csv(result: SweepResult, path: str) -> None:
-    """Write the curve as CSV; the file appears atomically or not at all."""
-    body = render_csv(result)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(body)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise

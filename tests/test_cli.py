@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from rescool.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -277,3 +284,43 @@ def test_verify_exit_code_tracks_failures(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "analytic-oracle")
     lines = out.strip().splitlines()
     assert (code == 0) == all(ln.startswith("PASS") for ln in lines[:-1])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "cool --model diag:0,1,2,3 --init file:{nan_init} --epsilon0 1.0",
+        "cool --model aklt1 --init 1100 --epsilon0 nan",
+        "cool --model aklt1 --init 1100 --epsilon0 1.0 --c nan",
+        "cool --model aklt1 --init 1100 --epsilon0 1.0 --tau inf",
+        "sweep --model aklt1 --init 1100 --c nan",
+        "sweep --model aklt1 --init 1100 --tau inf",
+        "sweep --model diag:nan,1",
+        "cool --model file:{nan_matrix} --epsilon0 1.0",
+        "cool --model aklt5 --auto-epsilon",
+    ],
+)
+def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):
+    nan_init = tmp_path / "init.txt"
+    nan_init.write_text("nan,0\n0,0\n0,0\n1,0\n")
+    nan_matrix = tmp_path / "h.txt"
+    nan_matrix.write_text("dim 2\nnan,0 0,0\n0,0 1,0\n")
+    args = argv.format(nan_init=nan_init, nan_matrix=nan_matrix).split()
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "rescool", "verify", "--only", "initial-fidelity"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "1/1 checks passed"

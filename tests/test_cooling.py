@@ -92,7 +92,8 @@ def test_measurement_rejects_unknown_mode():
 def test_first_iteration_excitation_probability(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="post-selected")
-    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), target=chi1)
+    u = step_propagator(model, cfg)
+    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), u_step=u, target=chi1)
     assert rec.outcome == "excited"
     assert rec.excitation_probability == pytest.approx(1.0 / 12.0, abs=0.01)
     assert rec.renorm == rec.excitation_probability
@@ -102,7 +103,8 @@ def test_first_iteration_excitation_probability(chain):
 def test_ground_state_is_a_fixed_point(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1, mode="post-selected")
-    rec = run_iteration(chi1, model, cfg, np.random.default_rng(0), target=chi1)
+    u = step_propagator(model, cfg)
+    rec = run_iteration(chi1, model, cfg, np.random.default_rng(0), u_step=u, target=chi1)
     assert rec.excitation_probability == pytest.approx(1.0, abs=1e-9)
     assert rec.fidelity_to_target == pytest.approx(1.0, abs=1e-8)
 
@@ -129,7 +131,8 @@ def test_stochastic_ground_outcome_renormalizes_the_complement(chain):
     # seed 0 draws 0.63..., far above p ~ 0.086, so the probe reads ground
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="stochastic")
-    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), target=chi1)
+    u = step_propagator(model, cfg)
+    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), u_step=u, target=chi1)
     assert rec.outcome == "ground"
     assert rec.renorm == pytest.approx(1.0 - rec.excitation_probability, abs=1e-12)
 

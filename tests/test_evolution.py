@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from rescool.evolution import (
-    analytic_amplitudes,
-    exact_step,
-    step_propagator,
-    trotter_propagator,
-)
-from rescool.hamiltonian import (
-    AlgorithmConfig,
-    build_algorithm_hamiltonian,
-    split_parts,
-)
+from rescool.evolution import analytic_amplitudes, step_propagator, trotter_propagator
+from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
 from rescool.models import build_aklt, build_diagonal, ground_truth
 
 
 def resonant_config(e1, c, **kwargs):
     return AlgorithmConfig(epsilon0=e1 + 1.0, coupling=c, **kwargs)
+
+
+def exact_step(model, cfg):
+    # the dense reference: exp(-i H tau) of the whole register
+    return propagator(assemble_hamiltonian(model.h_s, cfg.epsilon0, cfg.coupling), cfg.tau)
 
 
 def block_matrix(e1, ej, c):
@@ -73,8 +69,8 @@ def test_amplitudes_reject_non_positive_coupling():
 
 
 def test_exact_step_zero_time_is_identity():
-    h = np.diag([0.0, 1.0, 2.0]).astype(complex)
-    assert np.allclose(exact_step(h, 0.0), np.eye(3), atol=1e-14)
+    h = assemble_hamiltonian(np.diag([0.0, 1.0]), 1.0, 0.05)
+    assert np.allclose(propagator(h, 0.0), np.eye(8), atol=1e-14)
 
 
 def test_full_register_step_reproduces_block_amplitudes():
@@ -82,7 +78,7 @@ def test_full_register_step_reproduces_block_amplitudes():
     model = build_diagonal([0.0, 0.9, 1.7, 3.1])
     e1, _, _ = ground_truth(model)
     cfg = resonant_config(e1, 0.05)
-    u = exact_step(build_algorithm_hamiltonian(model, cfg), cfg.tau)
+    u = exact_step(model, cfg)
     rng = np.random.default_rng(22)
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     z /= np.linalg.norm(z)
@@ -132,7 +128,7 @@ def test_trotter_exact_in_commuting_limit():
     model = build_aklt(1)
     cfg = resonant_config(0.0, 0.05)
     part_a, part_b = split_parts(model, cfg)
-    u_a = exact_step(part_a, 2.0)
+    u_a = propagator(part_a, 2.0)
     for l in (1, 7):
         u = trotter_propagator(part_a, np.zeros_like(part_b), 2.0, l)
         assert np.linalg.norm(u - u_a) < 1e-12
@@ -142,7 +138,7 @@ def test_trotter_error_scales_as_one_over_l():
     model = build_aklt(1)
     e1, _, _ = ground_truth(model)
     cfg = resonant_config(e1, 0.05)
-    u_exact = exact_step(build_algorithm_hamiltonian(model, cfg), cfg.tau)
+    u_exact = exact_step(model, cfg)
     part_a, part_b = split_parts(model, cfg)
     errs = [
         float(np.linalg.norm(trotter_propagator(part_a, part_b, cfg.tau, l) - u_exact, 2))
@@ -183,9 +179,7 @@ def test_step_propagator_selects_exact_or_trotter():
     cfg_exact = resonant_config(0.0, 0.05)
     cfg_trot = resonant_config(0.0, 0.05, trotter_steps=32)
     u_exact = step_propagator(model, cfg_exact)
-    assert np.allclose(
-        u_exact, exact_step(build_algorithm_hamiltonian(model, cfg_exact), cfg_exact.tau)
-    )
+    assert np.allclose(u_exact, exact_step(model, cfg_exact))
     part_a, part_b = split_parts(model, cfg_trot)
     assert np.allclose(
         step_propagator(model, cfg_trot),

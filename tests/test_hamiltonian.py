@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -9,11 +7,9 @@ from rescool.hamiltonian import (
     SIGMA_X,
     SIGMA_Z,
     AlgorithmConfig,
-    OffResonanceConfig,
+    SizeCap,
     SystemModel,
     assemble_hamiltonian,
-    build_algorithm_hamiltonian,
-    extract_blocks,
     load_matrix_file,
     resonance_reference,
     save_matrix_file,
@@ -32,6 +28,17 @@ def random_model(rng, n_qubits):
     dim = 2**n_qubits
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return SystemModel(n_qubits=n_qubits, h_s=(a + a.conj().T) / 2)
+
+
+def register_hamiltonian(model, cfg):
+    return assemble_hamiltonian(model.h_s, cfg.epsilon0, cfg.coupling)
+
+
+def level_block(cfg, e_j):
+    # the paper's 2x2 block on {|00 chi_j>, |11 chi_j>}
+    return np.array(
+        [[cfg.epsilon0 - 0.5, cfg.coupling], [cfg.coupling, 0.5 + e_j]], dtype=complex
+    )
 
 
 def register_basis_state(spectrum, j, ancillas):
@@ -65,7 +72,7 @@ def test_assembled_hamiltonian_is_hermitian(n_qubits):
     for _ in range(5):
         model = random_model(rng, n_qubits)
         cfg = AlgorithmConfig(epsilon0=rng.uniform(0.5, 1.5), coupling=0.05)
-        h = build_algorithm_hamiltonian(model, cfg)
+        h = register_hamiltonian(model, cfg)
         assert np.allclose(h, h.conj().T, atol=1e-12)
 
 
@@ -74,7 +81,7 @@ def test_ancilla_sectors_are_exactly_decoupled():
     rng = np.random.default_rng(12)
     model = random_model(rng, 2)
     cfg = AlgorithmConfig(epsilon0=1.3, coupling=0.07)
-    h = build_algorithm_hamiltonian(model, cfg)
+    h = register_hamiltonian(model, cfg)
     n_dim = model.dimension
     inside = [0, 3]
     outside = [1, 2]
@@ -88,7 +95,7 @@ def test_evolution_preserves_sector_weight():
     rng = np.random.default_rng(13)
     model = random_model(rng, 1)
     cfg = AlgorithmConfig(epsilon0=0.9, coupling=0.05)
-    h = build_algorithm_hamiltonian(model, cfg)
+    h = register_hamiltonian(model, cfg)
     u = propagator(h, cfg.tau)
     spectrum = hermitian_eig(model.h_s)
     psi = (
@@ -108,29 +115,25 @@ def test_blocks_reproduce_restricted_hamiltonian():
     for trial in range(5):
         model = random_model(rng, 2)
         cfg = AlgorithmConfig(epsilon0=rng.uniform(0.5, 2.0), coupling=0.05)
-        h = build_algorithm_hamiltonian(model, cfg)
+        h = register_hamiltonian(model, cfg)
         spectrum = hermitian_eig(model.h_s)
-        blocks = extract_blocks(spectrum, cfg)
-        assert len(blocks) == model.dimension
-        for j, blk in enumerate(blocks):
+        for j, e_j in enumerate(spectrum.eigenvalues):
             v0 = register_basis_state(spectrum, j, "00")
             v1 = register_basis_state(spectrum, j, "11")
             basis = np.column_stack([v0, v1])
             restricted = basis.conj().T @ h @ basis
-            assert np.allclose(restricted, blk, atol=1e-10)
-            assert blk[0, 0] == pytest.approx(cfg.epsilon0 - 0.5, abs=1e-12)
-            assert blk[1, 1] == pytest.approx(0.5 + spectrum.eigenvalues[j], abs=1e-10)
+            assert np.allclose(restricted, level_block(cfg, e_j), atol=1e-10)
 
 
 def test_block_exponential_matches_full_propagator():
     rng = np.random.default_rng(15)
     model = random_model(rng, 2)
     cfg = AlgorithmConfig(epsilon0=1.1, coupling=0.05)
-    h = build_algorithm_hamiltonian(model, cfg)
+    h = register_hamiltonian(model, cfg)
     u = propagator(h, cfg.tau)
     spectrum = hermitian_eig(model.h_s)
-    for j, blk in enumerate(extract_blocks(spectrum, cfg)):
-        u_blk = propagator(blk, cfg.tau)
+    for j, e_j in enumerate(spectrum.eigenvalues):
+        u_blk = propagator(level_block(cfg, e_j), cfg.tau)
         v0 = register_basis_state(spectrum, j, "00")
         v1 = register_basis_state(spectrum, j, "11")
         evolved = u @ v0
@@ -143,7 +146,10 @@ def test_resonant_block_has_equal_diagonal():
     spectrum = hermitian_eig(model.h_s)
     e1 = float(spectrum.eigenvalues[0])
     cfg = AlgorithmConfig(epsilon0=resonance_reference(e1), coupling=0.05)
-    blk = extract_blocks(spectrum, cfg)[0]
+    basis = np.column_stack(
+        [register_basis_state(spectrum, 0, "00"), register_basis_state(spectrum, 0, "11")]
+    )
+    blk = basis.conj().T @ register_hamiltonian(model, cfg) @ basis
     assert blk[0, 0] == pytest.approx(0.5, abs=1e-9)
     assert blk[1, 1] == pytest.approx(0.5, abs=1e-9)
 
@@ -152,29 +158,6 @@ def test_zero_coupling_blocks_are_diagonal():
     model = build_diagonal([0.0, 2.0])
     h = assemble_hamiltonian(model.h_s, 1.0, 0.0)
     assert np.allclose(h, np.diag(np.diag(h)), atol=0)
-
-
-def test_strict_resonance_warns_off_resonance():
-    spectrum = hermitian_eig(np.diag([0.0, 2.0]).astype(complex))
-    cfg = AlgorithmConfig(epsilon0=1.2, coupling=0.05, strict_resonance=True)
-    with pytest.warns(OffResonanceConfig):
-        extract_blocks(spectrum, cfg)
-
-
-def test_on_resonance_does_not_warn():
-    spectrum = hermitian_eig(np.diag([0.0, 2.0]).astype(complex))
-    cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, strict_resonance=True)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OffResonanceConfig)
-        extract_blocks(spectrum, cfg)
-
-
-def test_off_resonance_silent_without_strict_flag():
-    spectrum = hermitian_eig(np.diag([0.0, 2.0]).astype(complex))
-    cfg = AlgorithmConfig(epsilon0=1.7, coupling=0.05)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", OffResonanceConfig)
-        extract_blocks(spectrum, cfg)
 
 
 def test_resonance_reference_shifts_by_one():
@@ -187,9 +170,8 @@ def test_split_parts_sum_to_full_hamiltonian():
     model = random_model(rng, 2)
     cfg = AlgorithmConfig(epsilon0=0.8, coupling=0.12)
     part_a, part_b = split_parts(model, cfg)
-    assert np.allclose(
-        part_a + part_b, build_algorithm_hamiltonian(model, cfg), atol=1e-14
-    )
+    # assemble_hamiltonian adds the same two parts in the same order
+    assert np.array_equal(part_a + part_b, register_hamiltonian(model, cfg))
     # the transverse coupling never touches the diagonal
     assert np.all(np.diag(part_b) == 0)
     assert np.linalg.norm(part_b) == pytest.approx(
@@ -211,15 +193,19 @@ def test_config_tau_defaults_to_half_period():
         {"coupling": 0.0},
         {"coupling": -0.1},
         {"coupling": 0.05, "tau": -1.0},
-        {"coupling": 0.05, "omega": 2.0},
+        {"coupling": float("nan")},
         {"coupling": 0.05, "max_iterations": -1},
         {"coupling": 0.05, "restart_cap": -1},
         {"coupling": 0.05, "mode": "adaptive"},
+        {"coupling": float("inf"), "tau": 1.0},
+        {"coupling": 0.05, "tau": float("inf")},
+        {"coupling": 0.05, "tau": float("nan")},
+        {"coupling": 0.05, "epsilon0": float("nan")},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
     with pytest.raises(ValueError):
-        AlgorithmConfig(epsilon0=1.0, **kwargs)
+        AlgorithmConfig(**{"epsilon0": 1.0, **kwargs})
 
 
 def test_system_model_validates_inputs():
@@ -229,6 +215,8 @@ def test_system_model_validates_inputs():
         SystemModel(n_qubits=2, h_s=np.eye(2))
     with pytest.raises(DimensionMismatch):
         SystemModel(n_qubits=0, h_s=np.eye(1))
+    with pytest.raises(SizeCap):
+        SystemModel(n_qubits=11, h_s=np.eye(2))
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import rescool.linalg as linalg
 from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
@@ -9,7 +8,6 @@ from rescool.linalg import (
     align_global_phase,
     fidelity,
     hermitian_eig,
-    kron,
     kron_all,
     propagator,
     require_hermitian,
@@ -31,7 +29,7 @@ def test_kron_matches_numpy():
     rng = np.random.default_rng(1)
     a = rng.normal(size=(2, 2))
     b = rng.normal(size=(3, 3))
-    assert np.array_equal(kron(a, b), np.kron(a, b))
+    assert np.array_equal(kron_all(a, b), np.kron(a, b))
 
 
 def test_kron_all_left_associative():
@@ -69,16 +67,16 @@ def test_require_hermitian_tolerates_roundoff():
     require_hermitian(h)
 
 
-def test_require_hermitian_scales_with_global_knob():
-    h = np.array([[0.0, 1e-7], [0.0, 0.0]])
+def test_require_checks_reject_non_finite_input():
+    # a NaN deviation compares false against any tolerance, so it must not pass
     with pytest.raises(NotHermitian):
-        require_hermitian(h)
-    old = linalg.tolerance_scale
-    linalg.tolerance_scale = 1e5
-    try:
-        require_hermitian(h)
-    finally:
-        linalg.tolerance_scale = old
+        require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotHermitian):
+        require_hermitian(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(NotNormalized):
+        require_normalized(np.array([np.nan, 0.0]))
+    with pytest.raises(NotNormalized):
+        require_normalized(np.array([np.inf, 0.0]))
 
 
 def test_require_normalized():

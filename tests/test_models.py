@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rescool.hamiltonian import save_matrix_file
+from rescool.hamiltonian import SizeCap, save_matrix_file
 from rescool.linalg import hermitian_eig
 from rescool.models import (
     BadDimension,
-    SizeCap,
     build_aklt,
     build_diagonal,
     from_registry,
@@ -108,10 +109,19 @@ def test_five_spin_chain_is_frustration_free():
 
 
 def test_size_cap_blocks_oversized_chains():
+    # the cap is on the 4N register the dense path builds: aklt4 (4N = 4096)
+    # is the largest chain allowed, and aklt5 is refused before any allocation
+    tracemalloc.start()
+    try:
+        for name in ("aklt5", "aklt7"):
+            with pytest.raises(SizeCap):
+                from_registry(name)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
     with pytest.raises(SizeCap):
-        build_aklt(7)
-    with pytest.raises(SizeCap):
-        build_aklt(1, size_cap=8)
+        from_registry("diag:" + ",".join(["0"] * 2048))
 
 
 def test_build_diagonal_levels():

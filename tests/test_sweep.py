@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rescool.cli import main
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import (
     FlatCurve,
@@ -9,7 +10,6 @@ from rescool.sweep import (
     excitation_probability,
     render_csv,
     scan,
-    write_csv,
 )
 
 
@@ -164,15 +164,15 @@ def test_write_csv_round_trip(tmp_path, chain):
     cfg = SweepConfig(eps_min=0.9, eps_max=1.1, points=5, coupling=0.05)
     result = scan(model, cfg, phi0)
     path = tmp_path / "scan.csv"
-    write_csv(result, str(path))
+    argv = ["sweep", "--model", "aklt1", "--init", "1100", "--range", "0.9:1.1", "--points", "5"]
+    assert main(argv + ["--out", str(path)]) == 0
     assert path.read_text() == render_csv(result)
 
 
-def test_write_csv_failure_leaves_no_file(tmp_path, chain):
-    model, e1, phi0 = chain
-    cfg = SweepConfig(eps_min=0.9, eps_max=1.1, points=3, coupling=0.05)
-    result = scan(model, cfg, phi0)
+def test_write_csv_failure_leaves_no_file(tmp_path, capsys):
     missing_dir = tmp_path / "nope" / "scan.csv"
-    with pytest.raises(OSError):
-        write_csv(result, str(missing_dir))
+    argv = ["sweep", "--model", "aklt1", "--init", "1100", "--range", "0.9:1.1", "--points", "3"]
+    assert main(argv + ["--out", str(missing_dir)]) == 2
+    assert capsys.readouterr().out == ""
     assert not missing_dir.exists()
+    assert list(tmp_path.iterdir()) == []
