@@ -16,15 +16,13 @@ from .cooling import (
     ground_overlap,
     measure_first_ancilla,
     prepare_register,
-    purified_state_model,
     render_report,
     run_algorithm,
     run_iteration,
     success_probability_bound,
 )
 from .evolution import (
-    BlockAmplitudes,
-    analytic_amplitudes,
+    block_amplitudes,
     step_propagator,
     trotter_propagator,
 )
@@ -73,7 +71,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgorithmConfig",
     "BadDimension",
-    "BlockAmplitudes",
     "CheckResult",
     "CoolingReport",
     "DimensionMismatch",
@@ -91,8 +88,8 @@ __all__ = [
     "SystemModel",
     "ZeroBranch",
     "align_global_phase",
-    "analytic_amplitudes",
     "assemble_hamiltonian",
+    "block_amplitudes",
     "build_aklt",
     "build_diagonal",
     "compute_a0",
@@ -108,7 +105,6 @@ __all__ = [
     "pair_swap",
     "prepare_register",
     "propagator",
-    "purified_state_model",
     "render_csv",
     "render_report",
     "render_results",

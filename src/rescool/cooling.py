@@ -10,11 +10,11 @@ streak and restarts from the original state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import isfinite, pi, sqrt
 
 import numpy as np
 
-from .evolution import analytic_amplitudes, step_propagator
+from .evolution import block_amplitudes, step_propagator
 from .hamiltonian import AlgorithmConfig, SystemModel
 from .linalg import (
     DimensionMismatch,
@@ -180,58 +180,48 @@ def run_iteration(
 def compute_a0(model: SystemModel, phi0, c: float) -> float:
     """a0 = sqrt(sum_{j>1} |d_j c_j1|^2) / (|d_1| c) from the spectral overlaps.
 
-    d_j are the eigenbasis coefficients of phi0; c_j1 comes from the closed
-    form.  Degenerate ground levels pool into |d_1|^2.  A state with no
+    d_j are the eigenbasis coefficients of phi0; c_j1 is the closed-form
+    amplitude of one resonant step (eps0 = E_1 + 1, tau = pi/(2c)).
+    Degenerate ground levels pool into |d_1|^2.  A state with no
     ground-space weight gets a0 = inf: such a run can never purify, but it
     is still a legal thing to simulate.
     """
+    if not c > 0:
+        raise ValueError(f"coupling must be positive, got {c}")
     vec = require_normalized(phi0)
     es = hermitian_eig(model.h_s)
     e1 = float(es.eigenvalues[0])
     d = es.eigenvectors.conj().T @ vec
-    gaps = np.asarray(es.eigenvalues, dtype=float) - e1
-    ground_mask = gaps <= DEGENERACY_ATOL
-    d1_sq = float(np.sum(np.abs(d[ground_mask]) ** 2))
+    excited = es.eigenvalues - e1 > DEGENERACY_ATOL
+    d1_sq = float(np.sum(np.abs(d[~excited]) ** 2))
     if d1_sq < 1e-30:
         return float("inf")
-    leak = 0.0
-    for j in np.nonzero(~ground_mask)[0]:
-        amp = analytic_amplitudes(e1, float(es.eigenvalues[j]), c, j=int(j))
-        leak += float(np.abs(d[j]) ** 2) * abs(amp.c_j1) ** 2
+    _, c_j1 = block_amplitudes(es.eigenvalues[excited], e1 + 1.0, c, pi / (2.0 * c))
+    leak = float(np.sum(np.abs(d[excited] * c_j1) ** 2))
     return sqrt(leak) / (sqrt(d1_sq) * c)
 
 
 def success_probability_bound(
     d1_sq: float, a0: float, c: float, m: int
 ) -> tuple[float, float]:
-    """Probability of m+1 consecutive excited outcomes: exact product and bound.
+    """Probability estimates for m+1 consecutive excited outcomes: product and bound.
 
-    exact_product = d1_sq * prod_{k=1..m} 1/(1 + (a0 c)^{2k}); the bound is
-    d1_sq * (1 - (a0 c)^2)^m.  They coincide at m = 0 (empty product).
+    product = d1_sq * prod_{k=1..m} 1/(1 + (a0 c)^{2k}) is the paper's
+    estimate, which lumps every excited level into one worst-case rate; it
+    is not the exact probability sum_j |d_j|^2 |c_j1|^{2(m+1)}, which can lie
+    above it.  The bound is d1_sq * (1 - (a0 c)^2)^m.  Both equal d1_sq at
+    m = 0 (empty product).
     """
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
     x = a0 * c
     if x >= 1.0:
         raise DivergentTail(f"a0*c = {x:.6g} >= 1, no convergent bound")
-    exact = d1_sq
+    product = d1_sq
     for k in range(1, m + 1):
-        exact /= 1.0 + x ** (2 * k)
+        product /= 1.0 + x ** (2 * k)
     lower = d1_sq * (1.0 - x * x) ** m
-    return exact, lower
-
-
-def purified_state_model(chi1, chibar, a0: float, c: float, m: int) -> np.ndarray:
-    """Closed-form state after m excited outcomes: (chi1 + (a0 c)^m chibar)/norm."""
-    v1 = require_normalized(chi1)
-    v2 = require_normalized(chibar)
-    if v1.shape != v2.shape:
-        raise DimensionMismatch(f"state dimensions differ: {v1.size} vs {v2.size}")
-    overlap = abs(complex(np.vdot(v1, v2)))
-    if overlap > 1e-8:
-        raise ValueError(f"chi1 and chibar overlap by {overlap:.3e}, expected orthogonal")
-    x = (a0 * c) ** m
-    return (v1 + x * v2) / sqrt(1.0 + x * x)
+    return product, lower
 
 
 def run_algorithm(
@@ -264,7 +254,7 @@ def run_algorithm(
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
-    u = step_propagator(model, config)
+    u = step_propagator(model, config) if config.max_iterations else None
     records: list[IterationRecord] = []
     streak = 0
     restarts = 0

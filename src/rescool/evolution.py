@@ -3,84 +3,50 @@
 One cooling step evolves the register for tau = pi/(2c), either exactly or
 through the first-order split [exp(-iA tau/L) exp(-iB tau/L)]^L, where A
 holds the commuting energy terms and B the transverse coupling.  Inside each
-invariant 2x2 block the same step has a closed form; analytic_amplitudes
+invariant 2x2 block the same step has a closed form; block_amplitudes
 evaluates it and serves as the independent oracle the matrix propagators are
 checked against.
 """
 from __future__ import annotations
 
-from cmath import exp as cexp
-from dataclasses import dataclass
-from math import cos, pi, sqrt
-
 import numpy as np
 
 from .hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from .linalg import DimensionMismatch, propagator, require_hermitian
+from .linalg import DimensionMismatch, propagator
 
 
-@dataclass(frozen=True)
-class BlockAmplitudes:
-    """Closed-form end-of-step amplitudes for the block {|00 chi_j>, |11 chi_j>}.
+def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
+    """First column (c_j0, c_j1) of exp(-i H_j tau) for every level E_j at once.
 
-    Starting from |00 chi_j> on the resonance eps0 = E_1 + 1, the step leaves
-    c_j0 on |00 chi_j> and moves c_j1 onto |11 chi_j>.  delta_j is the gap
-    E_j - E_1, kappa_j the sum E_1 + E_j + 1, alpha the ground-branch phase
-    (2 E_1 + 1) pi / (4c).  For delta_j = 0 the transfer is complete and
-    c_j1 equals c1 = exp(-i (alpha + pi/2)).  c_j1_abs_sq restates |c_j1|^2
-    through a separate cosine form and is kept as a consistency handle.
+    H_j = [[eps0 - 1/2, c], [c, 1/2 + E_j]] is the block on
+    {|00 chi_j>, |11 chi_j>}; starting from |00 chi_j>, the evolution leaves
+    c_j0 there and moves c_j1 onto |11 chi_j>.  Writing H_j = mu + h Z + c X
+    with Omega = sqrt(c^2 + h^2), sin(Omega tau)/Omega = tau sinc(Omega tau/pi)
+    stays finite at Omega = 0, so any eps0, c and tau need no special case.
+    The arguments broadcast against each other like numpy operands.
     """
-
-    j: int
-    delta_j: float
-    kappa_j: float
-    alpha: float
-    c1: complex
-    c_j0: complex
-    c_j1: complex
-    c_j1_abs_sq: float
-
-
-def analytic_amplitudes(e1: float, ej: float, c: float, j: int = 0) -> BlockAmplitudes:
-    """Amplitudes after tau = pi/(2c), on resonance, for the level-j block.
-
-    Equivalent to the first column of exp(-i H_j tau) with
-    H_j = [[1/2 + e1, c], [c, 1/2 + ej]], with the principal square root
-    s = sqrt(4c^2 + delta^2) fixing every phase.
-    """
-    if c <= 0:
-        raise ValueError(f"coupling must be positive, got {c}")
-    delta = ej - e1
-    s = sqrt(4.0 * c * c + delta * delta)
-    kappa = e1 + ej + 1.0
-    alpha = (2.0 * e1 + 1.0) * pi / (4.0 * c)
-    c1 = cexp(-1j * (alpha + pi / 2.0))
-    swing = cexp(1j * pi * s / (2.0 * c))
-    front = cexp(-1j * pi * (kappa + s) / (4.0 * c))
-    c_j0 = ((0.5 - delta / (2.0 * s)) + (0.5 + delta / (2.0 * s)) * swing) * front
-    c_j1 = (c / s) * front * (1.0 - swing)
-    abs_sq = (c * c) / (s * s) * (2.0 - 2.0 * cos(pi * s / (2.0 * c)))
-    return BlockAmplitudes(
-        j=j,
-        delta_j=float(delta),
-        kappa_j=float(kappa),
-        alpha=float(alpha),
-        c1=complex(c1),
-        c_j0=complex(c_j0),
-        c_j1=complex(c_j1),
-        c_j1_abs_sq=float(abs_sq),
-    )
+    e = np.asarray(energies, dtype=float)
+    mu = (epsilon0 + e) / 2.0
+    h = (epsilon0 - 1.0 - e) / 2.0
+    omega = np.sqrt(c * c + h * h)
+    s = tau * np.sinc(omega * tau / np.pi)
+    phase = np.exp(-1j * mu * tau)
+    return phase * (np.cos(omega * tau) - 1j * h * s), -1j * c * s * phase
 
 
 def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: int) -> np.ndarray:
-    """First-order split [exp(-i A tau/l) exp(-i B tau/l)]^l."""
+    """First-order split [exp(-i A tau/l) exp(-i B tau/l)]^l.
+
+    propagator checks each part for Hermiticity; only the shapes are
+    compared here.
+    """
     if l < 1:
         raise ValueError(f"step count must be >= 1, got {l}")
-    a = require_hermitian(part_a)
-    b = require_hermitian(part_b)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"split parts differ in shape: {a.shape} vs {b.shape}")
-    step = propagator(a, tau / l) @ propagator(b, tau / l)
+    if np.shape(part_a) != np.shape(part_b):
+        raise DimensionMismatch(
+            f"split parts differ in shape: {np.shape(part_a)} vs {np.shape(part_b)}"
+        )
+    step = propagator(part_a, tau / l) @ propagator(part_b, tau / l)
     return np.linalg.matrix_power(step, l)
 
 

@@ -34,10 +34,10 @@ class SizeCap(ValueError):
     """The 4N-dimensional register would exceed REGISTER_CAP."""
 
 
-def require_register_fits(n_qubits: int) -> None:
-    """Refuse an n-qubit system before anything of its size is allocated."""
-    if 4 * 2**n_qubits > REGISTER_CAP:
-        raise SizeCap(f"register dimension {4 * 2**n_qubits} exceeds the cap {REGISTER_CAP}")
+def require_register_fits(n_dim: int) -> None:
+    """Refuse an N-dimensional system before anything of its size is allocated."""
+    if 4 * n_dim > REGISTER_CAP:
+        raise SizeCap(f"register dimension {4 * n_dim} exceeds the cap {REGISTER_CAP}")
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class SystemModel:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise DimensionMismatch("system needs at least one qubit")
-        require_register_fits(self.n_qubits)
+        require_register_fits(self.dimension)
         h = require_hermitian(self.h_s)
         if h.shape[0] != 2**self.n_qubits:
             raise DimensionMismatch(
@@ -134,19 +134,25 @@ def resonance_reference(e1: float) -> float:
 
 
 def load_matrix_file(path: str) -> np.ndarray:
-    """Read a matrix file: header "dim N", then N rows of N "re,im" tokens."""
+    """Read a matrix file: header "dim N", then N rows of N "re,im" tokens.
+
+    The register cap is checked on N before any row is read.
+    """
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or not lines[0].startswith("dim "):
-        raise ValueError(f"{path}: missing 'dim N' header")
-    try:
-        n_dim = int(lines[0].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: bad dimension header {lines[0]!r}") from exc
-    if len(lines) - 1 != n_dim:
-        raise ValueError(f"{path}: expected {n_dim} rows, found {len(lines) - 1}")
+        rows = (ln.strip() for ln in fh if ln.strip())
+        header = next(rows, "")
+        if not header.startswith("dim "):
+            raise ValueError(f"{path}: missing 'dim N' header")
+        try:
+            n_dim = int(header.split()[1])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: bad dimension header {header!r}") from exc
+        require_register_fits(n_dim)
+        lines = list(rows)
+    if len(lines) != n_dim:
+        raise ValueError(f"{path}: expected {n_dim} rows, found {len(lines)}")
     out = np.zeros((n_dim, n_dim), dtype=complex)
-    for i, ln in enumerate(lines[1:]):
+    for i, ln in enumerate(lines):
         tokens = ln.split()
         if len(tokens) != n_dim:
             raise ValueError(f"{path}: row {i} has {len(tokens)} entries, expected {n_dim}")

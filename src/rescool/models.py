@@ -83,8 +83,8 @@ def build_aklt(n_bulk: int) -> SystemModel:
     if n_bulk < 1:
         raise ValueError(f"need at least one spin-1 site, got {n_bulk}")
     n_qubits = 2 * n_bulk + 2
-    require_register_fits(n_qubits)
     dim = 2**n_qubits
+    require_register_fits(dim)
     ops = spin_operators()
     small = (ops.sx, ops.sy, ops.sz)
     big = (ops.Sx, ops.Sy, ops.Sz)
@@ -105,6 +105,7 @@ def build_diagonal(levels) -> SystemModel:
     n_dim = len(vals)
     if n_dim < 2 or n_dim & (n_dim - 1) != 0:
         raise BadDimension(f"need a power-of-two level count >= 2, got {n_dim}")
+    require_register_fits(n_dim)
     label = "diag:" + ",".join(f"{v:g}" for v in vals)
     return SystemModel(
         n_qubits=n_dim.bit_length() - 1,

@@ -61,7 +61,7 @@ def test_block_state_comparison_rejects_near_misses(
     pattern = FORMER_PATTERNS[m]
     # The detuned amplitudes with their phase dropped, Re(c_j1 / c_11), come
     # within 0.022 and 0.0008 of the printed patterns: likely how they were made.
-    vecs, d, c_j1 = _chain_blocks()
+    _, vecs, d, c_j1 = _chain_blocks()
     dropped = vecs @ (d * np.real(c_j1 / c_j1[0]) ** m)
     dropped /= np.linalg.norm(dropped)
     assert _state_deviation(target, pattern) == pytest.approx(pattern_dev, abs=1e-4)

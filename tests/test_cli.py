@@ -108,6 +108,32 @@ def test_cool_auto_epsilon_matches_explicit_value(capsys):
     assert out_a == out_b
 
 
+def test_cool_with_no_iterations_builds_no_propagator(capsys, monkeypatch):
+    # the report holds only the initial bookkeeping, so no 4N propagator is built
+    def refuse(*args):
+        raise AssertionError("step_propagator called for a run with no iterations")
+
+    monkeypatch.setattr("rescool.cooling.step_propagator", refuse)
+    code, out, err = run_cli(
+        capsys, "cool", "--model", "aklt1", "--init", "1100", "--epsilon0", "1.0", "--iters", "0"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "mode=post-selected",
+        "seed=0",
+        "model=aklt1",
+        "restarts=0",
+        "d1_sq=0.0833333333333",
+        "a0=3.7479848196",
+        "succ_bound=0.0833333333333",
+        "initial_fidelity=0.0833333333333",
+        "degenerate_ground=false",
+        "slow_purification=false",
+        "k,outcome,probability,fidelity",
+        "index,re,im",
+    ] + [f"{i},{int(i == 12)},0" for i in range(16)]
+
+
 def test_cool_restart_cap_exit_code(capsys):
     code, out, err = run_cli(
         capsys,

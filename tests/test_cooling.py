@@ -9,13 +9,12 @@ from rescool.cooling import (
     ground_overlap,
     measure_first_ancilla,
     prepare_register,
-    purified_state_model,
     render_report,
     run_algorithm,
     run_iteration,
     success_probability_bound,
 )
-from rescool.evolution import analytic_amplitudes, step_propagator
+from rescool.evolution import block_amplitudes, step_propagator
 from rescool.hamiltonian import AlgorithmConfig
 from rescool.linalg import DimensionMismatch, NotNormalized, hermitian_eig
 from rescool.models import build_aklt, build_diagonal, ground_truth
@@ -121,10 +120,9 @@ def test_excited_branch_coefficients_match_closed_form():
     evolved = u @ prepare_register(z)
     es = hermitian_eig(model.h_s)
     d = es.eigenvectors.conj().T @ z
-    for j, ej in enumerate(es.eigenvalues):
-        amp = analytic_amplitudes(e1, float(ej), cfg.coupling)
-        got = es.eigenvectors[:, j].conj() @ evolved[12:]
-        assert abs(got - d[j] * amp.c_j1) < 1e-9
+    _, c_j1 = block_amplitudes(es.eigenvalues, cfg.epsilon0, cfg.coupling, cfg.tau)
+    got = es.eigenvectors.conj().T @ evolved[12:]
+    assert np.max(np.abs(got - d * c_j1)) < 1e-9
 
 
 def test_stochastic_ground_outcome_renormalizes_the_complement(chain):
@@ -253,6 +251,13 @@ def test_compute_a0_on_the_chain(chain):
     assert a0 == pytest.approx(3.7479848196025314, abs=1e-9)
 
 
+def test_compute_a0_rejects_non_positive_coupling(chain):
+    model, e1, chi1, phi0 = chain
+    for c in (0.0, -0.05):
+        with pytest.raises(ValueError):
+            compute_a0(model, phi0, c)
+
+
 def test_success_bound_values():
     exact, lower = success_probability_bound(1.0 / 12.0, 2.0, 0.05, 2)
     # (1/12) / (1.01 * 1.0001)
@@ -290,23 +295,6 @@ def test_success_bound_divergent_tail():
         success_probability_bound(0.5, 20.0, 0.05, 3)
     with pytest.raises(ValueError):
         success_probability_bound(0.5, 2.0, 0.05, -1)
-
-
-def test_purified_state_model_limits(chain):
-    model, e1, chi1, phi0 = chain
-    chibar = np.zeros(16, dtype=complex)
-    chibar[0] = 1.0
-    even = purified_state_model(chi1, chibar, 2.0, 0.05, 0)
-    assert np.allclose(even, (chi1 + chibar) / np.sqrt(2.0), atol=1e-12)
-    x = (2.0 * 0.05) ** 3
-    deep = purified_state_model(chi1, chibar, 2.0, 0.05, 3)
-    assert ground_overlap(chi1, deep) == pytest.approx(1.0 / (1.0 + x * x), abs=1e-12)
-
-
-def test_purified_state_model_rejects_overlapping_residual(chain):
-    model, e1, chi1, phi0 = chain
-    with pytest.raises(ValueError):
-        purified_state_model(chi1, chi1, 2.0, 0.05, 1)
 
 
 def test_purified_state_model_is_a_conservative_envelope(chain):

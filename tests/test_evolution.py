@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rescool.evolution import analytic_amplitudes, step_propagator, trotter_propagator
+from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
 from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
 from rescool.models import build_aklt, build_diagonal, ground_truth
@@ -20,52 +22,48 @@ def block_matrix(e1, ej, c):
     return np.array([[e1 + 0.5, c], [c, 0.5 + ej]], dtype=complex)
 
 
+def resonant_amplitudes(e1, ej, c):
+    # one step on the resonance eps0 = E_1 + 1 for the half period pi/(2c)
+    return block_amplitudes(ej, e1 + 1.0, c, np.pi / (2.0 * c))
+
+
 def test_amplitudes_match_block_exponential():
     # closed form against the numerically exponentiated 2x2 block
     rng = np.random.default_rng(20240813)
-    worst = 0.0
     for _ in range(200):
         e1 = rng.uniform(-2.0, 2.0)
         ej = e1 + rng.uniform(0.0, 5.0)
         c = rng.uniform(1e-3, 0.2)
-        amp = analytic_amplitudes(e1, ej, c)
-        tau = np.pi / (2.0 * c)
-        col = propagator(block_matrix(e1, ej, c), tau)[:, 0]
-        worst = max(worst, abs(amp.c_j0 - col[0]), abs(amp.c_j1 - col[1]))
-        assert abs(amp.c_j0 - col[0]) < 1e-9
-        assert abs(amp.c_j1 - col[1]) < 1e-9
-    assert worst < 1e-9
+        c_j0, c_j1 = resonant_amplitudes(e1, ej, c)
+        col = propagator(block_matrix(e1, ej, c), np.pi / (2.0 * c))[:, 0]
+        assert abs(c_j0 - col[0]) < 1e-9
+        assert abs(c_j1 - col[1]) < 1e-9
 
 
 def test_amplitudes_conserve_probability():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        amp = analytic_amplitudes(
+        c_j0, c_j1 = resonant_amplitudes(
             rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 6.0), rng.uniform(1e-3, 0.3)
         )
-        total = abs(amp.c_j0) ** 2 + abs(amp.c_j1) ** 2
-        assert total == pytest.approx(1.0, abs=1e-10)
-        assert amp.c_j1_abs_sq == pytest.approx(abs(amp.c_j1) ** 2, abs=1e-12)
+        assert abs(c_j0) ** 2 + abs(c_j1) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_resonant_transfer_is_complete():
-    # delta = 0: the ground amplitude moves entirely to the flipped branch
+    # delta = 0: the ground amplitude moves entirely to the flipped branch,
+    # picking up the phase exp(-i ((2 E_1 + 1) pi/(4c) + pi/2))
     for c in (0.01, 0.05, 0.2):
-        amp = analytic_amplitudes(0.3, 0.3, c)
-        assert abs(amp.c_j0) < 1e-12
-        assert abs(amp.c_j1) == pytest.approx(1.0, abs=1e-12)
-        assert amp.c_j1 == pytest.approx(amp.c1, abs=1e-12)
+        c_j0, c_j1 = resonant_amplitudes(0.3, 0.3, c)
+        alpha = (2.0 * 0.3 + 1.0) * np.pi / (4.0 * c)
+        assert abs(c_j0) < 1e-12
+        assert abs(c_j1) == pytest.approx(1.0, abs=1e-12)
+        assert c_j1 == pytest.approx(np.exp(-1j * (alpha + np.pi / 2.0)), abs=1e-12)
 
 
 def test_far_detuned_leak_is_bounded():
     # |c_j1| <= 2c/delta when delta >> c
-    amp = analytic_amplitudes(0.0, 1.0, 0.05)
-    assert abs(amp.c_j1) <= 2 * 0.05 / 1.0
-
-
-def test_amplitudes_reject_non_positive_coupling():
-    with pytest.raises(ValueError):
-        analytic_amplitudes(0.0, 1.0, 0.0)
+    _, c_j1 = resonant_amplitudes(0.0, 1.0, 0.05)
+    assert abs(c_j1) <= 2 * 0.05 / 1.0
 
 
 def test_exact_step_zero_time_is_identity():
@@ -87,13 +85,13 @@ def test_full_register_step_reproduces_block_amplitudes():
     evolved = u @ reg
     es = hermitian_eig(model.h_s)
     d = es.eigenvectors.conj().T @ z
-    for j, ej in enumerate(es.eigenvalues):
-        amp = analytic_amplitudes(e1, float(ej), 0.05)
+    c_j0, c_j1 = block_amplitudes(es.eigenvalues, cfg.epsilon0, 0.05, cfg.tau)
+    for j in range(4):
         chi = es.eigenvectors[:, j]
         got_0 = chi.conj() @ evolved[:4]
         got_1 = chi.conj() @ evolved[12:]
-        assert abs(got_0 - d[j] * amp.c_j0) < 1e-9
-        assert abs(got_1 - d[j] * amp.c_j1) < 1e-9
+        assert abs(got_0 - d[j] * c_j0[j]) < 1e-9
+        assert abs(got_1 - d[j] * c_j1[j]) < 1e-9
     # the cross sector stays empty
     assert np.linalg.norm(evolved[4:12]) < 1e-12
 
@@ -186,3 +184,54 @@ def test_step_propagator_selects_exact_or_trotter():
         trotter_propagator(part_a, part_b, cfg_trot.tau, 32),
     )
     assert np.linalg.norm(step_propagator(model, cfg_trot) - u_exact) > 1e-6
+
+
+# Spectra of N = 2, 4 or 8 levels, drawn mostly from a few values so that
+# degenerate levels, including a degenerate ground space, come up often.
+spectra = st.sampled_from([2, 4, 8]).flatmap(
+    lambda n: st.lists(
+        st.sampled_from([0.0, 0.5, 1.0]) | st.floats(-3.0, 3.0), min_size=n, max_size=n
+    )
+)
+couplings = st.just(0.0) | st.floats(0.0, 1.0)
+durations = st.just(0.0) | st.floats(0.0, 40.0)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(
+    levels=spectra,
+    seed=st.integers(0, 2**32 - 1),
+    epsilon0=st.floats(-2.0, 4.0),
+    c=couplings,
+    tau=durations,
+)
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=1, epsilon0=1.0, c=0.0, tau=3.0)
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=2, epsilon0=1.0, c=0.05, tau=0.0)
+def test_block_amplitudes_match_the_dense_register(levels, seed, epsilon0, c, tau):
+    # For a random Hermitian H_S, exp(-i H tau)|00 chi_j> must equal
+    # c_j0 |00 chi_j> + c_j1 |11 chi_j> for every eigenvector chi_j.
+    n_dim = len(levels)
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim)))
+    h_s = (q * np.asarray(levels)) @ q.conj().T
+    h_s = (h_s + h_s.conj().T) / 2.0
+    es = hermitian_eig(h_s)
+    c_j0, c_j1 = block_amplitudes(es.eigenvalues, epsilon0, c, tau)
+    u = propagator(assemble_hamiltonian(h_s, epsilon0, c), tau)
+    evolved = u[:, :n_dim] @ es.eigenvectors
+    expected = np.zeros((4 * n_dim, n_dim), dtype=complex)
+    expected[:n_dim] = es.eigenvectors * c_j0
+    expected[3 * n_dim :] = es.eigenvectors * c_j1
+    assert np.max(np.abs(evolved - expected)) < 1e-9
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    energy=st.floats(-10.0, 10.0),
+    epsilon0=st.floats(-10.0, 10.0),
+    c=st.just(0.0) | st.floats(0.0, 5.0),
+    tau=st.just(0.0) | st.floats(0.0, 100.0),
+)
+def test_block_amplitudes_are_normalized(energy, epsilon0, c, tau):
+    c_j0, c_j1 = block_amplitudes(energy, epsilon0, c, tau)
+    assert abs(abs(c_j0) ** 2 + abs(c_j1) ** 2 - 1.0) < 1e-10

@@ -108,20 +108,21 @@ def test_five_spin_chain_is_frustration_free():
     assert np.all(es.eigenvalues > -1e-9)
 
 
-def test_size_cap_blocks_oversized_chains():
+def test_size_cap_blocks_oversized_chains(tmp_path):
     # the cap is on the 4N register the dense path builds: aklt4 (4N = 4096)
-    # is the largest chain allowed, and aklt5 is refused before any allocation
+    # is the largest chain allowed, and aklt5, a 2048-level diag: model and a
+    # "dim 2048" matrix file are refused before any allocation
+    path = tmp_path / "big.txt"
+    path.write_text("dim 2048\n0,0 0,0\n")
     tracemalloc.start()
     try:
-        for name in ("aklt5", "aklt7"):
+        for name in ("aklt5", "aklt7", "diag:" + ",".join(["0"] * 2048), f"file:{path}"):
             with pytest.raises(SizeCap):
                 from_registry(name)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    with pytest.raises(SizeCap):
-        from_registry("diag:" + ",".join(["0"] * 2048))
 
 
 def test_build_diagonal_levels():
