@@ -15,7 +15,6 @@ from .cooling import (
     compute_a0,
     ground_overlap,
     measure_first_ancilla,
-    prepare_register,
     render_report,
     run_algorithm,
     run_iteration,
@@ -32,7 +31,6 @@ from .hamiltonian import (
     SystemModel,
     assemble_hamiltonian,
     load_matrix_file,
-    resonance_reference,
     save_matrix_file,
     split_parts,
 )
@@ -44,7 +42,6 @@ from .linalg import (
     align_global_phase,
     fidelity,
     hermitian_eig,
-    kron_all,
     propagator,
 )
 from .models import (
@@ -99,16 +96,13 @@ __all__ = [
     "ground_overlap",
     "ground_truth",
     "hermitian_eig",
-    "kron_all",
     "load_matrix_file",
     "measure_first_ancilla",
     "pair_swap",
-    "prepare_register",
     "propagator",
     "render_csv",
     "render_report",
     "render_results",
-    "resonance_reference",
     "run_algorithm",
     "run_checks",
     "run_iteration",

@@ -11,13 +11,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from .acceptance import render_results, run_checks
 from .cooling import RestartCapExceeded, render_report, run_algorithm
-from .hamiltonian import AlgorithmConfig, resonance_reference
+from .hamiltonian import AlgorithmConfig, write_atomic
 from .models import from_registry, ground_truth
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
@@ -108,17 +107,8 @@ def _parse_init(text: str, n_qubits: int) -> np.ndarray:
 def _write_text(path: str | None, body: str) -> None:
     if path is None:
         sys.stdout.write(body)
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(body)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    else:
+        write_atomic(path, body)
 
 
 def cmd_sweep(args) -> int:
@@ -163,7 +153,7 @@ def cmd_cool(args) -> int:
             print("error: give --epsilon0 or --auto-epsilon", file=sys.stderr)
             return 2
         e1, _, _ = ground_truth(model)
-        epsilon0 = resonance_reference(e1)
+        epsilon0 = e1 + 1.0
     config = AlgorithmConfig(
         epsilon0=float(epsilon0),
         coupling=float(_effective(args, "c", float, 0.05)),

@@ -15,7 +15,7 @@ from math import isfinite, pi, sqrt
 import numpy as np
 
 from .evolution import block_amplitudes, step_propagator
-from .hamiltonian import AlgorithmConfig, SystemModel
+from .hamiltonian import AlgorithmConfig, SystemModel, step_branches
 from .linalg import (
     DimensionMismatch,
     fidelity,
@@ -43,17 +43,11 @@ class DivergentTail(ValueError):
 
 @dataclass(frozen=True)
 class IterationRecord:
-    """Outcome of one prepare-evolve-measure cycle.
-
-    k counts the position inside the current excited streak and resets after
-    a restart.  renorm is the squared norm of the branch actually taken
-    (excitation_probability for "excited", its complement for "ground").
-    """
+    """Outcome of one cycle; k is the position in the excited streak, reset on restart."""
 
     k: int
     outcome: str
     excitation_probability: float
-    renorm: float
     system_state: np.ndarray
     fidelity_to_target: float
 
@@ -93,47 +87,13 @@ def ground_overlap(target: np.ndarray, phi) -> float:
     return float(np.sum(np.abs(t.conj().T @ vec) ** 2))
 
 
-def prepare_register(phi) -> np.ndarray:
-    """Embed the system state as |0>|0>|phi> in the 2^(n+2)-dim register."""
-    vec = require_normalized(phi)
-    n_dim = vec.size
-    if n_dim < 2 or n_dim & (n_dim - 1) != 0:
-        raise DimensionMismatch(f"system state length {n_dim} is not a power of two")
-    out = np.zeros(4 * n_dim, dtype=complex)
-    out[:n_dim] = vec
-    return out
-
-
-def measure_first_ancilla(state, mode: str, rng) -> tuple[str, float, np.ndarray]:
-    """Projective probe measurement; returns (outcome, p_excited, collapsed).
-
-    Post-selected mode forces "excited"; stochastic mode draws the outcome
-    from p_excited with the supplied generator.  The collapsed register state
-    is renormalized on the measured half.
-    """
-    vec = require_normalized(state)
-    if vec.size < 8 or vec.size & (vec.size - 1) != 0:
-        raise DimensionMismatch(f"register length {vec.size} is not 2^(n+2)")
-    half = vec.size // 2
-    p_exc = min(float(np.sum(np.abs(vec[half:]) ** 2)), 1.0)
+def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
+    """Probe outcome, True for excited: forced when post-selected, else one rng draw."""
     if mode == "post-selected":
-        excited = True
-    elif mode == "stochastic":
-        excited = bool(rng.random() < p_exc)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    branch = p_exc if excited else 1.0 - p_exc
-    if branch < ZERO_BRANCH_ATOL:
-        raise ZeroBranch(
-            f"{'excited' if excited else 'ground'} branch has probability {branch:.3e}"
-        )
-    collapsed = vec.copy()
-    if excited:
-        collapsed[:half] = 0.0
-    else:
-        collapsed[half:] = 0.0
-    collapsed /= sqrt(branch)
-    return ("excited" if excited else "ground"), p_exc, collapsed
+        return True
+    if mode == "stochastic":
+        return bool(rng.random() < p_excited)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def run_iteration(
@@ -151,18 +111,16 @@ def run_iteration(
     u_step is the step_propagator result and target the ground_truth vector
     or basis; run_algorithm builds both once per run.
     """
-    phi = require_normalized(phi_in)
-    if phi.size != model.dimension:
-        raise DimensionMismatch(f"state is {phi.size}-dim, model is {model.dimension}-dim")
-    evolved = u_step @ prepare_register(phi)
-    outcome, p_exc, collapsed = measure_first_ancilla(evolved, config.mode, rng)
-    n_dim = model.dimension
-    if outcome == "excited":
-        sys_state = collapsed[3 * n_dim : 4 * n_dim]
-        renorm = p_exc
+    if np.size(phi_in) != model.dimension:
+        raise DimensionMismatch(f"state is {np.size(phi_in)}-dim, model is {model.dimension}-dim")
+    p_exc, ground, excited = step_branches(u_step, phi_in)
+    if measure_first_ancilla(p_exc, config.mode, rng):
+        outcome, branch, sys_state = "excited", p_exc, excited
     else:
-        sys_state = collapsed[:n_dim]
-        renorm = 1.0 - p_exc
+        outcome, branch, sys_state = "ground", 1.0 - p_exc, ground
+    if branch < ZERO_BRANCH_ATOL:
+        raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
+    sys_state = sys_state / sqrt(branch)
     norm = float(np.linalg.norm(sys_state))
     if norm < 1e-12:
         raise ZeroBranch(f"system slice after collapse has norm {norm:.3e}")
@@ -171,7 +129,6 @@ def run_iteration(
         k=k,
         outcome=outcome,
         excitation_probability=p_exc,
-        renorm=renorm,
         system_state=sys_state,
         fidelity_to_target=ground_overlap(target, sys_state),
     )
@@ -283,7 +240,7 @@ def run_algorithm(
         succ_bound=succ_bound,
         mode=config.mode,
         seed=config.seed,
-        initial_fidelity=ground_overlap(chi1, phi0),
+        initial_fidelity=d1_sq,
         degenerate_ground=degenerate,
         slow_purification=slow,
         model_label=model.label,

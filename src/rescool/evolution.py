@@ -21,14 +21,15 @@ def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray
     H_j = [[eps0 - 1/2, c], [c, 1/2 + E_j]] is the block on
     {|00 chi_j>, |11 chi_j>}; starting from |00 chi_j>, the evolution leaves
     c_j0 there and moves c_j1 onto |11 chi_j>.  Writing H_j = mu + h Z + c X
-    with Omega = sqrt(c^2 + h^2), sin(Omega tau)/Omega = tau sinc(Omega tau/pi)
-    stays finite at Omega = 0, so any eps0, c and tau need no special case.
+    with Omega = hypot(c, h), sin(Omega tau)/Omega = tau sinc(Omega tau/pi)
+    stays finite at Omega = 0, so any eps0, c and tau need no special case;
+    hypot keeps Omega finite where c*c would overflow.
     The arguments broadcast against each other like numpy operands.
     """
     e = np.asarray(energies, dtype=float)
     mu = (epsilon0 + e) / 2.0
     h = (epsilon0 - 1.0 - e) / 2.0
-    omega = np.sqrt(c * c + h * h)
+    omega = np.hypot(c, h)
     s = tau * np.sinc(omega * tau / np.pi)
     phase = np.exp(-1j * mu * tau)
     return phase * (np.cos(omega * tau) - 1j * h * s), -1j * c * s * phase

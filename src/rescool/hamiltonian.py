@@ -1,4 +1,4 @@
-"""Register Hamiltonian assembly, run configuration and matrix file I/O.
+"""The register layout (operator and one-step state), run configuration, file I/O.
 
 The register is (probe ancilla) x (tag ancilla) x (n system qubits) with the
 probe most significant: basis index a1*2^(n+1) + a2*2^n + s.  The assembled
@@ -13,12 +13,14 @@ eps0 = E_1 + 1, where the j = 1 block has equal diagonal entries.
 """
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass
 from math import inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import DimensionMismatch, kron_all, require_hermitian
+from .linalg import DimensionMismatch, kron_all, require_hermitian, require_normalized
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -94,6 +96,8 @@ class AlgorithmConfig:
             self.tau = pi / (2.0 * self.coupling)
         if not 0 < self.tau < inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
+        if self.trotter_steps < 0:
+            raise ValueError("trotter_steps must be >= 0")
         if self.max_iterations < 0:
             raise ValueError("max_iterations must be >= 0")
         if self.restart_cap < 0:
@@ -128,9 +132,21 @@ def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray
     return _register_parts(model.h_s, config.epsilon0, config.coupling)
 
 
-def resonance_reference(e1: float) -> float:
-    """Reference eigenvalue that puts the ground transition on resonance."""
-    return e1 + 1.0
+def step_branches(u_step: np.ndarray, phi) -> tuple[float, np.ndarray, np.ndarray]:
+    """Evolve |00>|phi> by u_step; return p_excited and the |00>, |11> system slices.
+
+    p_excited is the probe-excited half's weight; the slices are not renormalized.
+    The norm check on the evolved register guards the unitarity of u_step.
+    """
+    vec = require_normalized(phi)
+    n_dim = vec.size
+    if np.shape(u_step) != (4 * n_dim, 4 * n_dim):
+        raise DimensionMismatch(f"u_step is {np.shape(u_step)}, register is {4 * n_dim}-dim")
+    register = np.zeros(4 * n_dim, dtype=complex)
+    register[:n_dim] = vec
+    evolved = require_normalized(u_step @ register)
+    p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
+    return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
 
 
 def load_matrix_file(path: str) -> np.ndarray:
@@ -173,5 +189,18 @@ def save_matrix_file(path: str, matrix: np.ndarray) -> None:
     rows = [f"dim {m.shape[0]}"]
     for i in range(m.shape[0]):
         rows.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in m[i]))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(rows) + "\n")
+    write_atomic(path, "\n".join(rows) + "\n")
+
+
+def write_atomic(path: str, body: str) -> None:
+    """Write ASCII text through a temporary file, so path is never left partial."""
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(body)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise

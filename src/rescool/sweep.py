@@ -13,8 +13,7 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .cooling import prepare_register
-from .hamiltonian import SystemModel, assemble_hamiltonian
+from .hamiltonian import SystemModel, assemble_hamiltonian, step_branches
 from .linalg import propagator, require_normalized
 
 FLAT_CURVE_FLOOR = 1e-12
@@ -84,11 +83,8 @@ def excitation_probability(
     shots = 0 returns the exact branch weight with stderr 0; shots > 0
     returns a binomial estimate and its standard error.
     """
-    vec = require_normalized(phi0)
     h = assemble_hamiltonian(model.h_s, epsilon0, c)
-    evolved = propagator(h, tau) @ prepare_register(vec)
-    half = evolved.size // 2
-    p_exact = min(float(np.sum(np.abs(evolved[half:]) ** 2)), 1.0)
+    p_exact, _, _ = step_branches(propagator(h, tau), phi0)
     if shots == 0:
         return p_exact, 0.0
     if rng is None:

@@ -324,6 +324,7 @@ def test_verify_exit_code_tracks_failures(capsys):
         "sweep --model diag:nan,1",
         "cool --model file:{nan_matrix} --epsilon0 1.0",
         "cool --model aklt5 --auto-epsilon",
+        "cool --model aklt1 --init 1100 --epsilon0 1 --trotter-steps -5 --iters 0",
     ],
 )
 def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):
@@ -336,6 +337,16 @@ def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, ar
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cool_with_huge_coupling_reports_no_nan(capsys):
+    code, out, err = run_cli(
+        capsys, "cool", "--model", "aklt1", "--init", "1100", "--epsilon0", "1", "--c", "1e300"
+    )
+    assert code == 0
+    assert "nan" not in out + err
+    assert "a0=3.31662479036e-300\n" in out
 
 
 def test_python_dash_m_runs_the_cli():

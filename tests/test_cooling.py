@@ -8,15 +8,14 @@ from rescool.cooling import (
     compute_a0,
     ground_overlap,
     measure_first_ancilla,
-    prepare_register,
     render_report,
     run_algorithm,
     run_iteration,
     success_probability_bound,
 )
 from rescool.evolution import block_amplitudes, step_propagator
-from rescool.hamiltonian import AlgorithmConfig
-from rescool.linalg import DimensionMismatch, NotNormalized, hermitian_eig
+from rescool.hamiltonian import AlgorithmConfig, step_branches
+from rescool.linalg import hermitian_eig
 from rescool.models import build_aklt, build_diagonal, ground_truth
 
 
@@ -34,58 +33,56 @@ def resonant_config(e1, **kwargs):
     return AlgorithmConfig(epsilon0=e1 + 1.0, **kwargs)
 
 
-def test_prepare_register_embeds_in_the_double_ground_sector():
-    phi = np.array([0.6, 0.8], dtype=complex)
-    reg = prepare_register(phi)
-    assert reg.shape == (8,)
-    assert np.allclose(reg[:2], phi)
-    assert np.all(reg[2:] == 0)
-
-
 def test_prepare_register_state_is_h_r_eigenstate(chain):
     # |0>|chi_1> sits at eigenvalue eps0 of the two-ancilla register part
     model, e1, chi1, _ = chain
     eps0 = 0.7
-    reg = prepare_register(chi1)
+    reg = np.zeros(64, dtype=complex)
+    reg[:16] = chi1
     eye = np.eye(16, dtype=complex)
     h_r = np.kron(np.diag([1.0, 0.0]), eps0 * eye) + np.kron(np.diag([0.0, 1.0]), model.h_s)
     h_r_full = np.kron(np.eye(2), h_r)
     assert np.linalg.norm(h_r_full @ reg - eps0 * reg) < 1e-9
 
 
-def test_prepare_register_rejects_bad_inputs():
-    with pytest.raises(NotNormalized):
-        prepare_register(np.array([1.0, 1.0]))
-    with pytest.raises(DimensionMismatch):
-        prepare_register(np.array([1.0, 0.0, 0.0]) / 1.0)
-
-
 def test_measurement_of_unevolved_state_has_no_excited_branch(chain):
     model, e1, chi1, _ = chain
-    reg = prepare_register(chi1)
-    outcome, p_exc, collapsed = measure_first_ancilla(reg, "stochastic", np.random.default_rng(0))
-    assert outcome == "ground"
+    identity = np.eye(64, dtype=complex)
+    p_exc, ground, excited = step_branches(identity, chi1)
     assert p_exc == 0.0
-    assert np.allclose(collapsed, reg)
+    assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
+    cfg = resonant_config(e1, mode="stochastic")
+    rec = run_iteration(chi1, model, cfg, np.random.default_rng(0), u_step=identity, target=chi1)
+    assert rec.outcome == "ground"
+    assert np.allclose(rec.system_state, chi1, atol=1e-12)
+    cfg = resonant_config(e1, mode="post-selected")
     with pytest.raises(ZeroBranch):
-        measure_first_ancilla(reg, "post-selected", np.random.default_rng(0))
+        run_iteration(chi1, model, cfg, np.random.default_rng(0), u_step=identity, target=chi1)
 
 
 def test_measurement_after_resonant_step_is_certain(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1)
     u = step_propagator(model, cfg)
-    evolved = u @ prepare_register(chi1)
-    outcome, p_exc, collapsed = measure_first_ancilla(evolved, "stochastic", np.random.default_rng(0))
-    assert outcome == "excited"
+    p_exc, ground, excited = step_branches(u, chi1)
     assert p_exc == pytest.approx(1.0, abs=1e-9)
-    assert np.linalg.norm(collapsed) == pytest.approx(1.0, abs=1e-10)
+    assert measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
+    assert np.linalg.norm(excited) == pytest.approx(1.0, abs=1e-9)
+    assert np.linalg.norm(ground) < 1e-4
 
 
 def test_measurement_rejects_unknown_mode():
-    reg = prepare_register(np.array([1.0, 0.0], dtype=complex))
     with pytest.raises(ValueError):
-        measure_first_ancilla(reg, "mixed", np.random.default_rng(0))
+        measure_first_ancilla(0.5, "mixed", np.random.default_rng(0))
+
+
+def test_measurement_draws_once_when_stochastic_and_never_when_post_selected():
+    drawn = np.random.default_rng(4)
+    fresh = np.random.default_rng(4)
+    assert measure_first_ancilla(0.0, "post-selected", drawn)
+    first = fresh.random()
+    assert measure_first_ancilla(0.5, "stochastic", drawn) == (first < 0.5)
+    assert drawn.random() == fresh.random()
 
 
 def test_first_iteration_excitation_probability(chain):
@@ -95,7 +92,9 @@ def test_first_iteration_excitation_probability(chain):
     rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), u_step=u, target=chi1)
     assert rec.outcome == "excited"
     assert rec.excitation_probability == pytest.approx(1.0 / 12.0, abs=0.01)
-    assert rec.renorm == rec.excitation_probability
+    _, _, excited = step_branches(u, phi0)
+    assert np.linalg.norm(excited) ** 2 == pytest.approx(rec.excitation_probability, abs=1e-12)
+    assert np.allclose(rec.system_state, excited / np.linalg.norm(excited), atol=1e-12)
     assert np.linalg.norm(rec.system_state) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -117,11 +116,11 @@ def test_excited_branch_coefficients_match_closed_form():
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     z /= np.linalg.norm(z)
     u = step_propagator(model, cfg)
-    evolved = u @ prepare_register(z)
+    _, _, excited = step_branches(u, z)
     es = hermitian_eig(model.h_s)
     d = es.eigenvectors.conj().T @ z
     _, c_j1 = block_amplitudes(es.eigenvalues, cfg.epsilon0, cfg.coupling, cfg.tau)
-    got = es.eigenvectors.conj().T @ evolved[12:]
+    got = es.eigenvectors.conj().T @ excited
     assert np.max(np.abs(got - d * c_j1)) < 1e-9
 
 
@@ -132,7 +131,10 @@ def test_stochastic_ground_outcome_renormalizes_the_complement(chain):
     u = step_propagator(model, cfg)
     rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), u_step=u, target=chi1)
     assert rec.outcome == "ground"
-    assert rec.renorm == pytest.approx(1.0 - rec.excitation_probability, abs=1e-12)
+    _, ground, _ = step_branches(u, phi0)
+    p_ground = 1.0 - rec.excitation_probability
+    assert np.linalg.norm(ground) ** 2 == pytest.approx(p_ground, abs=1e-12)
+    assert np.allclose(rec.system_state, ground / np.linalg.norm(ground), atol=1e-12)
 
 
 def test_run_algorithm_two_iterations_reaches_the_ground_state(chain):

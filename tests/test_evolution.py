@@ -66,6 +66,14 @@ def test_far_detuned_leak_is_bounded():
     assert abs(c_j1) <= 2 * 0.05 / 1.0
 
 
+def test_block_amplitudes_stay_finite_at_huge_coupling():
+    # c * c overflows above c ~ 1.3e154; Omega must not
+    c = 1e300
+    c_j0, c_j1 = block_amplitudes(np.array([0.0, 0.5, 2.0]), 1.0, c, np.pi / (2.0 * c))
+    assert np.all(np.isfinite(c_j0)) and np.all(np.isfinite(c_j1))
+    assert np.allclose(np.abs(c_j0) ** 2 + np.abs(c_j1) ** 2, 1.0, atol=1e-12)
+
+
 def test_exact_step_zero_time_is_identity():
     h = assemble_hamiltonian(np.diag([0.0, 1.0]), 1.0, 0.05)
     assert np.allclose(propagator(h, 0.0), np.eye(8), atol=1e-14)

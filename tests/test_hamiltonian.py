@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,14 @@ from rescool.hamiltonian import (
     SystemModel,
     assemble_hamiltonian,
     load_matrix_file,
-    resonance_reference,
     save_matrix_file,
     split_parts,
+    step_branches,
 )
 from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
+    NotNormalized,
     hermitian_eig,
     propagator,
 )
@@ -145,7 +148,7 @@ def test_resonant_block_has_equal_diagonal():
     model = build_aklt(1)
     spectrum = hermitian_eig(model.h_s)
     e1 = float(spectrum.eigenvalues[0])
-    cfg = AlgorithmConfig(epsilon0=resonance_reference(e1), coupling=0.05)
+    cfg = AlgorithmConfig(epsilon0=e1 + 1.0, coupling=0.05)
     basis = np.column_stack(
         [register_basis_state(spectrum, 0, "00"), register_basis_state(spectrum, 0, "11")]
     )
@@ -160,9 +163,23 @@ def test_zero_coupling_blocks_are_diagonal():
     assert np.allclose(h, np.diag(np.diag(h)), atol=0)
 
 
-def test_resonance_reference_shifts_by_one():
-    assert resonance_reference(0.0) == 1.0
-    assert resonance_reference(-0.25) == 0.75
+def test_step_branches_with_identity_leaves_phi_in_the_ground_slice():
+    phi = np.array([0.6, 0.8], dtype=complex)
+    p_exc, ground, excited = step_branches(np.eye(8, dtype=complex), phi)
+    assert p_exc == 0.0
+    assert np.array_equal(ground, phi)
+    assert np.all(excited == 0)
+
+
+def test_step_branches_rejects_bad_inputs():
+    with pytest.raises(NotNormalized):
+        step_branches(np.eye(8), np.array([1.0, 1.0]))
+    for shape in ((4, 4), (8, 4), (16, 16)):
+        with pytest.raises(DimensionMismatch):
+            step_branches(np.eye(*shape), np.array([1.0, 0.0]))
+    # a non-unitary step fails the norm check on the evolved register
+    with pytest.raises(NotNormalized):
+        step_branches(2.0 * np.eye(8), np.array([1.0, 0.0]))
 
 
 def test_split_parts_sum_to_full_hamiltonian():
@@ -201,6 +218,7 @@ def test_config_tau_defaults_to_half_period():
         {"coupling": 0.05, "tau": float("inf")},
         {"coupling": 0.05, "tau": float("nan")},
         {"coupling": 0.05, "epsilon0": float("nan")},
+        {"coupling": 0.05, "trotter_steps": -5},
     ],
 )
 def test_config_rejects_bad_parameters(kwargs):
@@ -249,3 +267,18 @@ def test_matrix_file_rejects_malformed_input(tmp_path, text):
 def test_save_matrix_file_rejects_non_square(tmp_path):
     with pytest.raises(DimensionMismatch):
         save_matrix_file(str(tmp_path / "m.txt"), np.zeros((2, 3)))
+
+
+def test_save_matrix_file_keeps_the_old_file_when_the_write_fails(tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    save_matrix_file(str(path), np.eye(2))
+    before = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError):
+        save_matrix_file(str(path), 2.0 * np.eye(2))
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
