@@ -193,12 +193,18 @@ def save_matrix_file(path: str, matrix: np.ndarray) -> None:
 
 
 def write_atomic(path: str, body: str) -> None:
-    """Write ASCII text through a temporary file, so path is never left partial."""
+    """Write ASCII text through a temporary file, so path is never left partial.
+
+    The file gets open()'s mode, 0o666 less the umask; mkstemp's would be 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(body)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
     except BaseException:
         if os.path.exists(tmp_path):

@@ -1,9 +1,10 @@
-"""Dense complex linear algebra kernel.
+"""Dense linear algebra kernel.
 
 Tensor products, Hermitian eigendecomposition and unitary propagators for
-register dimensions up to a few thousand.  Everything is a plain complex
-ndarray; matrices are row-major and states are flat vectors.  All functions
-are pure and never mutate their arguments.
+register dimensions up to a few thousand.  Inputs are plain complex ndarrays;
+matrices are row-major and states are flat vectors.  Eigenvectors are real
+when the matrix's imaginary part is exactly zero.  All functions are pure and
+never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -72,15 +73,21 @@ def kron_all(*ops) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues ascending; eigenvectors[:, k] belongs to eigenvalues[k]."""
+    """Eigenvalues ascending; eigenvectors[:, k] (real for a real matrix) has eigenvalues[k]."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
 
 def hermitian_eig(h) -> EigenSystem:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
+
+    A matrix whose imaginary part is exactly zero (no tolerance) goes to the
+    real-symmetric solver, which returns real eigenvectors.
+    """
     m = require_hermitian(h)
+    if not m.imag.any():
+        m = m.real
     w, v = np.linalg.eigh(m)
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 

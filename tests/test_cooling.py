@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rescool.cooling import (
     DivergentTail,
@@ -171,6 +173,29 @@ def test_run_algorithm_is_reproducible(chain):
     assert [r.outcome for r in rep_a.records] == [r.outcome for r in rep_b.records]
     assert np.array_equal(rep_a.final_state, rep_b.final_state)
     assert rep_a.restarts == rep_b.restarts
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    state_seed=st.integers(0, 2**32 - 1),
+    iterations=st.integers(1, 3),
+    coupling=st.floats(0.02, 0.2),
+)
+def test_stochastic_runs_repeat_for_the_same_seed(chain, seed, state_seed, iterations, coupling):
+    # the outcome draws depend only on the seed, so a rerun repeats them exactly
+    model, e1, _, _ = chain
+    rng = np.random.default_rng(state_seed)
+    phi0 = rng.normal(size=16) + 1j * rng.normal(size=16)
+    phi0 /= np.linalg.norm(phi0)
+    cfg = resonant_config(
+        e1, coupling=coupling, max_iterations=iterations, mode="stochastic", seed=seed
+    )
+    rep_a = run_algorithm(model, cfg, phi0)
+    rep_b = run_algorithm(model, cfg, phi0)
+    assert [r.outcome for r in rep_a.records] == [r.outcome for r in rep_b.records]
+    assert rep_a.restarts == rep_b.restarts
+    assert np.array_equal(rep_a.final_state, rep_b.final_state)
 
 
 def test_stochastic_restarts_rebuild_the_streak(chain):

@@ -209,21 +209,29 @@ durations = st.just(0.0) | st.floats(0.0, 40.0)
 @given(
     levels=spectra,
     seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
     epsilon0=st.floats(-2.0, 4.0),
     c=couplings,
     tau=durations,
 )
-@example(levels=[0.0, 0.0, 1.0, 1.0], seed=1, epsilon0=1.0, c=0.0, tau=3.0)
-@example(levels=[0.0, 0.0, 1.0, 1.0], seed=2, epsilon0=1.0, c=0.05, tau=0.0)
-def test_block_amplitudes_match_the_dense_register(levels, seed, epsilon0, c, tau):
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=1, real=False, epsilon0=1.0, c=0.0, tau=3.0)
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=2, real=False, epsilon0=1.0, c=0.05, tau=0.0)
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=3, real=True, epsilon0=1.0, c=0.05, tau=31.4)
+def test_block_amplitudes_match_the_dense_register(levels, seed, real, epsilon0, c, tau):
     # For a random Hermitian H_S, exp(-i H tau)|00 chi_j> must equal
-    # c_j0 |00 chi_j> + c_j1 |11 chi_j> for every eigenvector chi_j.
+    # c_j0 |00 chi_j> + c_j1 |11 chi_j> for every eigenvector chi_j.  A real
+    # orthogonal q makes H_S and the register real, so both go through the
+    # real-symmetric solver.
     n_dim = len(levels)
     rng = np.random.default_rng(seed)
-    q, _ = np.linalg.qr(rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim)))
+    z = rng.normal(size=(n_dim, n_dim))
+    if not real:
+        z = z + 1j * rng.normal(size=(n_dim, n_dim))
+    q, _ = np.linalg.qr(z)
     h_s = (q * np.asarray(levels)) @ q.conj().T
     h_s = (h_s + h_s.conj().T) / 2.0
     es = hermitian_eig(h_s)
+    assert np.isrealobj(es.eigenvectors) == (not h_s.imag.any())
     c_j0, c_j1 = block_amplitudes(es.eigenvalues, epsilon0, c, tau)
     u = propagator(assemble_hamiltonian(h_s, epsilon0, c), tau)
     evolved = u[:, :n_dim] @ es.eigenvectors

@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from rescool.cli import main
 from rescool.hamiltonian import (
     PROJ_0,
     PROJ_1,
@@ -282,3 +283,20 @@ def test_save_matrix_file_keeps_the_old_file_when_the_write_fails(tmp_path, monk
         save_matrix_file(str(path), 2.0 * np.eye(2))
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["m.txt"]
+
+
+def test_atomic_writes_get_the_mode_open_would_give(tmp_path, capsys):
+    # mkstemp creates a private file; the written file must follow the umask
+    matrix_path = tmp_path / "m.txt"
+    report_path = tmp_path / "report.txt"
+    old_umask = os.umask(0o022)
+    try:
+        save_matrix_file(str(matrix_path), np.eye(2))
+        args = "cool --model aklt1 --init 1100 --epsilon0 1.0 --iters 0 --out".split()
+        code = main(args + [str(report_path)])
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
+    assert code == 0
+    assert oct(os.stat(matrix_path).st_mode & 0o777) == oct(0o644)
+    assert oct(os.stat(report_path).st_mode & 0o777) == oct(0o644)

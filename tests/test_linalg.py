@@ -45,16 +45,42 @@ def test_kron_all_single_factor():
     assert np.array_equal(kron_all(a), a)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
 @pytest.mark.parametrize("dim", [2, 4, 8, 16])
-def test_hermitian_eig_invariants(dim):
+def test_hermitian_eig_invariants(dim, kind):
+    # real-symmetric input stored as complex takes the real solver
     rng = np.random.default_rng(dim)
     for _ in range(10):
         h = random_hermitian(rng, dim)
+        if kind == "real":
+            h = h.real.astype(complex)
         es = hermitian_eig(h)
         v = es.eigenvectors
+        assert np.isrealobj(v) == (kind == "real")
         assert np.all(np.diff(es.eigenvalues) >= 0)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
         assert np.allclose(v @ np.diag(es.eigenvalues) @ v.conj().T, h, atol=1e-10)
+        reference = np.linalg.eigvalsh(h)  # complex input: zheevd
+        scale = np.linalg.norm(h, 2)
+        assert np.max(np.abs(es.eigenvalues - reference)) <= 1e-12 * scale
+
+
+def test_hermitian_eig_is_real_only_for_an_exactly_zero_imaginary_part():
+    h = np.array([[1.0, 0.5], [0.5, 2.0]]) + 0j
+    assert np.isrealobj(hermitian_eig(h).eigenvectors)
+    # -0.0 is zero: the real solver still applies
+    negative_zero = h.conj()
+    assert np.signbit(negative_zero.imag).all()
+    assert np.isrealobj(hermitian_eig(negative_zero).eigenvectors)
+    # one tiny imaginary pair is physics, not noise: the complex solver keeps it
+    tiny = h.copy()
+    tiny[0, 1] += 1e-14j
+    tiny[1, 0] -= 1e-14j
+    es = hermitian_eig(tiny)
+    v = es.eigenvectors
+    assert np.iscomplexobj(v)
+    assert np.abs(v.imag).max() > 0
+    assert np.allclose(v @ np.diag(es.eigenvalues) @ v.conj().T, tiny, atol=1e-14, rtol=0)
 
 
 def test_hermitian_eig_rejects_non_hermitian():
