@@ -21,8 +21,8 @@ from .models import from_registry, ground_truth
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
 
-def _load_config_file(path: str) -> dict[str, str]:
-    """key=value lines; '#' starts a comment; keys use underscores."""
+def _load_config_file(path: str, flags: set[str]) -> dict[str, str]:
+    """key=value lines; '#' starts a comment; each key must be one of flags."""
     values: dict[str, str] = {}
     with open(path, encoding="ascii") as fh:
         for raw in fh:
@@ -31,8 +31,10 @@ def _load_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}: expected key=value, got {raw.strip()!r}")
-            key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
+            key, val = (part.strip() for part in line.split("=", 1))
+            if key not in flags:
+                raise ValueError(f"{path}: unknown key {key!r}")
+            values[key] = val
     return values
 
 
@@ -262,7 +264,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "config", None):
-            args.config_values = _load_config_file(args.config)
+            flags = set(vars(args)) - {"command", "func", "config"}
+            args.config_values = _load_config_file(args.config, flags)
         return args.func(args)
     except FlatCurve as exc:
         print(f"error: {exc}", file=sys.stderr)

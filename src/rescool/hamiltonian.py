@@ -7,9 +7,11 @@ operator is
     H = -1/2 sz (x) I  +  I (x) H_R  +  c sx (x) sx (x) I_N,
     H_R = eps0 |0><0| (x) I_N  +  |1><1| (x) H_S.
 
-Restricted to span{|00 chi_j>, |11 chi_j>} it decouples into 2x2 blocks
-[[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit on the resonance
-eps0 = E_1 + 1, where the j = 1 block has equal diagonal entries.
+Over the ancilla states 00, 01, 10, 11 its N x N diagonal blocks are
+(eps0 - 1/2) I, H_S - 1/2 I, (eps0 + 1/2) I, H_S + 1/2 I and its anti-diagonal
+ones c I, in the dtype of H_S.  On span{|00 chi_j>, |11 chi_j>} it decouples
+into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit on the
+resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal entries.
 """
 from __future__ import annotations
 
@@ -20,13 +22,7 @@ from math import inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import DimensionMismatch, kron_all, require_hermitian, require_normalized
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PROJ_0 = np.diag([1.0, 0.0]).astype(complex)
-PROJ_1 = np.diag([0.0, 1.0]).astype(complex)
+from .linalg import DimensionMismatch, require_hermitian, require_normalized
 
 # Largest 4N the dense path may build: a 4096 x 4096 complex matrix is 256 MiB.
 REGISTER_CAP = 2**12
@@ -107,20 +103,24 @@ class AlgorithmConfig:
 
 
 def _register_parts(h_s, epsilon0: float, coupling: float) -> tuple[np.ndarray, np.ndarray]:
-    """The energy terms and the transverse coupling of the register, apart."""
+    """The energy terms (diagonal blocks) and the transverse coupling (anti-diagonal), apart."""
     n_dim = h_s.shape[0]
-    eye_n = np.eye(n_dim, dtype=complex)
-    eye_2n = np.eye(2 * n_dim, dtype=complex)
-    h_r = np.kron(PROJ_0, epsilon0 * eye_n) + np.kron(PROJ_1, h_s)
-    part_a = np.kron(-0.5 * SIGMA_Z, eye_2n) + np.kron(np.eye(2, dtype=complex), h_r)
-    part_b = coupling * kron_all(SIGMA_X, SIGMA_X, eye_n)
+    eye = np.eye(n_dim)
+    part_a = np.zeros((4 * n_dim, 4 * n_dim), dtype=h_s.dtype)
+    part_b = np.zeros_like(part_a)
+    diagonal = ((epsilon0 - 0.5) * eye, h_s - 0.5 * eye, (epsilon0 + 0.5) * eye, h_s + 0.5 * eye)
+    for k, block in enumerate(diagonal):
+        rows = slice(k * n_dim, (k + 1) * n_dim)
+        part_a[rows, rows] = block
+        part_b[rows, (3 - k) * n_dim : (4 - k) * n_dim] = coupling * eye
     return part_a, part_b
 
 
 def assemble_hamiltonian(h_s: np.ndarray, epsilon0: float, coupling: float) -> np.ndarray:
     """Full register Hamiltonian from raw pieces; coupling may be zero."""
     part_a, part_b = _register_parts(require_hermitian(h_s), epsilon0, coupling)
-    return part_a + part_b
+    part_a += part_b
+    return part_a
 
 
 def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray, np.ndarray]:

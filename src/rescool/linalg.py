@@ -1,15 +1,15 @@
 """Dense linear algebra kernel.
 
-Tensor products, Hermitian eigendecomposition and unitary propagators for
-register dimensions up to a few thousand.  Inputs are plain complex ndarrays;
-matrices are row-major and states are flat vectors.  Eigenvectors are real
-when the matrix's imaginary part is exactly zero.  All functions are pure and
-never mutate their arguments.
+Hermitian eigendecomposition and unitary propagators for register dimensions
+up to a few thousand.  Matrices are row-major ndarrays and states are flat
+complex vectors.  as_matrix holds the one dtype rule: a matrix whose
+imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
+other is complex128, so a real matrix is never cast up to complex.  All
+functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -30,10 +30,13 @@ class NotNormalized(ValueError):
 
 
 def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=complex)
+    """float64 (contiguous) when the imaginary part is exactly zero, else complex128."""
+    m = np.asarray(a)
     if m.ndim != 2 or m.size == 0:
         raise DimensionMismatch(f"expected a non-empty matrix, got shape {m.shape}")
-    return m
+    if np.iscomplexobj(m) and m.imag.any():
+        return m.astype(complex, copy=False)
+    return np.ascontiguousarray(m.real, dtype=float)
 
 
 def as_state(v) -> np.ndarray:
@@ -64,16 +67,9 @@ def require_normalized(v, atol: float = NORM_ATOL) -> np.ndarray:
     return vec
 
 
-def kron_all(*ops) -> np.ndarray:
-    """Kronecker product of a sequence of matrices, left to right."""
-    if not ops:
-        raise DimensionMismatch("kron_all needs at least one operand")
-    return reduce(np.kron, (as_matrix(op) for op in ops))
-
-
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues ascending; eigenvectors[:, k] (real for a real matrix) has eigenvalues[k]."""
+    """Eigenvalues ascending; eigenvectors[:, k] has eigenvalues[k] and the matrix's dtype."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -82,12 +78,11 @@ class EigenSystem:
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    A matrix whose imaginary part is exactly zero (no tolerance) goes to the
-    real-symmetric solver, which returns real eigenvectors.
+    require_hermitian applies as_matrix's dtype rule, so a matrix whose
+    imaginary part is exactly zero reaches the real-symmetric solver and
+    gets real eigenvectors; any other keeps the complex solver.
     """
     m = require_hermitian(h)
-    if not m.imag.any():
-        m = m.real
     w, v = np.linalg.eigh(m)
     return EigenSystem(eigenvalues=w, eigenvectors=v)
 

@@ -12,11 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SIGMA_X, SIGMA_Y, SIGMA_Z, SystemModel, load_matrix_file
-from .hamiltonian import require_register_fits
-from .linalg import hermitian_eig, kron_all
+from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
+from .linalg import hermitian_eig
 
 DEGENERACY_ATOL = 1e-9
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class BadDimension(ValueError):
@@ -56,7 +58,7 @@ def _embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
     span = int(round(np.log2(op.shape[0])))
     left = np.eye(2**first_qubit, dtype=complex)
     right = np.eye(2 ** (n_qubits - first_qubit - span), dtype=complex)
-    return kron_all(left, op, right)
+    return np.kron(np.kron(left, op), right)
 
 
 def _dot_product(a_ops, b_ops) -> np.ndarray:
@@ -107,11 +109,7 @@ def build_diagonal(levels) -> SystemModel:
         raise BadDimension(f"need a power-of-two level count >= 2, got {n_dim}")
     require_register_fits(n_dim)
     label = "diag:" + ",".join(f"{v:g}" for v in vals)
-    return SystemModel(
-        n_qubits=n_dim.bit_length() - 1,
-        h_s=np.diag(np.asarray(vals, dtype=complex)),
-        label=label,
-    )
+    return SystemModel(n_qubits=n_dim.bit_length() - 1, h_s=np.diag(vals), label=label)
 
 
 def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:

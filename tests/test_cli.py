@@ -327,6 +327,27 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 7
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["cool", "--epsilon0", "1.0"], "coupling=0.2"),
+        (["sweep"], "iters=3"),
+        (["sweep"], "command=cool"),
+        (["sweep"], "config=other.cfg"),
+    ],
+)
+def test_config_file_rejects_keys_that_are_not_flags(tmp_path, capsys, argv, line):
+    # coupling is not a flag (--c is) and iters belongs to cool, not sweep
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=aklt1\ninit=1100\n{line}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    key = line.split("=")[0]
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert str(cfg) in err and repr(key) in err
+
+
 def test_verify_subset_passes(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "initial-fidelity")
     assert code == 0

@@ -1,14 +1,11 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rescool.cli import main
 from rescool.hamiltonian import (
-    PROJ_0,
-    PROJ_1,
-    SIGMA_X,
-    SIGMA_Z,
     AlgorithmConfig,
     SizeCap,
     SystemModel,
@@ -26,6 +23,12 @@ from rescool.linalg import (
     propagator,
 )
 from rescool.models import build_aklt, build_diagonal
+
+# The test's own operators, so the Kronecker reference shares no code with src/.
+PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+PAULI_Z = np.diag([1.0, -1.0])
+PROJ_0 = np.diag([1.0, 0.0])
+PROJ_1 = np.diag([0.0, 1.0])
 
 
 def random_model(rng, n_qubits):
@@ -55,19 +58,45 @@ def register_basis_state(spectrum, j, ancillas):
     return out
 
 
-def test_single_qubit_assembly_matches_kron_by_hand():
-    h_s = np.diag([0.0, 2.0]).astype(complex)
-    eps0, c = 1.0, 0.05
-    full = assemble_hamiltonian(h_s, eps0, c)
-    eye2 = np.eye(2, dtype=complex)
-    h_r = np.kron(PROJ_0, eps0 * eye2) + np.kron(PROJ_1, h_s)
-    expected = (
-        np.kron(-0.5 * SIGMA_Z, np.eye(4, dtype=complex))
-        + np.kron(eye2, h_r)
-        + c * np.kron(np.kron(SIGMA_X, SIGMA_X), eye2)
+def kron_register(h_s, eps0, c):
+    # H = -1/2 Z (x) I_2N + I_2 (x) H_R + c X (x) X (x) I_N, H_R = eps0 P0 (x) I_N + P1 (x) H_S
+    n_dim = h_s.shape[0]
+    eye_n = np.eye(n_dim)
+    h_r = np.kron(PROJ_0, eps0 * eye_n) + np.kron(PROJ_1, h_s)
+    return (
+        np.kron(-0.5 * PAULI_Z, np.eye(2 * n_dim))
+        + np.kron(np.eye(2), h_r)
+        + c * np.kron(np.kron(PAULI_X, PAULI_X), eye_n)
     )
-    assert full.shape == (8, 8)
-    assert np.allclose(full, expected, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n_qubits", [1, 2])
+@pytest.mark.parametrize("eps0, c", [(1.0, 0.05), (0.3, 0.0), (-2.5, 1.7)])
+def test_single_qubit_assembly_matches_kron_by_hand(kind, n_qubits, eps0, c):
+    rng = np.random.default_rng(9 + n_qubits)
+    dim = 2**n_qubits
+    a = rng.normal(size=(dim, dim))
+    if kind == "complex":
+        a = a + 1j * rng.normal(size=(dim, dim))
+    h_s = (a + a.conj().T) / 2
+    full = assemble_hamiltonian(h_s, eps0, c)
+    assert full.shape == (4 * dim, 4 * dim)
+    assert full.dtype == (np.float64 if kind == "real" else np.complex128)
+    assert np.array_equal(full, kron_register(h_s, eps0, c))
+
+
+def test_aklt3_assembly_peaks_at_most_25_mib():
+    # the two 1024 x 1024 float64 parts are 16 MiB; complex temporaries would double that
+    h_s = build_aklt(3).h_s
+    tracemalloc.start()
+    try:
+        full = assemble_hamiltonian(h_s, 1.0, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert full.shape == (1024, 1024)
+    assert peak <= 25 * 2**20
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
@@ -193,7 +222,7 @@ def test_split_parts_sum_to_full_hamiltonian():
     # the transverse coupling never touches the diagonal
     assert np.all(np.diag(part_b) == 0)
     assert np.linalg.norm(part_b) == pytest.approx(
-        0.12 * np.linalg.norm(np.kron(SIGMA_X, SIGMA_X)) * np.sqrt(model.dimension),
+        0.12 * np.linalg.norm(np.kron(PAULI_X, PAULI_X)) * np.sqrt(model.dimension),
         rel=1e-12,
     )
 

@@ -8,7 +8,6 @@ from rescool.linalg import (
     align_global_phase,
     fidelity,
     hermitian_eig,
-    kron_all,
     propagator,
     require_hermitian,
     require_normalized,
@@ -23,26 +22,6 @@ def random_hermitian(rng, dim):
 def random_state(rng, dim):
     z = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return z / np.linalg.norm(z)
-
-
-def test_kron_matches_numpy():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(2, 2))
-    b = rng.normal(size=(3, 3))
-    assert np.array_equal(kron_all(a, b), np.kron(a, b))
-
-
-def test_kron_all_left_associative():
-    rng = np.random.default_rng(2)
-    a, b, c = (rng.normal(size=(2, 2)) for _ in range(3))
-    out = kron_all(a, b, c)
-    assert out.shape == (8, 8)
-    assert np.allclose(out, np.kron(np.kron(a, b), c))
-
-
-def test_kron_all_single_factor():
-    a = np.eye(3)
-    assert np.array_equal(kron_all(a), a)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

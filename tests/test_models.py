@@ -186,6 +186,25 @@ def test_registry_loads_matrix_files(tmp_path):
     assert np.allclose(model.h_s, h, atol=1e-15)
 
 
+def test_model_h_s_is_real_exactly_when_its_imaginary_part_is_zero(tmp_path):
+    real = np.diag([1.0, 2.0, 3.0, 4.0])
+    real[0, 1] = real[1, 0] = 0.5
+    complex_h = real.astype(complex)
+    complex_h[0, 1] += 0.25j
+    complex_h[1, 0] -= 0.25j
+    paths = {}
+    for name, h in (("real", real), ("complex", complex_h)):
+        paths[name] = tmp_path / f"{name}.txt"
+        save_matrix_file(str(paths[name]), h)
+    for name in ("aklt1", "diag:0,1,1,3", f"file:{paths['real']}"):
+        model = from_registry(name)
+        assert model.h_s.dtype == np.float64, name
+        assert model.h_s.flags.c_contiguous
+    model = from_registry(f"file:{paths['complex']}")
+    assert model.h_s.dtype == np.complex128
+    assert np.array_equal(model.h_s, complex_h)
+
+
 def test_registry_rejects_non_power_of_two_files(tmp_path):
     path = tmp_path / "h3.txt"
     save_matrix_file(str(path), np.eye(3))
