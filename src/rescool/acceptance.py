@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import pi, sqrt
+from math import inf, pi, sqrt
 
 import numpy as np
 
@@ -353,8 +353,9 @@ CHECKS = [
 
 def run_checks(only: str = "", tolerance_scale: float = 1.0) -> list[CheckResult]:
     """Run every check whose name contains the filter substring."""
-    if tolerance_scale <= 0:
-        raise ValueError(f"tolerance_scale must be positive, got {tolerance_scale}")
+    # Written so that NaN fails it: an infinite scale would pass every check vacuously.
+    if not 0 < tolerance_scale < inf:
+        raise ValueError(f"tolerance_scale must be positive and finite, got {tolerance_scale}")
     results = []
     for name, fn in CHECKS:
         if only and only not in name:

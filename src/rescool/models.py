@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
-from .linalg import hermitian_eig
+from .linalg import as_matrix, hermitian_eig
 
 DEGENERACY_ATOL = 1e-9
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -56,8 +56,8 @@ def spin_operators() -> SpinOperators:
 def _embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
     """Place an operator on contiguous qubits into the n-qubit space."""
     span = int(round(np.log2(op.shape[0])))
-    left = np.eye(2**first_qubit, dtype=complex)
-    right = np.eye(2 ** (n_qubits - first_qubit - span), dtype=complex)
+    left = np.eye(2**first_qubit)
+    right = np.eye(2 ** (n_qubits - first_qubit - span))
     return np.kron(np.kron(left, op), right)
 
 
@@ -80,7 +80,9 @@ def build_aklt(n_bulk: int) -> SystemModel:
     the projector onto combined spin 2; each boundary contributes
     (2/3)(1 + s.S), the projector onto combined spin 3/2.  The chain is a
     sum of projectors, so it is positive semidefinite with ground energy
-    exactly zero.
+    exactly zero.  Each bond operator is real and goes through as_matrix
+    before it is embedded, so H_S is accumulated in float64; a nonzero
+    imaginary part would make the in-place sum fail to cast.
     """
     if n_bulk < 1:
         raise ValueError(f"need at least one spin-1 site, got {n_bulk}")
@@ -90,14 +92,17 @@ def build_aklt(n_bulk: int) -> SystemModel:
     ops = spin_operators()
     small = (ops.sx, ops.sy, ops.sz)
     big = (ops.Sx, ops.Sy, ops.Sz)
-    eye8 = np.eye(8, dtype=complex)
-    eye16 = np.eye(16, dtype=complex)
-    h = np.zeros((dim, dim), dtype=complex)
-    h += _embed((2.0 / 3.0) * (eye8 + _dot_product(small, big)), 0, n_qubits)
-    h += _embed((2.0 / 3.0) * (eye8 + _dot_product(big, small)), n_qubits - 3, n_qubits)
+    eye8 = np.eye(8)
+    eye16 = np.eye(16)
+    bond = _dot_product(big, big)
+    left = as_matrix((2.0 / 3.0) * (eye8 + _dot_product(small, big)))
+    right = as_matrix((2.0 / 3.0) * (eye8 + _dot_product(big, small)))
+    bulk = as_matrix(bond + (bond @ bond) / 3.0 + (2.0 / 3.0) * eye16)
+    h = np.zeros((dim, dim))
+    h += _embed(left, 0, n_qubits)
+    h += _embed(right, n_qubits - 3, n_qubits)
     for k in range(1, n_bulk):
-        bond = _dot_product(big, big)
-        h += _embed(bond + (bond @ bond) / 3.0 + (2.0 / 3.0) * eye16, 2 * k - 1, n_qubits)
+        h += _embed(bulk, 2 * k - 1, n_qubits)
     return SystemModel(n_qubits=n_qubits, h_s=h, label=f"aklt{n_bulk}")
 
 

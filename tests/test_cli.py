@@ -388,6 +388,8 @@ def test_verify_exit_code_tracks_failures(capsys):
         "cool --model file:{nan_matrix} --epsilon0 1.0",
         "cool --model aklt5 --auto-epsilon",
         "cool --model aklt1 --init 1100 --epsilon0 1 --trotter-steps -5 --iters 0",
+        "verify --tolerance-scale inf",
+        "verify --tolerance-scale nan",
     ],
 )
 def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):

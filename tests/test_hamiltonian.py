@@ -99,6 +99,18 @@ def test_aklt3_assembly_peaks_at_most_25_mib():
     assert peak <= 25 * 2**20
 
 
+def test_aklt4_build_peaks_at_most_28_mib():
+    # the 1024 x 1024 float64 H_S is 8 MiB; accumulating it as complex doubled the peak to 48 MiB
+    tracemalloc.start()
+    try:
+        model = build_aklt(4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert model.h_s.dtype == np.float64
+    assert peak <= 28 * 2**20
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_assembled_hamiltonian_is_hermitian(n_qubits):
     rng = np.random.default_rng(10 + n_qubits)

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import (
+    BLOCKWISE_MIN_DIM,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -12,6 +16,7 @@ from rescool.linalg import (
     require_hermitian,
     require_normalized,
 )
+from rescool.models import build_aklt
 
 
 def random_hermitian(rng, dim):
@@ -60,6 +65,114 @@ def test_hermitian_eig_is_real_only_for_an_exactly_zero_imaginary_part():
     assert np.iscomplexobj(v)
     assert np.abs(v.imag).max() > 0
     assert np.allclose(v @ np.diag(es.eigenvalues) @ v.conj().T, tiny, atol=1e-14, rtol=0)
+
+
+def permuted_block_diagonal(rng, sizes, real):
+    """Hermitian matrix with the given diagonal blocks, rows and columns shuffled.
+
+    Each block is dense (irreducible), all zero (so it falls apart into
+    singletons) or a copy of the last dense block of its size (so the two
+    spectra coincide).  Returns the matrix and its components as index sets.
+    """
+    n = sum(sizes)
+    h = np.zeros((n, n), dtype=float if real else complex)
+    parts = []
+    last = {}
+    start = 0
+    for size in sizes:
+        span = slice(start, start + size)
+        kind = rng.integers(3)
+        if kind == 1:
+            parts += [{i} for i in range(start, start + size)]
+        else:
+            if kind == 0 or size not in last:
+                a = rng.normal(size=(size, size))
+                if not real:
+                    a = a + 1j * rng.normal(size=(size, size))
+                last[size] = (a + a.conj().T) / 2
+            h[span, span] = last[size]
+            parts.append(set(range(start, start + size)))
+        start += size
+    perm = rng.permutation(n)
+    where = np.argsort(perm)  # old index i lands at where[i]
+    return h[np.ix_(perm, perm)], {frozenset(int(where[i]) for i in part) for part in parts}
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    t=st.floats(0.0, 10.0),
+)
+def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
+    # repeating the size list reaches the block path and gives equal-size blocks
+    sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+    rng = np.random.default_rng(seed)
+    h, parts = permuted_block_diagonal(rng, sizes, real)
+    n = h.shape[0]
+    es = hermitian_eig(h)
+    v = es.eigenvectors
+    scale = np.linalg.norm(h, 2)
+    assert np.isrealobj(v) == (not np.iscomplex(h).any())
+    assert np.all(np.diff(es.eigenvalues) >= 0)
+    assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12 * scale
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) <= 1e-12 * scale
+    # the partition is the components, and each eigenvector lives on its block
+    found = {frozenset(block.tolist()) for rows, _ in es.blocks for block in rows}
+    assert found == parts
+    inside = np.zeros((n, n), dtype=bool)
+    for rows, cols in es.blocks:
+        inside[rows[:, :, None], cols[:, None, :]] = True
+    assert not v[~inside].any()
+    w, q = np.linalg.eigh(h)
+    dense = (q * np.exp(-1j * w * t)) @ q.conj().T
+    u = propagator(h, t)
+    assert np.max(np.abs(u - dense)) <= 1e-12
+    inside[:] = False
+    for rows, _ in es.blocks:
+        inside[rows[:, :, None], rows[:, None, :]] = True
+    assert not u[~inside].any()
+
+
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
+def test_irreducible_matrix_gets_eighs_own_output(shape, real):
+    rng = np.random.default_rng(8)
+    n = 2 * BLOCKWISE_MIN_DIM
+    h = random_hermitian(rng, n)
+    if real:
+        h = h.real
+    if shape == "tridiagonal":
+        h = np.triu(np.tril(h, 1), -1)
+        perm = rng.permutation(n)
+        h = h[np.ix_(perm, perm)]
+    es = hermitian_eig(h)
+    w, v = np.linalg.eigh(h)
+    assert len(es.blocks) == 1 and es.blocks[0][0].shape == (1, n)
+    assert np.array_equal(es.eigenvalues, w)
+    assert np.array_equal(es.eigenvectors, v)
+
+
+def test_register_blocks_are_the_structure_the_speed_up_needs():
+    # exact zeros split the aklt3 register into 18 blocks and part_b into 2 x 2 pairs;
+    # rounding noise in those zeros would merge them back into one dense eigh
+    model = build_aklt(3)
+    register = assemble_hamiltonian(model.h_s, 1.0, 0.05)
+    blocks = hermitian_eig(register).blocks
+    assert sum(rows.shape[0] for rows, _ in blocks) == 18
+    assert max(rows.shape[1] for rows, _ in blocks) == 140
+    _, part_b = split_parts(model, AlgorithmConfig(epsilon0=1.0, coupling=0.05))
+    (rows, _), = hermitian_eig(part_b).blocks
+    assert rows.shape == (512, 2)
+
+
+def test_small_matrices_take_one_eigh():
+    h = np.diag(np.arange(BLOCKWISE_MIN_DIM - 1.0))
+    es = hermitian_eig(h)
+    assert len(es.blocks) == 1 and es.blocks[0][0].shape == (1, h.shape[0])
+    assert np.array_equal(es.eigenvalues, np.linalg.eigh(h)[0])
 
 
 def test_hermitian_eig_rejects_non_hermitian():

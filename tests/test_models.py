@@ -1,8 +1,10 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from rescool import models
 from rescool.hamiltonian import SizeCap, save_matrix_file
 from rescool.linalg import hermitian_eig
 from rescool.models import (
@@ -203,6 +205,15 @@ def test_model_h_s_is_real_exactly_when_its_imaginary_part_is_zero(tmp_path):
     model = from_registry(f"file:{paths['complex']}")
     assert model.h_s.dtype == np.complex128
     assert np.array_equal(model.h_s, complex_h)
+
+
+def test_aklt_build_refuses_a_complex_bond(monkeypatch):
+    # a Hermitian but complex spin operator makes the float64 accumulation fail to cast
+    ops = spin_operators()
+    tilted = dataclasses.replace(ops, sz=ops.sz + 1e-3 * models.SIGMA_Y)
+    monkeypatch.setattr(models, "spin_operators", lambda: tilted)
+    with pytest.raises(TypeError):
+        build_aklt(2)
 
 
 def test_registry_rejects_non_power_of_two_files(tmp_path):
