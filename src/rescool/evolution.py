@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from .linalg import DimensionMismatch, propagator
+from .linalg import DimensionMismatch, power_of_product, propagator
 
 
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -39,7 +39,9 @@ def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: in
     """First-order split [exp(-i A tau/l) exp(-i B tau/l)]^l.
 
     propagator checks each part for Hermiticity; only the shapes are
-    compared here.
+    compared here.  The product and its l-th power are formed block by block
+    on the components both factors share (linalg.power_of_product), so the
+    entries between the register's blocks stay exactly zero.
     """
     if l < 1:
         raise ValueError(f"step count must be >= 1, got {l}")
@@ -47,8 +49,7 @@ def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: in
         raise DimensionMismatch(
             f"split parts differ in shape: {np.shape(part_a)} vs {np.shape(part_b)}"
         )
-    step = propagator(part_a, tau / l) @ propagator(part_b, tau / l)
-    return np.linalg.matrix_power(step, l)
+    return power_of_product(propagator(part_a, tau / l), propagator(part_b, tau / l), l)
 
 
 def step_propagator(model: SystemModel, config: AlgorithmConfig) -> np.ndarray:

@@ -6,9 +6,11 @@ complex vectors.  as_matrix holds the one dtype rule: a matrix whose
 imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
 other is complex128, so a real matrix is never cast up to complex.  The
 eigendecomposition works on the blocks the matrix's exact zeros leave: the
-connected components of m != 0, diagonalized one batch per block size and
-scattered back into dense eigenvectors.  All functions are pure and never
-mutate their arguments.
+connected components of m != 0, checked for Hermiticity and diagonalized one
+batch per block size, then scattered back into dense eigenvectors.
+power_of_product forms (a @ b)^l on the components of a and b together, so
+no dense product or power of the whole matrix is taken.  All functions are
+pure and never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -54,16 +56,26 @@ def as_state(v) -> np.ndarray:
     return vec
 
 
-def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def _square(h) -> np.ndarray:
     m = as_matrix(h)
     if m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    if not np.isfinite(m).all():
+    return m
+
+
+def _check_hermitian(stacks, atol: float) -> None:
+    """Raise NotHermitian unless each square matrix, or stack of them, is finite and Hermitian."""
+    if not all(np.isfinite(s).all() for s in stacks):
         raise NotHermitian("matrix has non-finite entries")
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = max(float(np.max(np.abs(s - s.conj().swapaxes(-1, -2)))) for s in stacks)
     # Written so that a NaN deviation fails the check.
     if not dev <= atol:
         raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {atol:.1e}")
+
+
+def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+    m = _square(h)
+    _check_hermitian([m], atol)
     return m
 
 
@@ -134,22 +146,28 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
-    require_hermitian applies as_matrix's dtype rule, so a matrix whose
-    imaginary part is exactly zero reaches the real-symmetric solver and
-    gets real eigenvectors; any other keeps the complex solver.  From
-    BLOCKWISE_MIN_DIM rows on, the matrix is split into the connected
-    components of its exact nonzeros (no tolerance) and each is diagonalized
-    on its own, one batched eigh per block size; a stable sort then merges
-    the eigenpairs.  An irreducible matrix is one block and gets eigh's own
-    output.
+    as_matrix's dtype rule sends a matrix whose imaginary part is exactly
+    zero to the real-symmetric solver, which gives real eigenvectors; any
+    other keeps the complex solver.  From BLOCKWISE_MIN_DIM rows on, the
+    matrix is split into the connected components of its exact nonzeros (no
+    tolerance) and each is diagonalized on its own, one batched eigh per
+    block size; a stable sort then merges the eigenpairs.  The Hermiticity
+    check runs on the same gathered blocks, and it is as strict as
+    require_hermitian on the whole matrix: NaN and inf are nonzeros, so they
+    fall inside a block, and every entry between blocks is exactly zero on
+    both sides of the diagonal.  An irreducible matrix is one block and gets
+    eigh's own output.
     """
-    m = require_hermitian(h)
+    m = _square(h)
     n = m.shape[0]
     groups = _blocks(m) if n >= BLOCKWISE_MIN_DIM else [np.arange(n)[None]]
-    if len(groups) == 1 and groups[0].shape[0] == 1:
+    whole = len(groups) == 1 and groups[0].shape[0] == 1
+    stacks = [m] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
+    _check_hermitian(stacks, HERMITIAN_ATOL)
+    if whole:
         w, v = np.linalg.eigh(m)
         return EigenSystem(w, v, ((groups[0], groups[0]),))
-    solved = [np.linalg.eigh(m[idx[:, :, None], idx[:, None, :]]) for idx in groups]
+    solved = [np.linalg.eigh(s) for s in stacks]
     w = np.concatenate([wb.ravel() for wb, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty(n, dtype=np.intp)
@@ -181,6 +199,23 @@ def propagator(h, t: float) -> np.ndarray:
         vb = es.eigenvectors[rows[:, :, None], cols[:, None, :]]
         ub = (vb * phases[cols][:, None, :]) @ vb.conj().swapaxes(1, 2)
         u[rows[:, :, None], rows[:, None, :]] = ub
+    return u
+
+
+def power_of_product(a: np.ndarray, b: np.ndarray, l: int) -> np.ndarray:
+    """(a @ b)^l for square a and b of one shape, built block by block.
+
+    The blocks are the connected components of the exact nonzeros of a and
+    b taken together, so both are block-diagonal on them and so is every
+    power of their product.  Each block gets its own product and
+    matrix_power, batched over blocks of one size, and the entries between
+    blocks stay exactly zero.
+    """
+    n = a.shape[0]
+    u = np.zeros((n, n), dtype=np.result_type(a, b))
+    for idx in _blocks((a != 0) | (b != 0)):
+        sel = idx[:, :, None], idx[:, None, :]
+        u[sel] = np.linalg.matrix_power(a[sel] @ b[sel], l)
     return u
 
 

@@ -45,8 +45,9 @@ class SweepConfig:
             raise ValueError(f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]")
         if self.points < 2:
             raise ValueError(f"need at least 2 grid points, got {self.points}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        # Generator.binomial takes an int64 trial count.
+        if not 0 <= self.shots <= np.iinfo(np.int64).max:
+            raise ValueError(f"shots must be in [0, 2**63 - 1], got {self.shots}")
         if not 0 <= self.coupling < inf:
             raise ValueError(f"coupling must be >= 0 and finite, got {self.coupling}")
         if self.tau is None:

@@ -385,6 +385,7 @@ def test_verify_exit_code_tracks_failures(capsys):
         "sweep --model aklt1 --init 1100 --c nan",
         "sweep --model aklt1 --init 1100 --tau inf",
         "sweep --model diag:nan,1",
+        "sweep --model diag:0,1 --points 2 --shots 99999999999999999999",
         "cool --model file:{nan_matrix} --epsilon0 1.0",
         "cool --model aklt5 --auto-epsilon",
         "cool --model aklt1 --init 1100 --epsilon0 1 --trotter-steps -5 --iters 0",

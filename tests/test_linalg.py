@@ -12,6 +12,7 @@ from rescool.linalg import (
     align_global_phase,
     fidelity,
     hermitian_eig,
+    power_of_product,
     propagator,
     require_hermitian,
     require_normalized,
@@ -136,6 +137,35 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     assert not u[~inside].any()
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.0, 10.0),
+    l=st.sampled_from([1, 2, 3, 17, 64]),
+)
+def test_power_of_product_works_on_the_union_of_both_partitions(sizes, seed, t, l):
+    # b is cut into other blocks and shuffled apart from a, so neither
+    # partition alone holds the product; only the union of the two does
+    sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+    n = sum(sizes)
+    rng = np.random.default_rng(seed)
+    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(n // 2), replace=False))
+    a, parts_a = permuted_block_diagonal(rng, sizes, real=False)
+    sizes_b = np.diff(cuts, prepend=0, append=n).tolist()
+    b, parts_b = permuted_block_diagonal(rng, sizes_b, real=True)
+    u_a = propagator(a, t)
+    u_b = propagator(b, t)
+    dense = np.linalg.matrix_power(u_a @ u_b, l)
+    u = power_of_product(u_a, u_b, l)
+    assert np.max(np.abs(u - dense)) <= 1e-12
+    label = np.arange(n)
+    for part in parts_a | parts_b:
+        members = sorted(part)
+        label[np.isin(label, label[members])] = label[members].min()
+    assert not u[label[:, None] != label[None, :]].any()
+
+
 @pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
 def test_irreducible_matrix_gets_eighs_own_output(shape, real):
@@ -178,6 +208,43 @@ def test_small_matrices_take_one_eigh():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("defect", ["inside", "joining", "nan", "inf"])
+def test_block_check_fails_as_the_whole_check_does(defect):
+    # hermitian_eig checks only its gathered blocks; each defect must still
+    # land inside one and give require_hermitian's own message
+    rng = np.random.default_rng(12)
+    h, parts = permuted_block_diagonal(rng, [8] * 9, real=False)
+    (i, j, *_), (k, *_) = sorted(sorted(part) for part in parts if len(part) > 1)[:2]
+    assert h.shape[0] >= BLOCKWISE_MIN_DIM
+    assert sum(rows.shape[0] for rows, _ in hermitian_eig(h).blocks) > 1
+    if defect == "inside":
+        h[i, j] += 1e-6
+    elif defect == "joining":
+        assert h[i, k] == h[k, i] == 0
+        h[i, k] = 0.3
+    else:
+        h[i, j] = np.nan if defect == "nan" else np.inf
+    with pytest.raises(NotHermitian) as whole:
+        require_hermitian(h)
+    with pytest.raises(NotHermitian) as blockwise:
+        hermitian_eig(h)
+    assert str(blockwise.value) == str(whole.value)
+    if defect == "inside":
+        assert str(whole.value).startswith("max|H - H^dag| = 1.000e-06 ")
+    if defect == "joining":
+        assert str(whole.value).startswith("max|H - H^dag| = 3.000e-01 ")
+
+
+def test_block_check_tolerates_roundoff():
+    rng = np.random.default_rng(12)
+    h, parts = permuted_block_diagonal(rng, [8] * 9, real=False)
+    i, j, *_ = sorted(max(parts, key=len))
+    h[i, j] += 1e-13 + 1e-13j
+    es = hermitian_eig(h)
+    assert sum(rows.shape[0] for rows, _ in es.blocks) > 1
+    require_hermitian(h)
 
 
 def test_require_hermitian_tolerates_roundoff():

@@ -132,6 +132,8 @@ def test_sweep_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(eps_min=0.8, eps_max=1.2, points=10, shots=-1)
     with pytest.raises(ValueError):
+        SweepConfig(eps_min=0.8, eps_max=1.2, points=10, shots=2**63)
+    with pytest.raises(ValueError):
         SweepConfig(eps_min=0.8, eps_max=1.2, points=10, coupling=-0.05)
 
 
