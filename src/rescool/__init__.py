@@ -46,13 +46,10 @@ from .linalg import (
 )
 from .models import (
     BadDimension,
-    SpinOperators,
     build_aklt,
     build_diagonal,
     from_registry,
     ground_truth,
-    pair_swap,
-    spin_operators,
 )
 from .sweep import (
     FlatCurve,
@@ -79,7 +76,6 @@ __all__ = [
     "NotNormalized",
     "RestartCapExceeded",
     "SizeCap",
-    "SpinOperators",
     "SweepConfig",
     "SweepResult",
     "SystemModel",
@@ -98,7 +94,6 @@ __all__ = [
     "hermitian_eig",
     "load_matrix_file",
     "measure_first_ancilla",
-    "pair_swap",
     "propagator",
     "render_csv",
     "render_report",
@@ -108,7 +103,6 @@ __all__ = [
     "run_iteration",
     "save_matrix_file",
     "scan",
-    "spin_operators",
     "split_parts",
     "step_propagator",
     "success_probability_bound",

@@ -229,10 +229,12 @@ def fidelity(a, b) -> float:
 
 
 def align_global_phase(v) -> np.ndarray:
-    """Rotate a state so its largest-magnitude amplitude is real positive."""
+    """Rotate a state so its largest-magnitude amplitude is exactly real positive."""
     vec = as_state(v)
     k = int(np.argmax(np.abs(vec)))
     mag = abs(vec[k])
     if mag == 0.0:
         return vec.copy()
-    return vec * (mag / vec[k])
+    out = vec * (mag / vec[k])
+    out[k] = mag  # exact; the product leaves rounding in the imaginary part
+    return out

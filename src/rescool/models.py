@@ -4,73 +4,33 @@ The AKLT chain puts each spin-1 site on two qubits via S = s_a + s_b; every
 term commutes with the in-pair swap, so the antisymmetric (singlet) sector
 decouples and the triplet sector carries the spin-1 physics.  Qubit order is
 [left spin-1/2, pair 1, ..., pair n_bulk, right spin-1/2] with the left
-spin most significant.
+spin most significant.  The chain is SU(2)-invariant, so it is built from
+qubit swaps alone: s_i.s_j = P_ij/2 - 1/4, where P_ij permutes basis states.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
-from .linalg import as_matrix, hermitian_eig
+from .linalg import hermitian_eig
 
 DEGENERACY_ATOL = 1e-9
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 class BadDimension(ValueError):
     """Level count or file dimension is not a power of two."""
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Spin-1/2 triple (sx, sy, sz) and its two-qubit spin-1 lift (Sx, Sy, Sz)."""
+def _swap(n_qubits: int, i: int, j: int) -> np.ndarray:
+    """Swap of qubits i and j as a basis permutation, qubit 0 most significant.
 
-    sx: np.ndarray
-    sy: np.ndarray
-    sz: np.ndarray
-    Sx: np.ndarray
-    Sy: np.ndarray
-    Sz: np.ndarray
-
-
-def spin_operators() -> SpinOperators:
-    """Operators with Sz|00> = +|00>: the pair state |00> is the m = +1 level."""
-    sx = 0.5 * SIGMA_X
-    sy = 0.5 * SIGMA_Y
-    sz = 0.5 * SIGMA_Z
-    eye2 = np.eye(2, dtype=complex)
-    return SpinOperators(
-        sx=sx,
-        sy=sy,
-        sz=sz,
-        Sx=np.kron(sx, eye2) + np.kron(eye2, sx),
-        Sy=np.kron(sy, eye2) + np.kron(eye2, sy),
-        Sz=np.kron(sz, eye2) + np.kron(eye2, sz),
-    )
-
-
-def _embed(op: np.ndarray, first_qubit: int, n_qubits: int) -> np.ndarray:
-    """Place an operator on contiguous qubits into the n-qubit space."""
-    span = int(round(np.log2(op.shape[0])))
-    left = np.eye(2**first_qubit)
-    right = np.eye(2 ** (n_qubits - first_qubit - span))
-    return np.kron(np.kron(left, op), right)
-
-
-def _dot_product(a_ops, b_ops) -> np.ndarray:
-    return sum(np.kron(a, b) for a, b in zip(a_ops, b_ops))
-
-
-def pair_swap(n_qubits: int, first_qubit: int) -> np.ndarray:
-    """Swap of the qubit pair (first_qubit, first_qubit + 1), embedded."""
-    swap = np.array(
-        [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-    )
-    return _embed(swap, first_qubit, n_qubits)
+    Entry x is x with bits i and j exchanged; the swap is its own inverse,
+    so its matrix has a one at (x, perm[x]) for every x.
+    """
+    x = np.arange(2**n_qubits)
+    shift_i, shift_j = n_qubits - 1 - i, n_qubits - 1 - j
+    flip = ((x >> shift_i) ^ (x >> shift_j)) & 1
+    return x ^ (flip << shift_i) ^ (flip << shift_j)
 
 
 def build_aklt(n_bulk: int) -> SystemModel:
@@ -80,29 +40,30 @@ def build_aklt(n_bulk: int) -> SystemModel:
     the projector onto combined spin 2; each boundary contributes
     (2/3)(1 + s.S), the projector onto combined spin 3/2.  The chain is a
     sum of projectors, so it is positive semidefinite with ground energy
-    exactly zero.  Each bond operator is real and goes through as_matrix
-    before it is embedded, so H_S is accumulated in float64; a nonzero
-    imaginary part would make the in-place sum fail to cast.
+    exactly zero.  With s_i.s_j = P_ij/2 - 1/4, a boundary on end qubit e
+    and pair (a1, a2) is (1 + P_e,a1 + P_e,a2)/3, and a bulk bond is
+    (2 sum_p P_p + sum_p,q P_p P_q)/12 over its four cross-pair swaps p, q.
+    The integer weights 4, 2 and 1 are summed exactly in float64 and divided
+    by 12 once, so every entry of H_S is the float nearest its exact value.
     """
     if n_bulk < 1:
         raise ValueError(f"need at least one spin-1 site, got {n_bulk}")
     n_qubits = 2 * n_bulk + 2
     dim = 2**n_qubits
     require_register_fits(dim)
-    ops = spin_operators()
-    small = (ops.sx, ops.sy, ops.sz)
-    big = (ops.Sx, ops.Sy, ops.Sz)
-    eye8 = np.eye(8)
-    eye16 = np.eye(16)
-    bond = _dot_product(big, big)
-    left = as_matrix((2.0 / 3.0) * (eye8 + _dot_product(small, big)))
-    right = as_matrix((2.0 / 3.0) * (eye8 + _dot_product(big, small)))
-    bulk = as_matrix(bond + (bond @ bond) / 3.0 + (2.0 / 3.0) * eye16)
-    h = np.zeros((dim, dim))
-    h += _embed(left, 0, n_qubits)
-    h += _embed(right, n_qubits - 3, n_qubits)
+    last = n_qubits - 1
+    rows = np.arange(dim)
+    terms = []  # (weight, permutation): H_S = sum of weight * P / 12
+    for end, pair in ((0, (1, 2)), (last, (last - 2, last - 1))):
+        terms += [(4, rows)] + [(4, _swap(n_qubits, end, a)) for a in pair]
     for k in range(1, n_bulk):
-        h += _embed(bulk, 2 * k - 1, n_qubits)
+        swaps = [_swap(n_qubits, a, b) for a in (2 * k - 1, 2 * k) for b in (2 * k + 1, 2 * k + 2)]
+        terms += [(2, p) for p in swaps]
+        terms += [(1, p[q]) for p in swaps for q in swaps]
+    h = np.zeros((dim, dim))
+    for weight, perm in terms:
+        h[rows, perm] += weight
+    h /= 12
     return SystemModel(n_qubits=n_qubits, h_s=h, label=f"aklt{n_bulk}")
 
 
@@ -137,11 +98,11 @@ def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
 def from_registry(name: str) -> SystemModel:
     """Resolve "aklt<N>", "diag:<e1,e2,...>" or "file:<path>" to a model."""
     if name.startswith("aklt"):
-        try:
-            n_bulk = int(name[4:])
-        except ValueError as exc:
-            raise ValueError(f"bad chain length in model name {name!r}") from exc
-        return build_aklt(n_bulk)
+        digits = name[4:]
+        # int() alone also takes signs, blanks, underscores and leading zeros
+        if not digits.isdecimal() or name != f"aklt{int(digits)}":
+            raise ValueError(f"bad chain length in model name {name!r}")
+        return build_aklt(int(digits))
     if name.startswith("diag:"):
         try:
             levels = [float(tok) for tok in name[5:].split(",") if tok.strip()]

@@ -327,9 +327,10 @@ def test_align_global_phase_largest_entry_real_positive():
     for _ in range(20):
         v = random_state(rng, 6)
         w = align_global_phase(v)
-        k = int(np.argmax(np.abs(w)))
-        assert w[k].imag == pytest.approx(0.0, abs=1e-12)
-        assert w[k].real > 0
+        k = int(np.argmax(np.abs(v)))
+        assert w[k] == abs(v[k])
+        assert not np.signbit(w[k].imag)
+        assert int(np.argmax(np.abs(w))) == k
         assert fidelity(v / np.linalg.norm(v), w / np.linalg.norm(w)) == pytest.approx(
             1.0, abs=1e-12
         )

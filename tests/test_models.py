@@ -1,10 +1,8 @@
-import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from rescool import models
 from rescool.hamiltonian import SizeCap, save_matrix_file
 from rescool.linalg import hermitian_eig
 from rescool.models import (
@@ -13,12 +11,11 @@ from rescool.models import (
     build_diagonal,
     from_registry,
     ground_truth,
-    pair_swap,
-    spin_operators,
 )
 
 GROUND_SLOT_PLUS = (3, 5, 10, 12)
 GROUND_SLOT_MINUS = (6, 9)
+SWAP = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
 
 
 def chain_ground_vector():
@@ -28,32 +25,41 @@ def chain_ground_vector():
     return v
 
 
-def test_single_spin_commutators():
-    ops = spin_operators()
-    for a, b, c in ((ops.sx, ops.sy, ops.sz), (ops.sy, ops.sz, ops.sx), (ops.sz, ops.sx, ops.sy)):
-        assert np.allclose(a @ b - b @ a, 1j * c, atol=1e-12)
+def kron_all(*ops):
+    out = np.eye(1)
+    for op in ops:
+        out = np.kron(out, op)
+    return out
 
 
-def test_pair_operators_form_spin_one_on_triplets():
-    ops = spin_operators()
-    s_sq = ops.Sx @ ops.Sx + ops.Sy @ ops.Sy + ops.Sz @ ops.Sz
-    triplet_up = np.array([1, 0, 0, 0], dtype=complex)
-    triplet_zero = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-    singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
-    assert np.allclose(s_sq @ triplet_up, 2.0 * triplet_up, atol=1e-12)
-    assert np.allclose(s_sq @ triplet_zero, 2.0 * triplet_zero, atol=1e-12)
-    assert np.allclose(s_sq @ singlet, 0.0 * singlet, atol=1e-12)
+def embedded_swap(n_qubits, first):
+    # swap of qubits (first, first + 1), qubit 0 most significant
+    return kron_all(np.eye(2**first), SWAP, np.eye(2 ** (n_qubits - first - 2)))
 
 
-def test_pair_z_projection_sign_convention():
-    # |00> carries Sz = +1, |11> carries Sz = -1
-    ops = spin_operators()
-    up = np.array([1, 0, 0, 0], dtype=complex)
-    down = np.array([0, 0, 0, 1], dtype=complex)
-    zero = np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2)
-    assert np.allclose(ops.Sz @ up, up, atol=1e-12)
-    assert np.allclose(ops.Sz @ down, -down, atol=1e-12)
-    assert np.allclose(ops.Sz @ zero, 0.0 * zero, atol=1e-12)
+def pauli_reference_aklt(n_bulk):
+    # the build_aklt docstring formula from spin matrices and Kronecker products
+    sx = np.array([[0, 1], [1, 0]]) / 2
+    sy = np.array([[0, -1j], [1j, 0]]) / 2
+    sz = np.array([[1, 0], [0, -1]]) / 2
+    eye2 = np.eye(2)
+    small = (sx, sy, sz)
+    big = tuple(np.kron(s, eye2) + np.kron(eye2, s) for s in small)
+    n_qubits = 2 * n_bulk + 2
+
+    def place(op, first):
+        span = op.shape[0].bit_length() - 1
+        return kron_all(np.eye(2**first), op, np.eye(2 ** (n_qubits - first - span)))
+
+    def dot(a_ops, b_ops):
+        return sum(np.kron(a, b) for a, b in zip(a_ops, b_ops))
+
+    bond = dot(big, big)
+    h = place((2 / 3) * (np.eye(8) + dot(small, big)), 0)
+    h = h + place((2 / 3) * (np.eye(8) + dot(big, small)), n_qubits - 3)
+    for k in range(1, n_bulk):
+        h = h + place(bond + bond @ bond / 3 + (2 / 3) * np.eye(16), 2 * k - 1)
+    return h
 
 
 def test_three_spin_chain_spectrum():
@@ -94,13 +100,34 @@ def test_three_spin_chain_singlet_sector():
 
 def test_swap_inside_a_spin_one_site_is_a_symmetry():
     # the single bulk site of aklt1 lives on qubits 1-2; aklt2 adds one on 3-4
-    swap = pair_swap(4, 1)
+    swap = embedded_swap(4, 1)
     model = build_aklt(1)
     assert np.linalg.norm(swap @ model.h_s - model.h_s @ swap) < 1e-10
     model2 = build_aklt(2)
     for first in (1, 3):
-        swap2 = pair_swap(6, first)
+        swap2 = embedded_swap(6, first)
         assert np.linalg.norm(swap2 @ model2.h_s - model2.h_s @ swap2) < 1e-10
+
+
+@pytest.mark.parametrize("n_bulk", [1, 2, 3, 4])
+def test_aklt_entries_are_exact_twelfths(n_bulk):
+    twelve_h = 12 * build_aklt(n_bulk).h_s
+    assert np.array_equal(twelve_h, np.round(twelve_h))
+
+
+@pytest.mark.parametrize("n_bulk", [1, 2, 3, 4])
+def test_aklt_conserves_the_number_of_up_qubits(n_bulk):
+    h = build_aklt(n_bulk).h_s
+    weight = np.array([bin(x).count("1") for x in range(h.shape[0])])
+    rows, cols = np.nonzero(h)
+    assert rows.size > 0
+    assert np.array_equal(weight[rows], weight[cols])
+
+
+@pytest.mark.parametrize("n_bulk", [1, 2, 3])
+def test_aklt_matches_a_pauli_reference(n_bulk):
+    reference = pauli_reference_aklt(n_bulk)
+    assert np.max(np.abs(build_aklt(n_bulk).h_s - reference)) < 1e-14
 
 
 def test_five_spin_chain_is_frustration_free():
@@ -207,15 +234,6 @@ def test_model_h_s_is_real_exactly_when_its_imaginary_part_is_zero(tmp_path):
     assert np.array_equal(model.h_s, complex_h)
 
 
-def test_aklt_build_refuses_a_complex_bond(monkeypatch):
-    # a Hermitian but complex spin operator makes the float64 accumulation fail to cast
-    ops = spin_operators()
-    tilted = dataclasses.replace(ops, sz=ops.sz + 1e-3 * models.SIGMA_Y)
-    monkeypatch.setattr(models, "spin_operators", lambda: tilted)
-    with pytest.raises(TypeError):
-        build_aklt(2)
-
-
 def test_registry_rejects_non_power_of_two_files(tmp_path):
     path = tmp_path / "h3.txt"
     save_matrix_file(str(path), np.eye(3))
@@ -223,7 +241,11 @@ def test_registry_rejects_non_power_of_two_files(tmp_path):
         from_registry(f"file:{path}")
 
 
-@pytest.mark.parametrize("name", ["", "aklt", "akltx", "aklt0", "ising2", "diag:"])
+@pytest.mark.parametrize(
+    "name",
+    ["", "aklt", "akltx", "aklt0", "ising2", "diag:"]
+    + ["aklt+1", "aklt 1", "aklt01", "aklt1 ", "aklt1_0"],
+)
 def test_registry_rejects_unknown_names(name):
     with pytest.raises((ValueError, BadDimension)):
         from_registry(name)
