@@ -1,9 +1,9 @@
 """Ground-state cooling by resonant ancilla transitions.
 
-A dense statevector simulator for the two-ancilla cooling loop: build the
-register Hamiltonian, evolve for the half period of the resonant transfer,
-measure the probe ancilla, and either purify toward the ground state or scan
-the reference eigenvalue to locate the ground energy.
+A statevector simulator for the two-ancilla cooling loop: evolve |00>|phi>
+for half a resonant period, measure the probe, and purify toward the ground
+state or scan the reference eigenvalue for the ground energy.  The dense 4N
+register that computes a step stays inside its modules.
 """
 from .acceptance import CheckResult, render_results, run_checks
 from .cooling import (
@@ -14,32 +14,23 @@ from .cooling import (
     ZeroBranch,
     compute_a0,
     ground_overlap,
-    measure_first_ancilla,
     render_report,
     run_algorithm,
-    run_iteration,
     success_probability_bound,
 )
-from .evolution import (
-    block_amplitudes,
-    step_propagator,
-    trotter_propagator,
-)
+from .evolution import block_amplitudes
 from .hamiltonian import (
     AlgorithmConfig,
     SizeCap,
     SystemModel,
-    assemble_hamiltonian,
     load_matrix_file,
     save_matrix_file,
-    split_parts,
 )
 from .linalg import (
     DimensionMismatch,
     EigenSystem,
     NotHermitian,
     NotNormalized,
-    align_global_phase,
     fidelity,
     hermitian_eig,
     propagator,
@@ -55,7 +46,6 @@ from .sweep import (
     FlatCurve,
     SweepConfig,
     SweepResult,
-    excitation_probability,
     render_csv,
     scan,
 )
@@ -80,31 +70,23 @@ __all__ = [
     "SweepResult",
     "SystemModel",
     "ZeroBranch",
-    "align_global_phase",
-    "assemble_hamiltonian",
     "block_amplitudes",
     "build_aklt",
     "build_diagonal",
     "compute_a0",
-    "excitation_probability",
     "fidelity",
     "from_registry",
     "ground_overlap",
     "ground_truth",
     "hermitian_eig",
     "load_matrix_file",
-    "measure_first_ancilla",
     "propagator",
     "render_csv",
     "render_report",
     "render_results",
     "run_algorithm",
     "run_checks",
-    "run_iteration",
     "save_matrix_file",
     "scan",
-    "split_parts",
-    "step_propagator",
     "success_probability_bound",
-    "trotter_propagator",
 ]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .acceptance import render_results, run_checks
 from .cooling import RestartCapExceeded, render_report, run_algorithm
-from .hamiltonian import AlgorithmConfig, write_atomic
+from .hamiltonian import AlgorithmConfig, SystemModel, write_atomic
 from .models import from_registry, ground_truth
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
@@ -106,6 +106,16 @@ def _parse_init(text: str, n_qubits: int) -> np.ndarray:
     return vec
 
 
+def _resolve_model(args) -> tuple[SystemModel, np.ndarray]:
+    """The --model system and its --init state, all zeros by default."""
+    model_name = _effective(args, "model", str, None)
+    if model_name is None:
+        raise ValueError("--model is required")
+    model = from_registry(model_name)
+    init_text = _effective(args, "init", str, "0" * model.n_qubits)
+    return model, _parse_init(init_text, model.n_qubits)
+
+
 def _write_text(path: str | None, body: str) -> None:
     if path is None:
         sys.stdout.write(body)
@@ -114,13 +124,7 @@ def _write_text(path: str | None, body: str) -> None:
 
 
 def cmd_sweep(args) -> int:
-    model_name = _effective(args, "model", str, None)
-    if model_name is None:
-        print("error: --model is required", file=sys.stderr)
-        return 2
-    model = from_registry(model_name)
-    init_text = _effective(args, "init", str, "0" * model.n_qubits)
-    phi0 = _parse_init(init_text, model.n_qubits)
+    model, phi0 = _resolve_model(args)
     lo, hi = _parse_range(_effective(args, "range", str, "0.8:1.2"))
     config = SweepConfig(
         eps_min=lo,
@@ -142,13 +146,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_cool(args) -> int:
-    model_name = _effective(args, "model", str, None)
-    if model_name is None:
-        print("error: --model is required", file=sys.stderr)
-        return 2
-    model = from_registry(model_name)
-    init_text = _effective(args, "init", str, "0" * model.n_qubits)
-    phi0 = _parse_init(init_text, model.n_qubits)
+    model, phi0 = _resolve_model(args)
     epsilon0 = _effective(args, "epsilon0", float, None)
     if epsilon0 is None:
         if not _effective(args, "auto_epsilon", _as_bool, False):

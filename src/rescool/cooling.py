@@ -59,7 +59,10 @@ class CoolingReport:
     records holds every iteration in order, including failed stochastic
     attempts; restarts counts the discarded streaks.  succ_bound is the
     closed-form lower bound on finishing max_iterations consecutive excited
-    outcomes (0.0 when a0*c >= 1 leaves no convergent bound).
+    outcomes (0.0 when a0*c >= 1 leaves no convergent bound).  a0 and
+    succ_bound describe the resonant half-period step (eps0 = E_1 + 1,
+    tau = pi/(2c)) whatever config.epsilon0 and config.tau say; off that
+    step succ_bound does not bound the run.
     """
 
     records: list[IterationRecord]

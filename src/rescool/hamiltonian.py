@@ -135,16 +135,16 @@ def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray
 def step_branches(u_step: np.ndarray, phi) -> tuple[float, np.ndarray, np.ndarray]:
     """Evolve |00>|phi> by u_step; return p_excited and the |00>, |11> system slices.
 
-    p_excited is the probe-excited half's weight; the slices are not renormalized.
-    The norm check on the evolved register guards the unitarity of u_step.
+    |00>|phi> is zero outside the first N entries, so only u_step's first N
+    columns (the |00> ones) act on it.  p_excited is the probe-excited half's
+    weight; the slices are not renormalized.  The norm check on the evolved
+    register guards the unitarity of u_step on those columns.
     """
     vec = require_normalized(phi)
     n_dim = vec.size
     if np.shape(u_step) != (4 * n_dim, 4 * n_dim):
         raise DimensionMismatch(f"u_step is {np.shape(u_step)}, register is {4 * n_dim}-dim")
-    register = np.zeros(4 * n_dim, dtype=complex)
-    register[:n_dim] = vec
-    evolved = require_normalized(u_step @ register)
+    evolved = require_normalized(u_step[:, :n_dim] @ vec)
     p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
     return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
 

@@ -15,6 +15,7 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -190,8 +191,13 @@ def propagator(h, t: float) -> np.ndarray:
     the propagator exact for any t, which the analytic amplitude checks
     rely on.  Each block of hermitian_eig's partition gets its own
     (V * phases) @ V^dag, so the entries between blocks stay exactly zero.
+    A phase E t that is not finite (overflow, or t NaN or infinite) raises
+    ValueError; the check multiplies Python floats, so it cannot warn.
     """
     es = hermitian_eig(h)
+    e_max = max(abs(float(es.eigenvalues[0])), abs(float(es.eigenvalues[-1])))
+    if not isfinite(e_max * t):
+        raise ValueError(f"phase max|E| * t is not finite: max|E| = {e_max:.6g}, t = {t:.6g}")
     phases = np.exp(-1j * es.eigenvalues * t)
     n = phases.size
     u = np.zeros((n, n), dtype=complex)

@@ -327,6 +327,43 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 7
 
 
+def test_config_file_on_off_keys_match_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=aklt1\ninit=1100\nauto_epsilon=yes\ntarget_known=on\n")
+    by_config = run_cli(capsys, "cool", "--config", str(cfg))
+    by_flags = run_cli(
+        capsys, "cool", "--model", "aklt1", "--init", "1100", "--auto-epsilon", "--target-known"
+    )
+    assert by_config[0] == 0
+    assert "final fidelity=" in by_config[2]
+    assert by_config == by_flags
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [(["cool"], "auto_epsilon=maybe"), (["sweep"], "points=abc")],
+)
+def test_config_file_rejects_bad_values(tmp_path, capsys, argv, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=aklt1\ninit=1100\n{line}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_sweep_window_below_zero(capsys):
+    # a window below zero must be joined to its flag: "--range -1.2:-0.8" is a usage error
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", "diag:-2,0", "--range=-1.2:-0.8", "--points", "41"
+    )
+    assert code == 0
+    assert "estimated E1=-2\n" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--model", "diag:-2,0", "--range", "-1.2:-0.8"])
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize(
     "argv, line",
     [
@@ -391,6 +428,8 @@ def test_verify_exit_code_tracks_failures(capsys):
         "cool --model aklt1 --init 1100 --epsilon0 1 --trotter-steps -5 --iters 0",
         "verify --tolerance-scale inf",
         "verify --tolerance-scale nan",
+        "cool --model aklt1 --init 1100 --epsilon0 1e308",
+        "sweep --model aklt1 --init 1100 --range 1e308:1.7e308 --points 3",
     ],
 )
 def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):

@@ -224,6 +224,19 @@ def test_step_branches_rejects_bad_inputs():
         step_branches(2.0 * np.eye(8), np.array([1.0, 0.0]))
 
 
+def test_step_branches_reads_only_the_00_columns():
+    # |00>|phi> is zero past its first N entries, so the other columns never count
+    model = build_aklt(1)
+    u = propagator(assemble_hamiltonian(model.h_s, 1.0, 0.05), 10.0)
+    phi = np.full(16, 0.25, dtype=complex)
+    poisoned = u.copy()
+    poisoned[:, 16:] = np.nan
+    want = step_branches(u, phi)
+    got = step_branches(poisoned, phi)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
 def test_split_parts_sum_to_full_hamiltonian():
     rng = np.random.default_rng(16)
     model = random_model(rng, 2)

@@ -292,6 +292,27 @@ def test_propagator_zero_time_is_identity():
     assert np.allclose(propagator(h, 0.0), np.eye(5), atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "h, t",
+    [
+        (np.diag([1e308, -1.0]), 31.4),
+        (np.diag([-1.7e308, 2.0]), 2.0),
+        (np.eye(2), float("nan")),
+        (np.zeros((2, 2)), float("inf")),
+    ],
+)
+def test_propagator_refuses_phases_that_are_not_finite(h, t):
+    # max|E| * t overflows or is undefined: refused before any phase is formed
+    with pytest.raises(ValueError, match=r"max\|E\| = .*, t = "):
+        propagator(h, t)
+
+
+def test_propagator_takes_the_largest_finite_phase():
+    u = propagator(np.diag([1e308, 0.0]), 1.0)
+    assert np.isfinite(u).all()
+    assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
+
+
 def test_propagator_composes():
     rng = np.random.default_rng(5)
     h = random_hermitian(rng, 4)
