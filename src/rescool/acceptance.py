@@ -31,7 +31,7 @@ from .cooling import (
     success_probability_bound,
 )
 from .evolution import block_amplitudes, step_propagator, trotter_propagator
-from .hamiltonian import AlgorithmConfig, split_parts
+from .hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from .linalg import fidelity, hermitian_eig, propagator
 from .models import build_aklt, build_diagonal, ground_truth
 from .sweep import SweepConfig, scan
@@ -262,7 +262,8 @@ def check_success_bound(scale: float) -> tuple[bool, str]:
 def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     model, _, _, _, phi0 = _chain_context()
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
-    u_exact = step_propagator(model, config)
+    h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
+    u_exact = propagator(h_full, config.tau)
     part_a, part_b = split_parts(model, config)
     errors = []
     for steps in (64, 128, 256):
@@ -326,8 +327,8 @@ def check_monotone_convergence(scale: float) -> tuple[bool, str]:
 def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     model, _, chi1, _, _ = _chain_context()
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
-    u = step_propagator(model, config)
-    record = run_iteration(chi1, model, config, np.random.default_rng(0), u_step=u, target=chi1)
+    step = step_propagator(model, config)
+    record = run_iteration(chi1, model, config, np.random.default_rng(0), step=step, target=chi1)
     prob_dev = abs(record.excitation_probability - 1.0)
     state_dev = _state_deviation(chi1, record.system_state)
     passed = prob_dev <= 1e-9 * scale and state_dev <= 1e-8 * scale

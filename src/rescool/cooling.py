@@ -21,6 +21,7 @@ from .linalg import (
     fidelity,
     align_global_phase,
     hermitian_eig,
+    require_finite_phase,
     require_normalized,
 )
 from .models import DEGENERACY_ATOL, ground_truth
@@ -106,17 +107,17 @@ def run_iteration(
     rng,
     k: int = 1,
     *,
-    u_step: np.ndarray,
+    step,
     target: np.ndarray,
 ) -> IterationRecord:
     """One prepare-evolve-measure cycle starting from the given system state.
 
-    u_step is the step_propagator result and target the ground_truth vector
+    step is the step_propagator result and target the ground_truth vector
     or basis; run_algorithm builds both once per run.
     """
     if np.size(phi_in) != model.dimension:
         raise DimensionMismatch(f"state is {np.size(phi_in)}-dim, model is {model.dimension}-dim")
-    p_exc, ground, excited = step_branches(u_step, phi_in)
+    p_exc, ground, excited = step_branches(step, phi_in)
     if measure_first_ancilla(p_exc, config.mode, rng):
         outcome, branch, sys_state = "excited", p_exc, excited
     else:
@@ -144,12 +145,14 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     amplitude of one resonant step (eps0 = E_1 + 1, tau = pi/(2c)).
     Degenerate ground levels pool into |d_1|^2.  A state with no
     ground-space weight gets a0 = inf: such a run can never purify, but it
-    is still a legal thing to simulate.
+    is still a legal thing to simulate.  A phase E_j tau that is not finite
+    raises ValueError before any amplitude is formed.
     """
     if not c > 0:
         raise ValueError(f"coupling must be positive, got {c}")
     vec = require_normalized(phi0)
     es = hermitian_eig(model.h_s)
+    require_finite_phase(es.eigenvalues, pi / (2.0 * c))
     e1 = float(es.eigenvalues[0])
     d = es.eigenvectors.conj().T @ vec
     excited = es.eigenvalues - e1 > DEGENERACY_ATOL
@@ -214,13 +217,13 @@ def run_algorithm(
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
-    u = step_propagator(model, config) if config.max_iterations else None
+    step = step_propagator(model, config) if config.max_iterations else None
     records: list[IterationRecord] = []
     streak = 0
     restarts = 0
     phi = phi0
     while streak < config.max_iterations:
-        rec = run_iteration(phi, model, config, rng, k=streak + 1, u_step=u, target=chi1)
+        rec = run_iteration(phi, model, config, rng, k=streak + 1, step=step, target=chi1)
         records.append(rec)
         if rec.outcome == "excited":
             streak += 1

@@ -1,18 +1,21 @@
-"""Step propagators and the closed-form block transition amplitudes.
+"""Cooling steps and the closed-form block transition amplitudes.
 
 One cooling step evolves the register for tau = pi/(2c), either exactly or
 through the first-order split [exp(-iA tau/L) exp(-iB tau/L)]^L, where A
-holds the commuting energy terms and B the transverse coupling.  Inside each
+holds the commuting energy terms and B the transverse coupling; the exact
+step is applied to the state, never formed as a matrix.  Inside each
 invariant 2x2 block the same step has a closed form; block_amplitudes
-evaluates it and serves as the independent oracle the matrix propagators are
+evaluates it and serves as the independent oracle the register steps are
 checked against.
 """
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from .hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from .linalg import DimensionMismatch, power_of_product, propagator
+from .linalg import DimensionMismatch, power_of_product, propagator, propagator_action
 
 
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -52,10 +55,11 @@ def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: in
     return power_of_product(propagator(part_a, tau / l), propagator(part_b, tau / l), l)
 
 
-def step_propagator(model: SystemModel, config: AlgorithmConfig) -> np.ndarray:
-    """One-iteration register propagator; trotter_steps = 0 selects exact."""
+def step_propagator(model: SystemModel, config: AlgorithmConfig) -> Callable:
+    """One iteration as the map phi -> U|00 phi> on the 4N register; trotter_steps = 0 is exact."""
     if config.trotter_steps == 0:
         h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
-        return propagator(h_full, config.tau)
+        return propagator_action(h_full, config.tau)
     part_a, part_b = split_parts(model, config)
-    return trotter_propagator(part_a, part_b, config.tau, config.trotter_steps)
+    u = trotter_propagator(part_a, part_b, config.tau, config.trotter_steps)
+    return lambda phi: u[:, : phi.size] @ phi

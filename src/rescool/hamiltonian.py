@@ -9,9 +9,10 @@ operator is
 
 Over the ancilla states 00, 01, 10, 11 its N x N diagonal blocks are
 (eps0 - 1/2) I, H_S - 1/2 I, (eps0 + 1/2) I, H_S + 1/2 I and its anti-diagonal
-ones c I, in the dtype of H_S.  On span{|00 chi_j>, |11 chi_j>} it decouples
-into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit on the
-resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal entries.
+ones c I, in the dtype of H_S and in one array.  On span{|00 chi_j>, |11 chi_j>}
+it decouples into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit
+on the resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal
+entries.  step_branches takes one step as the map phi -> U|00 phi>.
 """
 from __future__ import annotations
 
@@ -24,7 +25,9 @@ import numpy as np
 
 from .linalg import DimensionMismatch, require_hermitian, require_normalized
 
-# Largest 4N the dense path may build: a 4096 x 4096 complex matrix is 256 MiB.
+# Largest 4N the dense path may build.  At the cap the largest arrays are the
+# 4096 x 4096 register and its eigenvectors, 128 MiB each in float64 (twice
+# that for a complex H_S); the exact step is applied, not formed as a matrix.
 REGISTER_CAP = 2**12
 
 
@@ -102,12 +105,14 @@ class AlgorithmConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
-def _register_parts(h_s, epsilon0: float, coupling: float) -> tuple[np.ndarray, np.ndarray]:
-    """The energy terms (diagonal blocks) and the transverse coupling (anti-diagonal), apart."""
+def _register_parts(
+    h_s, epsilon0: float, coupling: float, apart: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Energy terms (diagonal blocks) and coupling (anti-diagonal); one array twice unless apart."""
     n_dim = h_s.shape[0]
     eye = np.eye(n_dim)
     part_a = np.zeros((4 * n_dim, 4 * n_dim), dtype=h_s.dtype)
-    part_b = np.zeros_like(part_a)
+    part_b = np.zeros_like(part_a) if apart else part_a
     diagonal = ((epsilon0 - 0.5) * eye, h_s - 0.5 * eye, (epsilon0 + 0.5) * eye, h_s + 0.5 * eye)
     for k, block in enumerate(diagonal):
         rows = slice(k * n_dim, (k + 1) * n_dim)
@@ -117,10 +122,8 @@ def _register_parts(h_s, epsilon0: float, coupling: float) -> tuple[np.ndarray, 
 
 
 def assemble_hamiltonian(h_s: np.ndarray, epsilon0: float, coupling: float) -> np.ndarray:
-    """Full register Hamiltonian from raw pieces; coupling may be zero."""
-    part_a, part_b = _register_parts(require_hermitian(h_s), epsilon0, coupling)
-    part_a += part_b
-    return part_a
+    """Full register Hamiltonian from raw pieces, in one 4N x 4N array; coupling may be zero."""
+    return _register_parts(require_hermitian(h_s), epsilon0, coupling, apart=False)[0]
 
 
 def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -132,19 +135,20 @@ def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray
     return _register_parts(model.h_s, config.epsilon0, config.coupling)
 
 
-def step_branches(u_step: np.ndarray, phi) -> tuple[float, np.ndarray, np.ndarray]:
-    """Evolve |00>|phi> by u_step; return p_excited and the |00>, |11> system slices.
+def step_branches(step, phi) -> tuple[float, np.ndarray, np.ndarray]:
+    """Evolve |00>|phi> by one step; return p_excited and the |00>, |11> system slices.
 
-    |00>|phi> is zero outside the first N entries, so only u_step's first N
-    columns (the |00> ones) act on it.  p_excited is the probe-excited half's
-    weight; the slices are not renormalized.  The norm check on the evolved
-    register guards the unitarity of u_step on those columns.
+    step maps phi to the evolved 4N register U|00 phi>, as
+    evolution.step_propagator builds it.  p_excited is the probe-excited
+    half's weight; the slices are not renormalized.  The norm check on the
+    evolved register guards the unitarity of the step on the |00> columns.
     """
     vec = require_normalized(phi)
     n_dim = vec.size
-    if np.shape(u_step) != (4 * n_dim, 4 * n_dim):
-        raise DimensionMismatch(f"u_step is {np.shape(u_step)}, register is {4 * n_dim}-dim")
-    evolved = require_normalized(u_step[:, :n_dim] @ vec)
+    evolved = step(vec)
+    if np.shape(evolved) != (4 * n_dim,):
+        raise DimensionMismatch(f"step gave {np.shape(evolved)}, register is {4 * n_dim}-dim")
+    evolved = require_normalized(evolved)
     p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
     return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
 

@@ -1,7 +1,9 @@
 """Dense linear algebra kernel.
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
-up to a few thousand.  Matrices are row-major ndarrays and states are flat
+up to a few thousand.  propagator_action applies exp(-iht) to a state, as a
+cooling step does; propagator forms it, for the Trotter factors and as the
+dense oracle.  Matrices are row-major ndarrays and states are flat
 complex vectors.  as_matrix holds the one dtype rule: a matrix whose
 imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
 other is complex128, so a real matrix is never cast up to complex.  The
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import isfinite
+from typing import Callable
 
 import numpy as np
 
@@ -68,7 +71,12 @@ def _check_hermitian(stacks, atol: float) -> None:
     """Raise NotHermitian unless each square matrix, or stack of them, is finite and Hermitian."""
     if not all(np.isfinite(s).all() for s in stacks):
         raise NotHermitian("matrix has non-finite entries")
-    dev = max(float(np.max(np.abs(s - s.conj().swapaxes(-1, -2)))) for s in stacks)
+    dev = 0.0
+    for s in stacks:  # s^dag - s and its magnitude in one array; a real s is not conjugated
+        d = s.swapaxes(-1, -2)
+        d = np.conjugate(d) if np.iscomplexobj(s) else d.copy()
+        d -= s
+        dev = max(dev, float(np.abs(d, out=d).real.max()))
     # Written so that a NaN deviation fails the check.
     if not dev <= atol:
         raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {atol:.1e}")
@@ -184,6 +192,13 @@ def hermitian_eig(h) -> EigenSystem:
     return EigenSystem(w[order], v, tuple(blocks))
 
 
+def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
+    """ValueError unless max|E| * t is finite (E ascending); Python floats cannot warn."""
+    e_max = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+    if not isfinite(e_max * t):
+        raise ValueError(f"phase max|E| * t is not finite: max|E| = {e_max:.6g}, t = {t:.6g}")
+
+
 def propagator(h, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, built block by block from the eigendecomposition.
 
@@ -191,13 +206,10 @@ def propagator(h, t: float) -> np.ndarray:
     the propagator exact for any t, which the analytic amplitude checks
     rely on.  Each block of hermitian_eig's partition gets its own
     (V * phases) @ V^dag, so the entries between blocks stay exactly zero.
-    A phase E t that is not finite (overflow, or t NaN or infinite) raises
-    ValueError; the check multiplies Python floats, so it cannot warn.
+    require_finite_phase runs before any phase is formed.
     """
     es = hermitian_eig(h)
-    e_max = max(abs(float(es.eigenvalues[0])), abs(float(es.eigenvalues[-1])))
-    if not isfinite(e_max * t):
-        raise ValueError(f"phase max|E| * t is not finite: max|E| = {e_max:.6g}, t = {t:.6g}")
+    require_finite_phase(es.eigenvalues, t)
     phases = np.exp(-1j * es.eigenvalues * t)
     n = phases.size
     u = np.zeros((n, n), dtype=complex)
@@ -206,6 +218,31 @@ def propagator(h, t: float) -> np.ndarray:
         ub = (vb * phases[cols][:, None, :]) @ vb.conj().swapaxes(1, 2)
         u[rows[:, :, None], rows[:, None, :]] = ub
     return u
+
+
+def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m @ x for a complex x; a real m multiplies x's two parts apart, so it is never cast up."""
+    if np.iscomplexobj(m):
+        return m @ x
+    return m @ x.real + 1j * (m @ x.imag)
+
+
+def propagator_action(h, t: float) -> Callable:
+    """x -> exp(-i h t)[:, :x.size] @ x, as V (exp(-i E t) * (V[:n]^dag x)) from hermitian_eig.
+
+    No exp(-i h t) is formed, and the phase check runs once, here.
+    """
+    es = hermitian_eig(h)
+    require_finite_phase(es.eigenvalues, t)
+    phases = np.exp(-1j * es.eigenvalues * t)
+    v = es.eigenvectors
+
+    def act(x):
+        # (x^dag V[:n])^dag is V[:n]^dag x without a conjugated copy of V
+        coefficients = _times(v[: x.size].T, x.conj()).conj()
+        return _times(v, phases * coefficients)
+
+    return act
 
 
 def power_of_product(a: np.ndarray, b: np.ndarray, l: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from math import inf, pi, sqrt
 import numpy as np
 
 from .hamiltonian import SystemModel, assemble_hamiltonian, step_branches
-from .linalg import propagator, require_normalized
+from .linalg import propagator_action, require_normalized
 
 FLAT_CURVE_FLOOR = 1e-12
 
@@ -84,8 +84,8 @@ def excitation_probability(
     shots = 0 returns the exact branch weight with stderr 0; shots > 0
     returns a binomial estimate and its standard error.
     """
-    h = assemble_hamiltonian(model.h_s, epsilon0, c)
-    p_exact, _, _ = step_branches(propagator(h, tau), phi0)
+    step = propagator_action(assemble_hamiltonian(model.h_s, epsilon0, c), tau)
+    p_exact, _, _ = step_branches(step, phi0)
     if shots == 0:
         return p_exact, 0.0
     if rng is None:

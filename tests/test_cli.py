@@ -430,6 +430,8 @@ def test_verify_exit_code_tracks_failures(capsys):
         "verify --tolerance-scale nan",
         "cool --model aklt1 --init 1100 --epsilon0 1e308",
         "sweep --model aklt1 --init 1100 --range 1e308:1.7e308 --points 3",
+        "cool --model diag:0,1e308 --epsilon0 1 --init 0 --iters 0",
+        "cool --model diag:0,1e308 --epsilon0 1 --init 0 --iters 1",
     ],
 )
 def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):

@@ -1,12 +1,17 @@
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rescool.cooling import run_algorithm
 from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
-from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
+from rescool.hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
 from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
 from rescool.models import build_aklt, build_diagonal, ground_truth
+from rescool.sweep import SweepConfig, scan
 
 
 def resonant_config(e1, c, **kwargs):
@@ -158,8 +163,6 @@ def test_trotter_error_scales_as_one_over_l():
 def test_trotter_success_probability_tracks_exact():
     # m+1 post-selected outcomes: the probability product stays inside a
     # first-order window around the exact product
-    from rescool.cooling import run_algorithm
-
     model = build_aklt(1)
     e1, _, _ = ground_truth(model)
     phi0 = np.zeros(16, dtype=complex)
@@ -206,18 +209,89 @@ def test_trotter_power_matches_the_dense_power(n_sites):
         assert not u[~inside].any()
 
 
+def applied_columns(step, n_dim):
+    # the step applied to every |00>|k> basis state: the |00> columns of its propagator
+    return np.column_stack([step(col) for col in np.eye(n_dim, dtype=complex)])
+
+
 def test_step_propagator_selects_exact_or_trotter():
     model = build_diagonal([0.0, 2.0])
     cfg_exact = resonant_config(0.0, 0.05)
     cfg_trot = resonant_config(0.0, 0.05, trotter_steps=32)
-    u_exact = step_propagator(model, cfg_exact)
-    assert np.allclose(u_exact, exact_step(model, cfg_exact))
+    u_exact = applied_columns(step_propagator(model, cfg_exact), 2)
+    assert np.allclose(u_exact, exact_step(model, cfg_exact)[:, :2])
     part_a, part_b = split_parts(model, cfg_trot)
-    assert np.allclose(
-        step_propagator(model, cfg_trot),
-        trotter_propagator(part_a, part_b, cfg_trot.tau, 32),
-    )
-    assert np.linalg.norm(step_propagator(model, cfg_trot) - u_exact) > 1e-6
+    u_trot = applied_columns(step_propagator(model, cfg_trot), 2)
+    assert np.allclose(u_trot, trotter_propagator(part_a, part_b, cfg_trot.tau, 32)[:, :2])
+    assert np.linalg.norm(u_trot - u_exact) > 1e-6
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    n_qubits=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    epsilon0=st.floats(-3.0, 3.0),
+    c=st.floats(1e-3, 2.0),
+    tau=st.floats(1e-3, 40.0),
+)
+def test_applied_step_matches_the_formed_propagator(n_qubits, seed, real, epsilon0, c, tau):
+    # N = 16 makes a 64-row register, which hermitian_eig splits into blocks
+    n_dim = 2**n_qubits
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_dim, n_dim))
+    if not real:
+        a = a + 1j * rng.normal(size=(n_dim, n_dim))
+    model = SystemModel(n_qubits=n_qubits, h_s=(a + a.conj().T) / 2.0)
+    cfg = AlgorithmConfig(epsilon0=epsilon0, coupling=c, tau=tau)
+    phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
+    phi /= np.linalg.norm(phi)
+    got = step_propagator(model, cfg)(phi)
+    want = exact_step(model, cfg)[:, :n_dim] @ phi
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_exact_paths_never_form_a_propagator(monkeypatch):
+    # every binding of linalg.propagator raises: only the Trotter factors still need it
+    def refuse(*args):
+        raise AssertionError("propagator formed")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescool" and getattr(module, "propagator", None) is propagator:
+            monkeypatch.setattr(module, "propagator", refuse)
+    model = build_aklt(1)
+    phi0 = np.zeros(16, dtype=complex)
+    phi0[12] = 1.0
+    sweep = scan(model, SweepConfig(eps_min=0.8, eps_max=1.2, points=5), phi0)
+    assert sweep.peak_epsilon == 1.0
+    cfg = resonant_config(0.0, 0.05, max_iterations=2)
+    assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
+    with pytest.raises(AssertionError, match="propagator formed"):
+        step_propagator(model, resonant_config(0.0, 0.05, trotter_steps=4))
+
+
+def test_exact_aklt3_run_forms_no_complex_register_matrix():
+    # the 1024 x 1024 float64 register and its eigenvectors are 8 MiB each;
+    # a formed complex exp(-iH tau) would add 16 MiB more
+    model = build_aklt(3)
+    phi0 = np.zeros(256, dtype=complex)
+    phi0[0b01100110] = 1.0
+    cfg = resonant_config(0.0, 0.05, max_iterations=2)
+    tracemalloc.start()
+    try:
+        run_algorithm(model, cfg, phi0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * 2**20
+
+
+@pytest.mark.parametrize("trotter_steps", [0, 4])
+def test_a_non_finite_phase_raises_when_the_step_is_built(trotter_steps):
+    model = build_diagonal([0.0, 1e308])
+    cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, trotter_steps=trotter_steps)
+    with pytest.raises(ValueError, match=r"max\|E\| = .*, t = "):
+        step_propagator(model, cfg)
 
 
 # Spectra of N = 2, 4 or 8 levels, drawn mostly from a few values so that

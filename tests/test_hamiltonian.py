@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rescool import evolution
 from rescool.cli import main
+from rescool.evolution import step_propagator
 from rescool.hamiltonian import (
     AlgorithmConfig,
     SizeCap,
@@ -86,8 +88,9 @@ def test_single_qubit_assembly_matches_kron_by_hand(kind, n_qubits, eps0, c):
     assert np.array_equal(full, kron_register(h_s, eps0, c))
 
 
-def test_aklt3_assembly_peaks_at_most_25_mib():
-    # the two 1024 x 1024 float64 parts are 16 MiB; complex temporaries would double that
+def test_aklt3_assembly_peaks_at_most_12_mib():
+    # one 1024 x 1024 float64 register is 8 MiB and its 256 x 256 blocks add 3;
+    # a separate coupling array would add 8 more, complex temporaries double it
     h_s = build_aklt(3).h_s
     tracemalloc.start()
     try:
@@ -96,7 +99,7 @@ def test_aklt3_assembly_peaks_at_most_25_mib():
     finally:
         tracemalloc.stop()
     assert full.shape == (1024, 1024)
-    assert peak <= 25 * 2**20
+    assert peak <= 12 * 2**20
 
 
 def test_aklt4_build_peaks_at_most_28_mib():
@@ -205,9 +208,14 @@ def test_zero_coupling_blocks_are_diagonal():
     assert np.allclose(h, np.diag(np.diag(h)), atol=0)
 
 
+def applied(u):
+    # a step given by its matrix acts on |00>|phi> through the |00> columns
+    return lambda v: u[:, : v.size] @ v
+
+
 def test_step_branches_with_identity_leaves_phi_in_the_ground_slice():
     phi = np.array([0.6, 0.8], dtype=complex)
-    p_exc, ground, excited = step_branches(np.eye(8, dtype=complex), phi)
+    p_exc, ground, excited = step_branches(applied(np.eye(8, dtype=complex)), phi)
     assert p_exc == 0.0
     assert np.array_equal(ground, phi)
     assert np.all(excited == 0)
@@ -215,24 +223,35 @@ def test_step_branches_with_identity_leaves_phi_in_the_ground_slice():
 
 def test_step_branches_rejects_bad_inputs():
     with pytest.raises(NotNormalized):
-        step_branches(np.eye(8), np.array([1.0, 1.0]))
-    for shape in ((4, 4), (8, 4), (16, 16)):
+        step_branches(applied(np.eye(8)), np.array([1.0, 1.0]))
+    # the evolved register of a 2-dim phi must have shape (8,)
+    for shape in ((4,), (16,), (8, 1)):
+
+        def misshapen(v, shape=shape):
+            return np.ones(shape) / np.sqrt(np.prod(shape))
+
         with pytest.raises(DimensionMismatch):
-            step_branches(np.eye(*shape), np.array([1.0, 0.0]))
+            step_branches(misshapen, np.array([1.0, 0.0]))
     # a non-unitary step fails the norm check on the evolved register
     with pytest.raises(NotNormalized):
-        step_branches(2.0 * np.eye(8), np.array([1.0, 0.0]))
+        step_branches(applied(2.0 * np.eye(8)), np.array([1.0, 0.0]))
 
 
-def test_step_branches_reads_only_the_00_columns():
+def test_trotter_step_reads_only_the_00_columns(monkeypatch):
     # |00>|phi> is zero past its first N entries, so the other columns never count
     model = build_aklt(1)
-    u = propagator(assemble_hamiltonian(model.h_s, 1.0, 0.05), 10.0)
+    cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, tau=10.0, trotter_steps=8)
     phi = np.full(16, 0.25, dtype=complex)
-    poisoned = u.copy()
-    poisoned[:, 16:] = np.nan
-    want = step_branches(u, phi)
-    got = step_branches(poisoned, phi)
+    want = step_branches(step_propagator(model, cfg), phi)
+    formed = evolution.trotter_propagator
+
+    def poisoned(*args):
+        u = formed(*args)
+        u[:, 16:] = np.nan
+        return u
+
+    monkeypatch.setattr(evolution, "trotter_propagator", poisoned)
+    got = step_branches(step_propagator(model, cfg), phi)
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,29 @@ def test_require_checks_reject_non_finite_input():
         require_normalized(np.array([np.nan, 0.0]))
     with pytest.raises(NotNormalized):
         require_normalized(np.array([np.inf, 0.0]))
+
+
+def test_hermiticity_check_peaks_at_one_copy_of_the_matrix():
+    # one deviation array of h's size; a conjugate copy, a difference and an
+    # absolute value would each add another
+    h = build_aklt(3).h_s
+    tracemalloc.start()
+    try:
+        require_hermitian(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * h.nbytes
+
+
+def test_hermiticity_check_leaves_its_input_alone():
+    rng = np.random.default_rng(12)
+    for h in (rng.normal(size=(5, 5)), random_hermitian(rng, 5)):
+        h = (h + h.conj().T) / 2
+        kept = h.copy()
+        require_hermitian(h)
+        hermitian_eig(h)
+        assert np.array_equal(h, kept)
 
 
 def test_require_normalized():
