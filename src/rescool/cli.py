@@ -1,10 +1,10 @@
 """Command-line front end: sweep, cool, verify.
 
-Exit codes: 0 success, 1 verification failure, 2 bad flags or configuration,
-3 flat sweep curve, 4 restart cap exceeded.  RC_SEED in the environment
-overrides --seed; a --config file supplies key=value defaults that explicit
-flags override.  Output files are written atomically, so a failed run never
-leaves a partial file behind.
+Exit codes: 0 success, 1 verification failure, 2 bad flags or configuration
+(a request too large to allocate included), 3 flat sweep curve, 4 restart
+cap exceeded.  RC_SEED in the environment overrides --seed; a --config file
+supplies key=value defaults that explicit flags override.  Output files are
+written atomically, so a failed run never leaves a partial file behind.
 """
 from __future__ import annotations
 
@@ -273,6 +273,9 @@ def main(argv=None) -> int:
         return 4
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

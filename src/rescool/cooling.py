@@ -17,6 +17,7 @@ import numpy as np
 from .evolution import block_amplitudes, step_propagator
 from .hamiltonian import AlgorithmConfig, SystemModel, step_branches
 from .linalg import (
+    BlockProduct,
     DimensionMismatch,
     fidelity,
     align_global_phase,
@@ -154,7 +155,7 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     es = hermitian_eig(model.h_s)
     require_finite_phase(es.eigenvalues, pi / (2.0 * c))
     e1 = float(es.eigenvalues[0])
-    d = es.eigenvectors.conj().T @ vec
+    d = BlockProduct(es, vec.size).adjoint(vec)
     excited = es.eigenvalues - e1 > DEGENERACY_ATOL
     d1_sq = float(np.sum(np.abs(d[~excited]) ** 2))
     if d1_sq < 1e-30:

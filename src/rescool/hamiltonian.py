@@ -25,9 +25,10 @@ import numpy as np
 
 from .linalg import DimensionMismatch, require_hermitian, require_normalized
 
-# Largest 4N the dense path may build.  At the cap the largest arrays are the
-# 4096 x 4096 register and its eigenvectors, 128 MiB each in float64 (twice
-# that for a complex H_S); the exact step is applied, not formed as a matrix.
+# Largest 4N the dense path may build.  At the cap the largest array is the
+# 4096 x 4096 register, 128 MiB in float64 (twice that for a complex H_S);
+# its eigenvectors stay in their blocks, and the exact step is applied, not
+# formed as a matrix.
 REGISTER_CAP = 2**12
 
 

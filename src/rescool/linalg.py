@@ -9,7 +9,9 @@ imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
 other is complex128, so a real matrix is never cast up to complex.  The
 eigendecomposition works on the blocks the matrix's exact zeros leave: the
 connected components of m != 0, checked for Hermiticity and diagonalized one
-batch per block size, then scattered back into dense eigenvectors.
+batch per block size; the eigenvectors stay in those blocks.  BlockProduct
+multiplies a vector by them, or by their adjoint, block by block, so no run
+path forms the dense n x n eigenvector matrix.
 power_of_product forms (a @ b)^l on the components of a and b together, so
 no dense product or power of the whole matrix is taken.  All functions are
 pure and never mutate their arguments.
@@ -17,6 +19,7 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import isfinite
 from typing import Callable
 
@@ -98,17 +101,30 @@ def require_normalized(v, atol: float = NORM_ATOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EigenSystem:
-    """Eigenvalues ascending; eigenvectors[:, k] has eigenvalues[k] and the matrix's dtype.
+    """Eigenvalues ascending, and the eigenvectors in the blocks they live on.
 
-    blocks is the partition the decomposition ran on: one (rows, cols) pair of
-    k x s index arrays per block size s.  Block b of a pair spans matrix
-    indices rows[b] and eigenvector columns cols[b]; every other entry of
-    those columns is exactly zero.
+    blocks is one (rows, cols, vecs) triple per block size s: rows and cols
+    are k x s index arrays and vecs is the k x s x s stack eigh returned,
+    with the matrix's dtype.  Block b spans matrix indices rows[b], listed
+    ascending; its eigenvector vecs[b][:, j] has eigenvalue
+    eigenvalues[cols[b, j]] and is exactly zero off rows[b].  Blocks of one
+    size come in the order of their smallest index.
     """
 
     eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray], ...]
+    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    @cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Dense eigenvectors[:, k] for eigenvalues[k], built on first use; one block, uncopied."""
+        (rows, cols, vecs), *rest = self.blocks
+        if not rest and vecs.shape[0] == 1:
+            return vecs[0]
+        n = self.eigenvalues.size
+        v = np.zeros((n, n), dtype=vecs.dtype)
+        for rows, cols, vecs in self.blocks:
+            v[rows[:, :, None], cols[:, None, :]] = vecs
+        return v
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -160,12 +176,14 @@ def hermitian_eig(h) -> EigenSystem:
     other keeps the complex solver.  From BLOCKWISE_MIN_DIM rows on, the
     matrix is split into the connected components of its exact nonzeros (no
     tolerance) and each is diagonalized on its own, one batched eigh per
-    block size; a stable sort then merges the eigenpairs.  The Hermiticity
-    check runs on the same gathered blocks, and it is as strict as
-    require_hermitian on the whole matrix: NaN and inf are nonzeros, so they
-    fall inside a block, and every entry between blocks is exactly zero on
-    both sides of the diagonal.  An irreducible matrix is one block and gets
-    eigh's own output.
+    block size; a stable sort then merges the eigenvalues, and each block
+    keeps its eigenvectors as eigh returned them, with cols naming their
+    places in the merged order.  Nothing is scattered into a dense n x n
+    matrix.  The Hermiticity check runs on the same gathered blocks, and it
+    is as strict as require_hermitian on the whole matrix: NaN and inf are
+    nonzeros, so they fall inside a block, and every entry between blocks is
+    exactly zero on both sides of the diagonal.  An irreducible matrix, or
+    one below BLOCKWISE_MIN_DIM rows, is one block holding eigh's own output.
     """
     m = _square(h)
     n = m.shape[0]
@@ -175,21 +193,18 @@ def hermitian_eig(h) -> EigenSystem:
     _check_hermitian(stacks, HERMITIAN_ATOL)
     if whole:
         w, v = np.linalg.eigh(m)
-        return EigenSystem(w, v, ((groups[0], groups[0]),))
+        return EigenSystem(w, ((groups[0], groups[0], v[None]),))
     solved = [np.linalg.eigh(s) for s in stacks]
     w = np.concatenate([wb.ravel() for wb, _ in solved])
     order = np.argsort(w, kind="stable")
     position = np.empty(n, dtype=np.intp)
     position[order] = np.arange(n)
-    v = np.zeros((n, n), dtype=m.dtype)
     blocks = []
     start = 0
     for idx, (_, vb) in zip(groups, solved):
-        cols = position[start : start + idx.size].reshape(idx.shape)
+        blocks.append((idx, position[start : start + idx.size].reshape(idx.shape), vb))
         start += idx.size
-        v[idx[:, :, None], cols[:, None, :]] = vb
-        blocks.append((idx, cols))
-    return EigenSystem(w[order], v, tuple(blocks))
+    return EigenSystem(w[order], tuple(blocks))
 
 
 def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
@@ -205,42 +220,80 @@ def propagator(h, t: float) -> np.ndarray:
     The spectral form keeps the result unitary to rounding error and makes
     the propagator exact for any t, which the analytic amplitude checks
     rely on.  Each block of hermitian_eig's partition gets its own
-    (V * phases) @ V^dag, so the entries between blocks stay exactly zero.
-    require_finite_phase runs before any phase is formed.
+    (V_b * phases) @ V_b^dag from its stack of eigenvectors, so the entries
+    between blocks stay exactly zero.  require_finite_phase runs before any
+    phase is formed.
     """
     es = hermitian_eig(h)
     require_finite_phase(es.eigenvalues, t)
     phases = np.exp(-1j * es.eigenvalues * t)
     n = phases.size
     u = np.zeros((n, n), dtype=complex)
-    for rows, cols in es.blocks:
-        vb = es.eigenvectors[rows[:, :, None], cols[:, None, :]]
-        ub = (vb * phases[cols][:, None, :]) @ vb.conj().swapaxes(1, 2)
+    for rows, cols, vecs in es.blocks:
+        ub = (vecs * phases[cols][:, None, :]) @ vecs.conj().swapaxes(1, 2)
         u[rows[:, :, None], rows[:, None, :]] = ub
     return u
 
 
-def _times(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m @ x for a complex x; a real m multiplies x's two parts apart, so it is never cast up."""
-    if np.iscomplexobj(m):
-        return m @ x
-    return m @ x.real + 1j * (m @ x.imag)
+class BlockProduct:
+    """V[:n]^dag x and V y for the eigenvectors V of an EigenSystem, block by block.
+
+    Each block size keeps its rows, cols, stack and the stack's adjoint,
+    built once, for the blocks with a row among the first n only: the others
+    have no entry in V[:n], so V[:n]^dag x is zero on their columns, and
+    times is V y for a y that is zero there too (any y when n is the full
+    dimension).  Coefficients are in eigenvalue order.
+    """
+
+    def __init__(self, es: EigenSystem, n: int):
+        self.dim = es.eigenvalues.size
+        self.n = n
+        self.dtype = es.blocks[0][2].dtype
+        self.parts = []
+        for rows, cols, vecs in es.blocks:
+            # blocks of one size come in the order of their smallest row
+            live = int(np.searchsorted(rows[:, 0], n))
+            if live:
+                vecs = vecs[:live]
+                adjoint = vecs.conj().swapaxes(1, 2)
+                self.parts.append((rows[:live, :, None], cols[:live, :, None], vecs, adjoint))
+
+    def _times(self, stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a real stack multiplies a float view of a complex b, which puts each
+        # entry's two parts side by side, so neither operand is cast up
+        if self.dtype.kind != "c" and b.dtype.kind == "c":
+            return (stack @ b.view(float)).view(complex)
+        return stack @ b
+
+    def adjoint(self, x: np.ndarray) -> np.ndarray:
+        padded = np.zeros(self.dim, dtype=x.dtype)
+        padded[: self.n] = x
+        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, x))
+        for rows, cols, _, adjoint in self.parts:
+            out[cols] = self._times(adjoint, padded[rows])
+        return out
+
+    def times(self, y: np.ndarray) -> np.ndarray:
+        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, y))
+        for rows, cols, vecs, _ in self.parts:
+            out[rows] = self._times(vecs, y[cols])
+        return out
 
 
 def propagator_action(h, t: float) -> Callable:
     """x -> exp(-i h t)[:, :x.size] @ x, as V (exp(-i E t) * (V[:n]^dag x)) from hermitian_eig.
 
-    No exp(-i h t) is formed, and the phase check runs once, here.
+    No exp(-i h t) and no dense V is formed: the product runs block by block,
+    through one BlockProduct per length n, and the phase check runs once, here.
     """
     es = hermitian_eig(h)
     require_finite_phase(es.eigenvalues, t)
     phases = np.exp(-1j * es.eigenvalues * t)
-    v = es.eigenvectors
+    products = lru_cache(maxsize=None)(lambda n: BlockProduct(es, n))
 
     def act(x):
-        # (x^dag V[:n])^dag is V[:n]^dag x without a conjugated copy of V
-        coefficients = _times(v[: x.size].T, x.conj()).conj()
-        return _times(v, phases * coefficients)
+        product = products(x.size)
+        return product.times(phases * product.adjoint(x))
 
     return act
 

@@ -446,6 +446,21 @@ def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, ar
     assert err.startswith("error: ")
 
 
+def test_a_request_too_large_to_allocate_is_a_usage_error(capsys, monkeypatch):
+    # numpy raises MemoryError when, say, --points asks for a terabyte grid;
+    # the stand-in raises it without allocating
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+    monkeypatch.setattr("rescool.cli.scan", refuse)
+    code, out, err = run_cli(
+        capsys, "sweep", "--model", "aklt1", "--init", "1100", "--points", "1000000000000"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cool_with_huge_coupling_reports_no_nan(capsys):
     code, out, err = run_cli(

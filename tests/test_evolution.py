@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rescool.cli import main
 from rescool.cooling import run_algorithm
 from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
 from rescool.hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
+from rescool.linalg import DimensionMismatch, EigenSystem, NotHermitian, hermitian_eig, propagator
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import SweepConfig, scan
 
@@ -270,9 +271,31 @@ def test_exact_paths_never_form_a_propagator(monkeypatch):
         step_propagator(model, resonant_config(0.0, 0.05, trotter_steps=4))
 
 
-def test_exact_aklt3_run_forms_no_complex_register_matrix():
-    # the 1024 x 1024 float64 register and its eigenvectors are 8 MiB each;
-    # a formed complex exp(-iH tau) would add 16 MiB more
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --model aklt2 --init 010101 --range 0.9:1.1 --points 11",
+        "cool --model aklt2 --init 010101 --auto-epsilon --iters 2 --target-known",
+        "cool --model aklt2 --init 010101 --auto-epsilon --iters 2 --trotter-steps 8 --target-known",
+        "cool --model diag:0,0,1,3 --init 00 --auto-epsilon --iters 1 --target-known",
+    ],
+)
+def test_sweep_and_cool_form_no_dense_eigenvectors(capsys, monkeypatch, argv):
+    # the dense view of the eigenvectors raises: every run path reads the blocks
+    def refuse(self):
+        raise AssertionError("dense eigenvectors formed")
+
+    assert main(argv.split()) == 0
+    want = capsys.readouterr().out
+    monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse))
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == want
+
+
+def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():
+    # the 1024 x 1024 float64 register is 8 MiB; its 18 gathered blocks and
+    # their eigenvectors are under 1 MiB each.  A dense eigenvector matrix
+    # would add 8 MiB more, and a formed complex exp(-iH tau) 16 MiB.
     model = build_aklt(3)
     phi0 = np.zeros(256, dtype=complex)
     phi0[0b01100110] = 1.0
@@ -283,7 +306,7 @@ def test_exact_aklt3_run_forms_no_complex_register_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 24 * 2**20
+    assert peak <= 14 * 2**20
 
 
 @pytest.mark.parametrize("trotter_steps", [0, 4])

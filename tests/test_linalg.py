@@ -16,6 +16,7 @@ from rescool.linalg import (
     hermitian_eig,
     power_of_product,
     propagator,
+    propagator_action,
     require_hermitian,
     require_normalized,
 )
@@ -123,10 +124,10 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
     assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) <= 1e-12 * scale
     # the partition is the components, and each eigenvector lives on its block
-    found = {frozenset(block.tolist()) for rows, _ in es.blocks for block in rows}
+    found = {frozenset(block.tolist()) for rows, _, _ in es.blocks for block in rows}
     assert found == parts
     inside = np.zeros((n, n), dtype=bool)
-    for rows, cols in es.blocks:
+    for rows, cols, _ in es.blocks:
         inside[rows[:, :, None], cols[:, None, :]] = True
     assert not v[~inside].any()
     w, q = np.linalg.eigh(h)
@@ -134,9 +135,35 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     u = propagator(h, t)
     assert np.max(np.abs(u - dense)) <= 1e-12
     inside[:] = False
-    for rows, _ in es.blocks:
+    for rows, _, _ in es.blocks:
         inside[rows[:, :, None], rows[:, None, :]] = True
     assert not u[~inside].any()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
+    blockwise=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    t=st.floats(0.0, 10.0),
+    data=st.data(),
+)
+def test_blockwise_step_matches_the_whole_matrix_oracle(sizes, blockwise, seed, real, t, data):
+    # at most 7 blocks of at most 9 rows stay below BLOCKWISE_MIN_DIM; repeating
+    # them crosses it.  The oracle is one eigh of the whole matrix, no partition.
+    if blockwise:
+        sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+    rng = np.random.default_rng(seed)
+    h, _ = permuted_block_diagonal(rng, sizes, real)
+    dim = h.shape[0]
+    assert (dim >= BLOCKWISE_MIN_DIM) == blockwise
+    w, q = np.linalg.eigh(h)
+    u = (q * np.exp(-1j * w * t)) @ q.conj().T
+    act = propagator_action(h, t)
+    for n in (data.draw(st.integers(1, dim)), dim):
+        x = random_state(rng, n)
+        assert np.max(np.abs(act(x) - u[:, :n] @ x)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -193,10 +220,10 @@ def test_register_blocks_are_the_structure_the_speed_up_needs():
     model = build_aklt(3)
     register = assemble_hamiltonian(model.h_s, 1.0, 0.05)
     blocks = hermitian_eig(register).blocks
-    assert sum(rows.shape[0] for rows, _ in blocks) == 18
-    assert max(rows.shape[1] for rows, _ in blocks) == 140
+    assert sum(rows.shape[0] for rows, _, _ in blocks) == 18
+    assert max(rows.shape[1] for rows, _, _ in blocks) == 140
     _, part_b = split_parts(model, AlgorithmConfig(epsilon0=1.0, coupling=0.05))
-    (rows, _), = hermitian_eig(part_b).blocks
+    (rows, _, _), = hermitian_eig(part_b).blocks
     assert rows.shape == (512, 2)
 
 
@@ -220,7 +247,7 @@ def test_block_check_fails_as_the_whole_check_does(defect):
     h, parts = permuted_block_diagonal(rng, [8] * 9, real=False)
     (i, j, *_), (k, *_) = sorted(sorted(part) for part in parts if len(part) > 1)[:2]
     assert h.shape[0] >= BLOCKWISE_MIN_DIM
-    assert sum(rows.shape[0] for rows, _ in hermitian_eig(h).blocks) > 1
+    assert sum(rows.shape[0] for rows, _, _ in hermitian_eig(h).blocks) > 1
     if defect == "inside":
         h[i, j] += 1e-6
     elif defect == "joining":
@@ -245,7 +272,7 @@ def test_block_check_tolerates_roundoff():
     i, j, *_ = sorted(max(parts, key=len))
     h[i, j] += 1e-13 + 1e-13j
     es = hermitian_eig(h)
-    assert sum(rows.shape[0] for rows, _ in es.blocks) > 1
+    assert sum(rows.shape[0] for rows, _, _ in es.blocks) > 1
     require_hermitian(h)
 
 
