@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -199,7 +200,9 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser every main call shares; parse_args never mutates it."""
     parser = argparse.ArgumentParser(
         prog="rescool",
         description="Ground-state cooling by resonant ancilla transitions: "

@@ -10,7 +10,7 @@ streak and restarts from the original state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi, sqrt
+from math import hypot, isfinite, pi, sqrt
 
 import numpy as np
 
@@ -161,8 +161,9 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     if d1_sq < 1e-30:
         return float("inf")
     _, c_j1 = block_amplitudes(es.eigenvalues[excited], e1 + 1.0, c, pi / (2.0 * c))
-    leak = float(np.sum(np.abs(d[excited] * c_j1) ** 2))
-    return sqrt(leak) / (sqrt(d1_sq) * c)
+    # math.hypot scales its arguments: the squares of |d_j c_j1| ~ c underflow
+    # below c ~ 1e-154, and dividing by c first underflows them at c ~ 1e300
+    return hypot(*np.abs(d[excited] * c_j1)) / c / sqrt(d1_sq)
 
 
 def success_probability_bound(

@@ -9,9 +9,9 @@ imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
 other is complex128, so a real matrix is never cast up to complex.  The
 eigendecomposition works on the blocks the matrix's exact zeros leave: the
 connected components of m != 0, checked for Hermiticity and diagonalized one
-batch per block size; the eigenvectors stay in those blocks.  BlockProduct
-multiplies a vector by them, or by their adjoint, block by block, so no run
-path forms the dense n x n eigenvector matrix.
+batch per block size; the eigenvectors stay in those blocks, which are their
+only form.  BlockProduct multiplies a vector by them, or by their adjoint,
+block by block, so nothing forms the dense n x n eigenvector matrix.
 power_of_product forms (a @ b)^l on the components of a and b together, so
 no dense product or power of the whole matrix is taken.  All functions are
 pure and never mutate their arguments.
@@ -19,7 +19,7 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import isfinite
 from typing import Callable
 
@@ -70,7 +70,7 @@ def _square(h) -> np.ndarray:
     return m
 
 
-def _check_hermitian(stacks, atol: float) -> None:
+def _check_hermitian(stacks) -> None:
     """Raise NotHermitian unless each square matrix, or stack of them, is finite and Hermitian."""
     if not all(np.isfinite(s).all() for s in stacks):
         raise NotHermitian("matrix has non-finite entries")
@@ -81,21 +81,21 @@ def _check_hermitian(stacks, atol: float) -> None:
         d -= s
         dev = max(dev, float(np.abs(d, out=d).real.max()))
     # Written so that a NaN deviation fails the check.
-    if not dev <= atol:
-        raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {atol:.1e}")
+    if not dev <= HERMITIAN_ATOL:
+        raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {HERMITIAN_ATOL:.1e}")
 
 
-def require_hermitian(h, atol: float = HERMITIAN_ATOL) -> np.ndarray:
+def require_hermitian(h) -> np.ndarray:
     m = _square(h)
-    _check_hermitian([m], atol)
+    _check_hermitian([m])
     return m
 
 
-def require_normalized(v, atol: float = NORM_ATOL) -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
     vec = as_state(v)
     dev = abs(float(np.linalg.norm(vec)) - 1.0)
-    if not dev <= atol:
-        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {atol:.1e}")
+    if not dev <= NORM_ATOL:
+        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {NORM_ATOL:.1e}")
     return vec
 
 
@@ -108,23 +108,12 @@ class EigenSystem:
     with the matrix's dtype.  Block b spans matrix indices rows[b], listed
     ascending; its eigenvector vecs[b][:, j] has eigenvalue
     eigenvalues[cols[b, j]] and is exactly zero off rows[b].  Blocks of one
-    size come in the order of their smallest index.
+    size come in the order of their smallest index.  There is no dense view:
+    BlockProduct applies the eigenvectors, and one column is V e_k.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
-
-    @cached_property
-    def eigenvectors(self) -> np.ndarray:
-        """Dense eigenvectors[:, k] for eigenvalues[k], built on first use; one block, uncopied."""
-        (rows, cols, vecs), *rest = self.blocks
-        if not rest and vecs.shape[0] == 1:
-            return vecs[0]
-        n = self.eigenvalues.size
-        v = np.zeros((n, n), dtype=vecs.dtype)
-        for rows, cols, vecs in self.blocks:
-            v[rows[:, :, None], cols[:, None, :]] = vecs
-        return v
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -190,7 +179,7 @@ def hermitian_eig(h) -> EigenSystem:
     groups = _blocks(m) if n >= BLOCKWISE_MIN_DIM else [np.arange(n)[None]]
     whole = len(groups) == 1 and groups[0].shape[0] == 1
     stacks = [m] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
-    _check_hermitian(stacks, HERMITIAN_ATOL)
+    _check_hermitian(stacks)
     if whole:
         w, v = np.linalg.eigh(m)
         return EigenSystem(w, ((groups[0], groups[0], v[None]),))

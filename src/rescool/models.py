@@ -1,4 +1,5 @@
-"""Built-in system Hamiltonians and the exact-diagonalization ground truth.
+"""Built-in system Hamiltonians, the exact-diagonalization ground truth, and
+the AKLT valence-bond ground state, which needs no diagonalization.
 
 The AKLT chain puts each spin-1 site on two qubits via S = s_a + s_b; every
 term commutes with the in-pair swap, so the antisymmetric (singlet) sector
@@ -65,6 +66,24 @@ def build_aklt(n_bulk: int) -> SystemModel:
         h[rows, perm] += weight
     h /= 12
     return SystemModel(n_qubits=n_qubits, h_s=h, label=f"aklt{n_bulk}")
+
+
+def valence_bond_state(n_bulk: int) -> np.ndarray:
+    """Ground state of build_aklt(n_bulk) from its valence bonds, with no diagonalization.
+
+    A singlet (|01> - |10>)/sqrt(2) sits on each qubit pair (2k, 2k+1): (left
+    end, a_1), (b_k, a_{k+1}) and (b_n, right end).  1 + SWAP on each spin-1
+    pair (a_k, b_k) = (2k-1, 2k) projects it onto spin 1, and the result is
+    normalized (Affleck, Kennedy, Lieb and Tasaki, PRL 59, 799 (1987)).
+    """
+    n_qubits = 2 * n_bulk + 2
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    psi = singlet
+    for _ in range(n_bulk):
+        psi = np.kron(psi, singlet)
+    for k in range(1, n_bulk + 1):
+        psi = psi + psi[_swap(n_qubits, 2 * k - 1, 2 * k)]
+    return psi / np.linalg.norm(psi)
 
 
 def build_diagonal(levels) -> SystemModel:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rescool.cli import main
+from rescool.cli import build_parser, main
 from rescool.models import from_registry, ground_truth
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -325,6 +325,14 @@ def test_config_file_supplies_defaults_but_flags_win(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "sweep", "--config", str(cfg), "--points", "6")
     assert code == 0
     assert len(out.strip().splitlines()) == 7
+
+
+def test_one_parser_serves_every_call_without_carrying_state():
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["cool", "--epsilon0", "1.0", "--config", "run.cfg"])
+    second = build_parser().parse_args(["cool", "--model", "aklt1"])
+    assert (first.epsilon0, first.config) == (1.0, "run.cfg")
+    assert (second.epsilon0, second.config, second.model) == (None, None, "aklt1")
 
 
 def test_config_file_on_off_keys_match_the_flags(tmp_path, capsys):

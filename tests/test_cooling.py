@@ -17,7 +17,6 @@ from rescool.cooling import (
 )
 from rescool.evolution import block_amplitudes, step_propagator
 from rescool.hamiltonian import AlgorithmConfig, step_branches
-from rescool.linalg import hermitian_eig
 from rescool.models import build_aklt, build_diagonal, ground_truth
 
 
@@ -123,10 +122,10 @@ def test_excited_branch_coefficients_match_closed_form():
     z /= np.linalg.norm(z)
     step = step_propagator(model, cfg)
     _, _, excited = step_branches(step, z)
-    es = hermitian_eig(model.h_s)
-    d = es.eigenvectors.conj().T @ z
-    _, c_j1 = block_amplitudes(es.eigenvalues, cfg.epsilon0, cfg.coupling, cfg.tau)
-    got = es.eigenvectors.conj().T @ excited
+    energies, vecs = np.linalg.eigh(model.h_s)
+    d = vecs.conj().T @ z
+    _, c_j1 = block_amplitudes(energies, cfg.epsilon0, cfg.coupling, cfg.tau)
+    got = vecs.conj().T @ excited
     assert np.max(np.abs(got - d * c_j1)) < 1e-9
 
 
@@ -280,6 +279,27 @@ def test_compute_a0_on_the_chain(chain):
     model, e1, chi1, phi0 = chain
     a0 = compute_a0(model, phi0, 0.05)
     assert a0 == pytest.approx(3.7479848196025314, abs=1e-9)
+
+
+@pytest.mark.parametrize("c", [1e-170, 1e-300])
+def test_compute_a0_survives_a_coupling_whose_square_underflows(c):
+    # a0 = sqrt(sum_{j>1} |d_j|^2 (|c_j1|/c)^2) / |d_1|, |c_j1|/c = |sin(Omega tau)|/Omega
+    # with Omega = |E_j - E_1|/2 on resonance: exact halves for these levels
+    model = build_diagonal([0.0, 1.0, 2.0, 3.0])
+    rng = np.random.default_rng(41)
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    z /= np.linalg.norm(z)
+    energies, vecs = np.linalg.eigh(model.h_s)
+    d = vecs.conj().T @ z
+    omega = (energies[1:] - energies[0]) / 2.0
+    tau = np.pi / (2.0 * c)
+    # sin(Omega tau)/Omega = tau sinc(Omega tau/pi); a phase of 1e170 rad or more keeps
+    # no digits under reordering, so it is rounded as block_amplitudes rounds it
+    ratio = np.abs(tau * np.sinc(omega * tau / np.pi))
+    expected = np.sqrt(np.sum(np.abs(d[1:] * ratio) ** 2)) / abs(d[0])
+    a0 = compute_a0(model, z, c)
+    assert 0.0 < a0 < np.inf
+    assert a0 == pytest.approx(expected, rel=1e-12)
 
 
 def test_compute_a0_rejects_non_positive_coupling(chain):

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rescool.cli import main
 from rescool.cooling import run_algorithm
 from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
 from rescool.hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from rescool.linalg import DimensionMismatch, EigenSystem, NotHermitian, hermitian_eig, propagator
+from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import SweepConfig, scan
 
@@ -97,11 +96,11 @@ def test_full_register_step_reproduces_block_amplitudes():
     reg = np.zeros(16, dtype=complex)
     reg[:4] = z
     evolved = u @ reg
-    es = hermitian_eig(model.h_s)
-    d = es.eigenvectors.conj().T @ z
-    c_j0, c_j1 = block_amplitudes(es.eigenvalues, cfg.epsilon0, 0.05, cfg.tau)
+    energies, vecs = np.linalg.eigh(model.h_s)
+    d = vecs.conj().T @ z
+    c_j0, c_j1 = block_amplitudes(energies, cfg.epsilon0, 0.05, cfg.tau)
     for j in range(4):
-        chi = es.eigenvectors[:, j]
+        chi = vecs[:, j]
         got_0 = chi.conj() @ evolved[:4]
         got_1 = chi.conj() @ evolved[12:]
         assert abs(got_0 - d[j] * c_j0[j]) < 1e-9
@@ -271,27 +270,6 @@ def test_exact_paths_never_form_a_propagator(monkeypatch):
         step_propagator(model, resonant_config(0.0, 0.05, trotter_steps=4))
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        "sweep --model aklt2 --init 010101 --range 0.9:1.1 --points 11",
-        "cool --model aklt2 --init 010101 --auto-epsilon --iters 2 --target-known",
-        "cool --model aklt2 --init 010101 --auto-epsilon --iters 2 --trotter-steps 8 --target-known",
-        "cool --model diag:0,0,1,3 --init 00 --auto-epsilon --iters 1 --target-known",
-    ],
-)
-def test_sweep_and_cool_form_no_dense_eigenvectors(capsys, monkeypatch, argv):
-    # the dense view of the eigenvectors raises: every run path reads the blocks
-    def refuse(self):
-        raise AssertionError("dense eigenvectors formed")
-
-    assert main(argv.split()) == 0
-    want = capsys.readouterr().out
-    monkeypatch.setattr(EigenSystem, "eigenvectors", property(refuse))
-    assert main(argv.split()) == 0
-    assert capsys.readouterr().out == want
-
-
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():
     # the 1024 x 1024 float64 register is 8 MiB; its 18 gathered blocks and
     # their eigenvectors are under 1 MiB each.  A dense eigenvector matrix
@@ -353,14 +331,15 @@ def test_block_amplitudes_match_the_dense_register(levels, seed, real, epsilon0,
     q, _ = np.linalg.qr(z)
     h_s = (q * np.asarray(levels)) @ q.conj().T
     h_s = (h_s + h_s.conj().T) / 2.0
-    es = hermitian_eig(h_s)
-    assert np.isrealobj(es.eigenvectors) == (not h_s.imag.any())
-    c_j0, c_j1 = block_amplitudes(es.eigenvalues, epsilon0, c, tau)
+    (_, _, solved), = hermitian_eig(h_s).blocks
+    assert np.isrealobj(solved) == (not h_s.imag.any())
+    energies, vecs = np.linalg.eigh(h_s)
+    c_j0, c_j1 = block_amplitudes(energies, epsilon0, c, tau)
     u = propagator(assemble_hamiltonian(h_s, epsilon0, c), tau)
-    evolved = u[:, :n_dim] @ es.eigenvectors
+    evolved = u[:, :n_dim] @ vecs
     expected = np.zeros((4 * n_dim, n_dim), dtype=complex)
-    expected[:n_dim] = es.eigenvectors * c_j0
-    expected[3 * n_dim :] = es.eigenvectors * c_j1
+    expected[:n_dim] = vecs * c_j0
+    expected[3 * n_dim :] = vecs * c_j1
     assert np.max(np.abs(evolved - expected)) < 1e-9
 
 

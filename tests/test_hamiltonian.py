@@ -21,7 +21,6 @@ from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
-    hermitian_eig,
     propagator,
 )
 from rescool.models import build_aklt, build_diagonal
@@ -50,9 +49,8 @@ def level_block(cfg, e_j):
     )
 
 
-def register_basis_state(spectrum, j, ancillas):
+def register_basis_state(chi, ancillas):
     # ancillas in {"00", "01", "10", "11"}; probe bit is most significant
-    chi = spectrum.eigenvectors[:, j]
     n_dim = chi.size
     out = np.zeros(4 * n_dim, dtype=complex)
     offset = (int(ancillas[0]) * 2 + int(ancillas[1])) * n_dim
@@ -145,10 +143,9 @@ def test_evolution_preserves_sector_weight():
     cfg = AlgorithmConfig(epsilon0=0.9, coupling=0.05)
     h = register_hamiltonian(model, cfg)
     u = propagator(h, cfg.tau)
-    spectrum = hermitian_eig(model.h_s)
+    _, vecs = np.linalg.eigh(model.h_s)
     psi = (
-        register_basis_state(spectrum, 0, "00")
-        + 1j * register_basis_state(spectrum, 1, "11")
+        register_basis_state(vecs[:, 0], "00") + 1j * register_basis_state(vecs[:, 1], "11")
     ) / np.sqrt(2)
     evolved = u @ psi
     n_dim = model.dimension
@@ -164,10 +161,10 @@ def test_blocks_reproduce_restricted_hamiltonian():
         model = random_model(rng, 2)
         cfg = AlgorithmConfig(epsilon0=rng.uniform(0.5, 2.0), coupling=0.05)
         h = register_hamiltonian(model, cfg)
-        spectrum = hermitian_eig(model.h_s)
-        for j, e_j in enumerate(spectrum.eigenvalues):
-            v0 = register_basis_state(spectrum, j, "00")
-            v1 = register_basis_state(spectrum, j, "11")
+        energies, vecs = np.linalg.eigh(model.h_s)
+        for j, e_j in enumerate(energies):
+            v0 = register_basis_state(vecs[:, j], "00")
+            v1 = register_basis_state(vecs[:, j], "11")
             basis = np.column_stack([v0, v1])
             restricted = basis.conj().T @ h @ basis
             assert np.allclose(restricted, level_block(cfg, e_j), atol=1e-10)
@@ -179,11 +176,11 @@ def test_block_exponential_matches_full_propagator():
     cfg = AlgorithmConfig(epsilon0=1.1, coupling=0.05)
     h = register_hamiltonian(model, cfg)
     u = propagator(h, cfg.tau)
-    spectrum = hermitian_eig(model.h_s)
-    for j, e_j in enumerate(spectrum.eigenvalues):
+    energies, vecs = np.linalg.eigh(model.h_s)
+    for j, e_j in enumerate(energies):
         u_blk = propagator(level_block(cfg, e_j), cfg.tau)
-        v0 = register_basis_state(spectrum, j, "00")
-        v1 = register_basis_state(spectrum, j, "11")
+        v0 = register_basis_state(vecs[:, j], "00")
+        v1 = register_basis_state(vecs[:, j], "11")
         evolved = u @ v0
         assert abs(v0.conj() @ evolved - u_blk[0, 0]) < 1e-9
         assert abs(v1.conj() @ evolved - u_blk[1, 0]) < 1e-9
@@ -191,11 +188,10 @@ def test_block_exponential_matches_full_propagator():
 
 def test_resonant_block_has_equal_diagonal():
     model = build_aklt(1)
-    spectrum = hermitian_eig(model.h_s)
-    e1 = float(spectrum.eigenvalues[0])
-    cfg = AlgorithmConfig(epsilon0=e1 + 1.0, coupling=0.05)
+    energies, vecs = np.linalg.eigh(model.h_s)
+    cfg = AlgorithmConfig(epsilon0=float(energies[0]) + 1.0, coupling=0.05)
     basis = np.column_stack(
-        [register_basis_state(spectrum, 0, "00"), register_basis_state(spectrum, 0, "11")]
+        [register_basis_state(vecs[:, 0], "00"), register_basis_state(vecs[:, 0], "11")]
     )
     blk = basis.conj().T @ register_hamiltonian(model, cfg) @ basis
     assert blk[0, 0] == pytest.approx(0.5, abs=1e-9)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import (
     BLOCKWISE_MIN_DIM,
+    BlockProduct,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -43,7 +44,7 @@ def test_hermitian_eig_invariants(dim, kind):
         if kind == "real":
             h = h.real.astype(complex)
         es = hermitian_eig(h)
-        v = es.eigenvectors
+        v = es.blocks[0][2][0]  # below BLOCKWISE_MIN_DIM: one block, eigh's own output
         assert np.isrealobj(v) == (kind == "real")
         assert np.all(np.diff(es.eigenvalues) >= 0)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
@@ -55,17 +56,17 @@ def test_hermitian_eig_invariants(dim, kind):
 
 def test_hermitian_eig_is_real_only_for_an_exactly_zero_imaginary_part():
     h = np.array([[1.0, 0.5], [0.5, 2.0]]) + 0j
-    assert np.isrealobj(hermitian_eig(h).eigenvectors)
+    assert np.isrealobj(hermitian_eig(h).blocks[0][2])
     # -0.0 is zero: the real solver still applies
     negative_zero = h.conj()
     assert np.signbit(negative_zero.imag).all()
-    assert np.isrealobj(hermitian_eig(negative_zero).eigenvectors)
+    assert np.isrealobj(hermitian_eig(negative_zero).blocks[0][2])
     # one tiny imaginary pair is physics, not noise: the complex solver keeps it
     tiny = h.copy()
     tiny[0, 1] += 1e-14j
     tiny[1, 0] -= 1e-14j
     es = hermitian_eig(tiny)
-    v = es.eigenvectors
+    v = es.blocks[0][2][0]
     assert np.iscomplexobj(v)
     assert np.abs(v.imag).max() > 0
     assert np.allclose(v @ np.diag(es.eigenvalues) @ v.conj().T, tiny, atol=1e-14, rtol=0)
@@ -116,7 +117,8 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     h, parts = permuted_block_diagonal(rng, sizes, real)
     n = h.shape[0]
     es = hermitian_eig(h)
-    v = es.eigenvectors
+    product = BlockProduct(es, n)
+    v = np.column_stack([product.times(unit) for unit in np.eye(n)])  # column k of V is V e_k
     scale = np.linalg.norm(h, 2)
     assert np.isrealobj(v) == (not np.iscomplex(h).any())
     assert np.all(np.diff(es.eigenvalues) >= 0)
@@ -211,7 +213,7 @@ def test_irreducible_matrix_gets_eighs_own_output(shape, real):
     w, v = np.linalg.eigh(h)
     assert len(es.blocks) == 1 and es.blocks[0][0].shape == (1, n)
     assert np.array_equal(es.eigenvalues, w)
-    assert np.array_equal(es.eigenvectors, v)
+    assert np.array_equal(es.blocks[0][2][0], v)
 
 
 def test_register_blocks_are_the_structure_the_speed_up_needs():

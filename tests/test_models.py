@@ -11,6 +11,7 @@ from rescool.models import (
     build_diagonal,
     from_registry,
     ground_truth,
+    valence_bond_state,
 )
 
 GROUND_SLOT_PLUS = (3, 5, 10, 12)
@@ -82,6 +83,35 @@ def test_three_spin_chain_ground_vector():
     assert overlap == pytest.approx(1.0, abs=1e-8)
     assert gaps[0] == 0.0
     assert gaps[1] == pytest.approx(2.0 / 3.0, abs=1e-8)
+
+
+def test_valence_bond_state_is_the_hand_typed_chain_ground_vector():
+    target = chain_ground_vector()
+    state = valence_bond_state(1)
+    z = np.vdot(target, state)
+    assert np.max(np.abs(state * (z.conjugate() / abs(z)) - target)) <= 1e-15
+
+
+@pytest.mark.parametrize("n_bulk", [3, 4, 5])
+def test_valence_bond_state_has_string_order_minus_four_ninths(n_bulk):
+    # <S^z_i exp(i pi sum_{i<k<j} S^z_k) S^z_j> = -4/9 at every distance
+    # (den Nijs and Rommelse, PRB 40, 4709 (1989)); aklt5 is above the size
+    # cap of build_aklt, but the state still builds.  Every factor is
+    # diagonal, so the correlator is a weighted sum over basis states.
+    n_qubits = 2 * n_bulk + 2
+    x = np.arange(2**n_qubits)
+
+    def bit(q):  # qubit 0 most significant
+        return (x >> (n_qubits - 1 - q)) & 1
+
+    # site k lives on qubits 2k-1 and 2k; S^z = 1 - (number of set bits)
+    sz = {k: 1 - bit(2 * k - 1) - bit(2 * k) for k in range(1, n_bulk + 1)}
+    weights = np.abs(valence_bond_state(n_bulk)) ** 2
+    for i in range(1, n_bulk + 1):
+        for j in range(i + 1, n_bulk + 1):
+            string = sum((sz[k] for k in range(i + 1, j)), np.zeros_like(x))
+            correlator = weights @ (sz[i] * (-1.0) ** string * sz[j])
+            assert correlator == pytest.approx(-4.0 / 9.0, abs=1e-12)
 
 
 def test_three_spin_chain_singlet_sector():
