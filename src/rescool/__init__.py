@@ -36,7 +36,6 @@ from .linalg import (
     propagator,
 )
 from .models import (
-    BadDimension,
     build_aklt,
     build_diagonal,
     from_registry,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmConfig",
-    "BadDimension",
     "CheckResult",
     "CoolingReport",
     "DimensionMismatch",

@@ -59,7 +59,7 @@ def step_propagator(model: SystemModel, config: AlgorithmConfig) -> Callable:
     """One iteration as the map phi -> U|00 phi> on the 4N register; trotter_steps = 0 is exact."""
     if config.trotter_steps == 0:
         h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
-        return propagator_action(h_full, config.tau)
+        return propagator_action(h_full, config.tau, model.dimension)
     part_a, part_b = split_parts(model, config)
     u = trotter_propagator(part_a, part_b, config.tau, config.trotter_steps)
     return lambda phi: u[:, : phi.size] @ phi

@@ -44,26 +44,31 @@ def require_register_fits(n_dim: int) -> None:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """A Hermitian system Hamiltonian on n qubits."""
+    """A system is its Hamiltonian H_S, Hermitian and 2^n x 2^n with n >= 1.
 
-    n_qubits: int
+    dimension and n_qubits are read off h_s.  The size cap runs on its shape
+    before h_s is converted or copied, and the 2^n rule is checked here only.
+    """
+
     h_s: np.ndarray
     label: str = ""
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise DimensionMismatch("system needs at least one qubit")
-        require_register_fits(self.dimension)
+        require_register_fits(max(np.shape(self.h_s), default=0))
         h = require_hermitian(self.h_s)
-        if h.shape[0] != 2**self.n_qubits:
+        if h.shape[0] < 2 or h.shape[0] & (h.shape[0] - 1):
             raise DimensionMismatch(
-                f"h_s is {h.shape[0]}-dimensional, expected 2^{self.n_qubits}"
+                f"{self.label or 'h_s'} is {h.shape[0]}-dimensional, not 2^n with n >= 1"
             )
         object.__setattr__(self, "h_s", h)
 
     @property
     def dimension(self) -> int:
-        return 2**self.n_qubits
+        return self.h_s.shape[0]
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dimension.bit_length() - 1
 
 
 @dataclass

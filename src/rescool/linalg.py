@@ -19,7 +19,6 @@ pure and never mutate their arguments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isfinite
 from typing import Callable
 
@@ -269,22 +268,17 @@ class BlockProduct:
         return out
 
 
-def propagator_action(h, t: float) -> Callable:
-    """x -> exp(-i h t)[:, :x.size] @ x, as V (exp(-i E t) * (V[:n]^dag x)) from hermitian_eig.
+def propagator_action(h, t: float, n: int) -> Callable:
+    """x -> exp(-i h t)[:, :n] @ x, as V (exp(-i E t) * (V[:n]^dag x)) from hermitian_eig.
 
-    No exp(-i h t) and no dense V is formed: the product runs block by block,
-    through one BlockProduct per length n, and the phase check runs once, here.
+    No exp(-i h t) and no dense V is formed: one BlockProduct for length n
+    runs the product block by block, and the phase check runs once, here.
     """
     es = hermitian_eig(h)
     require_finite_phase(es.eigenvalues, t)
     phases = np.exp(-1j * es.eigenvalues * t)
-    products = lru_cache(maxsize=None)(lambda n: BlockProduct(es, n))
-
-    def act(x):
-        product = products(x.size)
-        return product.times(phases * product.adjoint(x))
-
-    return act
+    product = BlockProduct(es, n)
+    return lambda x: product.times(phases * product.adjoint(x))
 
 
 def power_of_product(a: np.ndarray, b: np.ndarray, l: int) -> np.ndarray:

@@ -18,10 +18,6 @@ from .linalg import BlockProduct, hermitian_eig
 DEGENERACY_ATOL = 1e-9
 
 
-class BadDimension(ValueError):
-    """Level count or file dimension is not a power of two."""
-
-
 def _swap(n_qubits: int, i: int, j: int) -> np.ndarray:
     """Swap of qubits i and j as a basis permutation, qubit 0 most significant.
 
@@ -65,7 +61,7 @@ def build_aklt(n_bulk: int) -> SystemModel:
     for weight, perm in terms:
         h[rows, perm] += weight
     h /= 12
-    return SystemModel(n_qubits=n_qubits, h_s=h, label=f"aklt{n_bulk}")
+    return SystemModel(h, label=f"aklt{n_bulk}")
 
 
 def valence_bond_state(n_bulk: int) -> np.ndarray:
@@ -87,14 +83,14 @@ def valence_bond_state(n_bulk: int) -> np.ndarray:
 
 
 def build_diagonal(levels) -> SystemModel:
-    """Diagonal system with the given spectrum; basis states are eigenstates."""
+    """Diagonal system with the given spectrum; basis states are eigenstates.
+
+    The label gives each level as %g where that reads back exactly, else as repr.
+    """
     vals = [float(x) for x in levels]
-    n_dim = len(vals)
-    if n_dim < 2 or n_dim & (n_dim - 1) != 0:
-        raise BadDimension(f"need a power-of-two level count >= 2, got {n_dim}")
-    require_register_fits(n_dim)
-    label = "diag:" + ",".join(f"{v:g}" for v in vals)
-    return SystemModel(n_qubits=n_dim.bit_length() - 1, h_s=np.diag(vals), label=label)
+    require_register_fits(len(vals))
+    texts = [f"{v:g}" if float(f"{v:g}") == v else repr(v) for v in vals]
+    return SystemModel(np.diag(vals), label="diag:" + ",".join(texts))
 
 
 def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
@@ -128,10 +124,5 @@ def from_registry(name: str) -> SystemModel:
             raise ValueError(f"bad level list in model name {name!r}") from exc
         return build_diagonal(levels)
     if name.startswith("file:"):
-        path = name[5:]
-        h = load_matrix_file(path)
-        n_dim = h.shape[0]
-        if n_dim < 2 or n_dim & (n_dim - 1) != 0:
-            raise BadDimension(f"{path}: dimension {n_dim} is not a power of two")
-        return SystemModel(n_qubits=n_dim.bit_length() - 1, h_s=h, label=name)
+        return SystemModel(load_matrix_file(name[5:]), label=name)
     raise ValueError(f"unknown model name {name!r}")

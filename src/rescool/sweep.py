@@ -84,7 +84,7 @@ def excitation_probability(
     shots = 0 returns the exact branch weight with stderr 0; shots > 0
     returns a binomial estimate and its standard error.
     """
-    step = propagator_action(assemble_hamiltonian(model.h_s, epsilon0, c), tau)
+    step = propagator_action(assemble_hamiltonian(model.h_s, epsilon0, c), tau, model.dimension)
     p_exact, _, _ = step_branches(step, phi0)
     if shots == 0:
         return p_exact, 0.0

@@ -242,7 +242,8 @@ def test_applied_step_matches_the_formed_propagator(n_qubits, seed, real, epsilo
     a = rng.normal(size=(n_dim, n_dim))
     if not real:
         a = a + 1j * rng.normal(size=(n_dim, n_dim))
-    model = SystemModel(n_qubits=n_qubits, h_s=(a + a.conj().T) / 2.0)
+    model = SystemModel((a + a.conj().T) / 2.0)
+    assert model.n_qubits == n_qubits
     cfg = AlgorithmConfig(epsilon0=epsilon0, coupling=c, tau=tau)
     phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     phi /= np.linalg.norm(phi)

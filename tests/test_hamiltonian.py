@@ -35,7 +35,7 @@ PROJ_1 = np.diag([0.0, 1.0])
 def random_model(rng, n_qubits):
     dim = 2**n_qubits
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return SystemModel(n_qubits=n_qubits, h_s=(a + a.conj().T) / 2)
+    return SystemModel((a + a.conj().T) / 2)
 
 
 def register_hamiltonian(model, cfg):
@@ -298,13 +298,39 @@ def test_config_rejects_bad_parameters(kwargs):
 
 def test_system_model_validates_inputs():
     with pytest.raises(NotHermitian):
-        SystemModel(n_qubits=1, h_s=np.array([[0.0, 1.0], [0.0, 0.0]]))
+        SystemModel(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(NotHermitian):
+        SystemModel(np.diag([0.0, np.nan]))
     with pytest.raises(DimensionMismatch):
-        SystemModel(n_qubits=2, h_s=np.eye(2))
+        SystemModel(np.zeros((2, 4)))
     with pytest.raises(DimensionMismatch):
-        SystemModel(n_qubits=0, h_s=np.eye(1))
-    with pytest.raises(SizeCap):
-        SystemModel(n_qubits=11, h_s=np.eye(2))
+        SystemModel(np.zeros(4))
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_system_model_reads_its_qubit_count_off_h_s(k):
+    model = SystemModel(np.diag(np.arange(2.0**k)), label=f"levels{k}")
+    assert model.dimension == 2**k
+    assert model.n_qubits == k
+
+
+@pytest.mark.parametrize("n_dim", [1, 3, 5, 6, 12])
+def test_system_model_rejects_a_dimension_other_than_two_to_the_n(n_dim):
+    with pytest.raises(DimensionMismatch, match=rf"^odd-model is {n_dim}-dimensional,"):
+        SystemModel(np.eye(n_dim), label="odd-model")
+
+
+def test_system_model_checks_the_size_cap_before_copying_h_s():
+    # a zero-stride view of 2^22 entries costs 8 bytes; any copy would cost 32 MiB
+    big = np.broadcast_to(0.0, (2**11, 2**11))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCap):
+            SystemModel(big)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_matrix_file_round_trip(tmp_path):

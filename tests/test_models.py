@@ -1,12 +1,14 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rescool.hamiltonian import SizeCap, save_matrix_file
-from rescool.linalg import hermitian_eig
+from rescool.linalg import DimensionMismatch, hermitian_eig
 from rescool.models import (
-    BadDimension,
     build_aklt,
     build_diagonal,
     from_registry,
@@ -194,10 +196,47 @@ def test_build_diagonal_levels():
     assert abs(chi1[0]) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("levels", [[], [1.0], [0.0, 1.0, 2.0], [0.0] * 5])
-def test_build_diagonal_rejects_bad_lengths(levels):
-    with pytest.raises(BadDimension):
+@pytest.mark.parametrize(
+    "levels, message",
+    [
+        ([], "expected a non-empty matrix"),
+        ([1.0], "diag:1 is 1-dimensional"),
+        ([0.0, 1.0, 2.0], "diag:0,1,2 is 3-dimensional"),
+        ([0.0] * 5, "diag:0,0,0,0,0 is 5-dimensional"),
+    ],
+)
+def test_build_diagonal_rejects_bad_lengths(levels, message):
+    with pytest.raises(DimensionMismatch, match=f"^{message}"):
         build_diagonal(levels)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 4, 8]).flatmap(
+        lambda n: st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=n, max_size=n)
+    )
+)
+@example([0.0, 1.23456789, 2.5, 3.000000001])
+@example([0.0, 1e-07])
+@example([-0.0, 1.0])
+def test_diagonal_label_reads_back_the_same_levels(levels):
+    model = build_diagonal(levels)
+    assert np.array_equal(from_registry(model.label).h_s, model.h_s)
+
+
+@pytest.mark.parametrize(
+    "levels, label",
+    [
+        ([0, 2], "diag:0,2"),
+        ([-2, 0], "diag:-2,0"),
+        ([0, 1e-7], "diag:0,1e-07"),
+        ([1e300, 2], "diag:1e+300,2"),
+        ([-0.0, 1], "diag:-0,1"),
+        ([0, 1.23456789, 2.5, 3.000000001], "diag:0,1.23456789,2.5,3.000000001"),
+    ],
+)
+def test_diagonal_label_is_short_where_that_reads_back(levels, label):
+    assert build_diagonal(levels).label == label
 
 
 def test_degenerate_ground_space_is_reported_as_a_basis():
@@ -267,8 +306,9 @@ def test_model_h_s_is_real_exactly_when_its_imaginary_part_is_zero(tmp_path):
 def test_registry_rejects_non_power_of_two_files(tmp_path):
     path = tmp_path / "h3.txt"
     save_matrix_file(str(path), np.eye(3))
-    with pytest.raises(BadDimension):
-        from_registry(f"file:{path}")
+    name = f"file:{path}"
+    with pytest.raises(DimensionMismatch, match=f"^{re.escape(name)} is 3-dimensional,"):
+        from_registry(name)
 
 
 @pytest.mark.parametrize(
@@ -277,5 +317,5 @@ def test_registry_rejects_non_power_of_two_files(tmp_path):
     + ["aklt+1", "aklt 1", "aklt01", "aklt1 ", "aklt1_0"],
 )
 def test_registry_rejects_unknown_names(name):
-    with pytest.raises((ValueError, BadDimension)):
+    with pytest.raises(ValueError):
         from_registry(name)

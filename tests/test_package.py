@@ -6,7 +6,6 @@ import rescool
 
 EXPORTED = {
     "AlgorithmConfig",
-    "BadDimension",
     "CheckResult",
     "CoolingReport",
     "DimensionMismatch",
@@ -57,7 +56,7 @@ INTERNAL = [
 
 
 def test_the_package_exports_exactly_the_simulator_names():
-    assert len(rescool.__all__) == len(set(rescool.__all__)) == 36
+    assert len(rescool.__all__) == len(set(rescool.__all__)) == 35
     assert set(rescool.__all__) == EXPORTED
     for name in rescool.__all__:
         assert getattr(rescool, name) is not None
