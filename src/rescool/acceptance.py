@@ -245,7 +245,7 @@ def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
     h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
     u_exact = propagator(h_full, config.tau)
-    part_a, part_b = split_parts(model, config)
+    part_a, part_b = split_parts(model.h_s, config.epsilon0, config.coupling)
     errors = []
     for steps in (64, 128, 256):
         u_trot = trotter_propagator(part_a, part_b, config.tau, steps)
@@ -308,9 +308,8 @@ def check_monotone_convergence(scale: float) -> tuple[bool, str]:
 def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     model = _chain_context()[0]
     chi1 = valence_bond_state(1)
-    config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
-    step = step_propagator(model, config)
-    record = run_iteration(chi1, model, config, np.random.default_rng(0), step=step, target=chi1)
+    step = step_propagator(model.h_s, 1.0, 0.05, pi / (2.0 * 0.05))
+    record = run_iteration(chi1, "post-selected", np.random.default_rng(0), step=step, target=chi1)
     prob_dev = abs(record.excitation_probability - 1.0)
     state_dev = _state_deviation(chi1, record.system_state)
     passed = prob_dev <= 1e-9 * scale and state_dev <= 1e-8 * scale

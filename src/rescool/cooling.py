@@ -15,7 +15,7 @@ from math import hypot, isfinite, pi, sqrt
 import numpy as np
 
 from .evolution import block_amplitudes, step_propagator
-from .hamiltonian import AlgorithmConfig, SystemModel, step_branches
+from .hamiltonian import AlgorithmConfig, SystemModel
 from .linalg import (
     BlockProduct,
     DimensionMismatch,
@@ -101,25 +101,14 @@ def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def run_iteration(
-    phi_in,
-    model: SystemModel,
-    config: AlgorithmConfig,
-    rng,
-    k: int = 1,
-    *,
-    step,
-    target: np.ndarray,
-) -> IterationRecord:
+def run_iteration(phi_in, mode: str, rng, k: int = 1, *, step, target) -> IterationRecord:
     """One prepare-evolve-measure cycle starting from the given system state.
 
-    step is the step_propagator result and target the ground_truth vector
-    or basis; run_algorithm builds both once per run.
+    step is the step_propagator result, which checks phi_in, and target the
+    ground_truth vector or basis; run_algorithm builds both once per run.
     """
-    if np.size(phi_in) != model.dimension:
-        raise DimensionMismatch(f"state is {np.size(phi_in)}-dim, model is {model.dimension}-dim")
-    p_exc, ground, excited = step_branches(step, phi_in)
-    if measure_first_ancilla(p_exc, config.mode, rng):
+    p_exc, ground, excited = step(phi_in)
+    if measure_first_ancilla(p_exc, mode, rng):
         outcome, branch, sys_state = "excited", p_exc, excited
     else:
         outcome, branch, sys_state = "ground", 1.0 - p_exc, ground
@@ -219,13 +208,14 @@ def run_algorithm(
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
-    step = step_propagator(model, config) if config.max_iterations else None
+    step_args = (model.h_s, config.epsilon0, config.coupling, config.tau, config.trotter_steps)
+    step = step_propagator(*step_args) if config.max_iterations else None
     records: list[IterationRecord] = []
     streak = 0
     restarts = 0
     phi = phi0
     while streak < config.max_iterations:
-        rec = run_iteration(phi, model, config, rng, k=streak + 1, step=step, target=chi1)
+        rec = run_iteration(phi, config.mode, rng, k=streak + 1, step=step, target=chi1)
         records.append(rec)
         if rec.outcome == "excited":
             streak += 1

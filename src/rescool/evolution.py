@@ -1,12 +1,12 @@
-"""Cooling steps and the closed-form block transition amplitudes.
+"""The cooling step and the closed-form block transition amplitudes.
 
-One cooling step evolves the register for tau = pi/(2c), either exactly or
-through the first-order split [exp(-iA tau/L) exp(-iB tau/L)]^L, where A
-holds the commuting energy terms and B the transverse coupling; the exact
-step is applied to the state, never formed as a matrix.  Inside each
-invariant 2x2 block the same step has a closed form; block_amplitudes
-evaluates it and serves as the independent oracle the register steps are
-checked against.
+step_propagator evolves |00>|phi> for tau, exactly or through the first-order
+split [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
+transverse coupling), and reads the probe.  It is the only run-path code that
+builds or reads the 4N register; sweep, cooling and the checks see only its
+branches, and its exact step is applied to the state, never formed.  Inside
+each invariant 2x2 block the same step has a closed form; block_amplitudes
+evaluates it and is the oracle the register step is checked against.
 """
 from __future__ import annotations
 
@@ -14,8 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from .linalg import DimensionMismatch, power_of_product, propagator, propagator_action
+from .hamiltonian import assemble_hamiltonian, split_parts
+from .linalg import (
+    DimensionMismatch,
+    power_of_product,
+    propagator,
+    propagator_action,
+    require_normalized,
+)
 
 
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -55,11 +61,27 @@ def trotter_propagator(part_a: np.ndarray, part_b: np.ndarray, tau: float, l: in
     return power_of_product(propagator(part_a, tau / l), propagator(part_b, tau / l), l)
 
 
-def step_propagator(model: SystemModel, config: AlgorithmConfig) -> Callable:
-    """One iteration as the map phi -> U|00 phi> on the 4N register; trotter_steps = 0 is exact."""
-    if config.trotter_steps == 0:
-        h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
-        return propagator_action(h_full, config.tau, model.dimension)
-    part_a, part_b = split_parts(model, config)
-    u = trotter_propagator(part_a, part_b, config.tau, config.trotter_steps)
-    return lambda phi: u[:, : phi.size] @ phi
+def step_propagator(h_s, epsilon0, coupling, tau, trotter_steps: int = 0) -> Callable:
+    """One step as phi -> (p_excited, ground, excited); trotter_steps = 0 is exact.
+
+    It takes block_amplitudes' arguments, any c >= 0 and tau >= 0.  p_excited
+    (capped at 1) is the probe-excited weight; ground and excited are the
+    unnormalized |00> and |11> system slices.  phi must be normalized and
+    N-dim; the evolved register must stay normalized, a unitarity check.
+    """
+    n_dim = np.shape(h_s)[0]
+    if trotter_steps == 0:
+        evolve = propagator_action(assemble_hamiltonian(h_s, epsilon0, coupling), tau, n_dim)
+    else:
+        u = trotter_propagator(*split_parts(h_s, epsilon0, coupling), tau, trotter_steps)
+        evolve = u[:, :n_dim].__matmul__
+
+    def step(phi) -> tuple[float, np.ndarray, np.ndarray]:
+        vec = require_normalized(phi)
+        if vec.size != n_dim:
+            raise DimensionMismatch(f"state is {vec.size}-dim, step is {n_dim}-dim")
+        evolved = require_normalized(evolve(vec))
+        p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
+        return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
+
+    return step

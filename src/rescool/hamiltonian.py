@@ -1,4 +1,4 @@
-"""The register layout (operator and one-step state), run configuration, file I/O.
+"""The register layout, run configuration, file I/O.
 
 The register is (probe ancilla) x (tag ancilla) x (n system qubits) with the
 probe most significant: basis index a1*2^(n+1) + a2*2^n + s.  The assembled
@@ -12,7 +12,7 @@ Over the ancilla states 00, 01, 10, 11 its N x N diagonal blocks are
 ones c I, in the dtype of H_S and in one array.  On span{|00 chi_j>, |11 chi_j>}
 it decouples into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit
 on the resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal
-entries.  step_branches takes one step as the map phi -> U|00 phi>.
+entries.  Only evolution.step_propagator reads the evolved register.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from math import inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import DimensionMismatch, require_hermitian, require_normalized
+from .linalg import DimensionMismatch, require_hermitian
 
 # Largest 4N the dense path may build.  At the cap the largest array is the
 # 4096 x 4096 register, 128 MiB in float64 (twice that for a complex H_S);
@@ -132,31 +132,12 @@ def assemble_hamiltonian(h_s: np.ndarray, epsilon0: float, coupling: float) -> n
     return _register_parts(require_hermitian(h_s), epsilon0, coupling, apart=False)[0]
 
 
-def split_parts(model: SystemModel, config: AlgorithmConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The (diagonal-in-energy, coupling) splitting used by Trotterization.
+def split_parts(h_s: np.ndarray, epsilon0: float, coupling: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Trotter split part_a + part_b = assemble_hamiltonian(h_s, epsilon0, coupling).
 
-    part_a collects the two commuting energy terms, part_b the transverse
-    coupling; part_a + part_b equals assemble_hamiltonian.
+    part_a collects the two commuting energy terms, part_b the transverse coupling.
     """
-    return _register_parts(model.h_s, config.epsilon0, config.coupling)
-
-
-def step_branches(step, phi) -> tuple[float, np.ndarray, np.ndarray]:
-    """Evolve |00>|phi> by one step; return p_excited and the |00>, |11> system slices.
-
-    step maps phi to the evolved 4N register U|00 phi>, as
-    evolution.step_propagator builds it.  p_excited is the probe-excited
-    half's weight; the slices are not renormalized.  The norm check on the
-    evolved register guards the unitarity of the step on the |00> columns.
-    """
-    vec = require_normalized(phi)
-    n_dim = vec.size
-    evolved = step(vec)
-    if np.shape(evolved) != (4 * n_dim,):
-        raise DimensionMismatch(f"step gave {np.shape(evolved)}, register is {4 * n_dim}-dim")
-    evolved = require_normalized(evolved)
-    p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
-    return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
+    return _register_parts(require_hermitian(h_s), epsilon0, coupling)
 
 
 def load_matrix_file(path: str) -> np.ndarray:

@@ -119,7 +119,7 @@ def from_registry(name: str) -> SystemModel:
         return build_aklt(int(digits))
     if name.startswith("diag:"):
         try:
-            levels = [float(tok) for tok in name[5:].split(",") if tok.strip()]
+            levels = [float(tok) for tok in name[5:].split(",")]
         except ValueError as exc:
             raise ValueError(f"bad level list in model name {name!r}") from exc
         return build_diagonal(levels)

@@ -13,8 +13,8 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .hamiltonian import SystemModel, assemble_hamiltonian, step_branches
-from .linalg import propagator_action, require_normalized
+from .evolution import step_propagator
+from .hamiltonian import SystemModel
 
 FLAT_CURVE_FLOOR = 1e-12
 
@@ -84,8 +84,7 @@ def excitation_probability(
     shots = 0 returns the exact branch weight with stderr 0; shots > 0
     returns a binomial estimate and its standard error.
     """
-    step = propagator_action(assemble_hamiltonian(model.h_s, epsilon0, c), tau, model.dimension)
-    p_exact, _, _ = step_branches(step, phi0)
+    p_exact, _, _ = step_propagator(model.h_s, epsilon0, c, tau)(phi0)
     if shots == 0:
         return p_exact, 0.0
     if rng is None:
@@ -103,7 +102,6 @@ def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
     range is below twice the median standard error (with a small absolute
     floor so exact flat curves also trip it).
     """
-    vec = require_normalized(phi0)
     grid = np.linspace(sweep_config.eps_min, sweep_config.eps_max, sweep_config.points)
     probs = np.zeros(sweep_config.points)
     errs = np.zeros(sweep_config.points)
@@ -114,7 +112,7 @@ def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
             float(eps0),
             sweep_config.coupling,
             sweep_config.tau,
-            vec,
+            phi0,
             shots=sweep_config.shots,
             rng=rng,
         )

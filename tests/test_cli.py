@@ -18,6 +18,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("name", ["diag:", "diag:0,,2"])
+def test_cool_refuses_an_empty_level(capsys, name):
+    code, out, err = run_cli(capsys, "cool", "--model", name, "--epsilon0", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: bad level list in model name {name!r}\n"
+
+
 def test_sweep_writes_csv_and_reports_the_peak(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--model", "diag:0,2", "--range", "0.5:1.5", "--points", "51"

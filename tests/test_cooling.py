@@ -16,7 +16,7 @@ from rescool.cooling import (
     success_probability_bound,
 )
 from rescool.evolution import block_amplitudes, step_propagator
-from rescool.hamiltonian import AlgorithmConfig, step_branches
+from rescool.hamiltonian import AlgorithmConfig
 from rescool.models import build_aklt, build_diagonal, ground_truth
 
 
@@ -34,6 +34,11 @@ def resonant_config(e1, **kwargs):
     return AlgorithmConfig(epsilon0=e1 + 1.0, **kwargs)
 
 
+def config_step(model, cfg):
+    # the step run_algorithm builds for this model and configuration
+    return step_propagator(model.h_s, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+
+
 def test_prepare_register_state_is_h_r_eigenstate(chain):
     # |0>|chi_1> sits at eigenvalue eps0 of the two-ancilla register part
     model, e1, chi1, _ = chain
@@ -48,28 +53,23 @@ def test_prepare_register_state_is_h_r_eigenstate(chain):
 
 def test_measurement_of_unevolved_state_has_no_excited_branch(chain):
     model, e1, chi1, _ = chain
-
-    def identity(v):
-        # the unevolved step leaves |00>|v> where it is
-        return np.eye(64, dtype=complex)[:, :16] @ v
-
-    p_exc, ground, excited = step_branches(identity, chi1)
+    # with no coupling and no time the step leaves |00>|v> where it is
+    identity = step_propagator(model.h_s, e1 + 1.0, 0.0, 0.0)
+    p_exc, ground, excited = identity(chi1)
     assert p_exc == 0.0
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
-    cfg = resonant_config(e1, mode="stochastic")
-    rec = run_iteration(chi1, model, cfg, np.random.default_rng(0), step=identity, target=chi1)
+    rec = run_iteration(chi1, "stochastic", np.random.default_rng(0), step=identity, target=chi1)
     assert rec.outcome == "ground"
     assert np.allclose(rec.system_state, chi1, atol=1e-12)
-    cfg = resonant_config(e1, mode="post-selected")
     with pytest.raises(ZeroBranch):
-        run_iteration(chi1, model, cfg, np.random.default_rng(0), step=identity, target=chi1)
+        run_iteration(chi1, "post-selected", np.random.default_rng(0), step=identity, target=chi1)
 
 
 def test_measurement_after_resonant_step_is_certain(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1)
-    step = step_propagator(model, cfg)
-    p_exc, ground, excited = step_branches(step, chi1)
+    step = config_step(model, cfg)
+    p_exc, ground, excited = step(chi1)
     assert p_exc == pytest.approx(1.0, abs=1e-9)
     assert measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
     assert np.linalg.norm(excited) == pytest.approx(1.0, abs=1e-9)
@@ -93,11 +93,11 @@ def test_measurement_draws_once_when_stochastic_and_never_when_post_selected():
 def test_first_iteration_excitation_probability(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="post-selected")
-    step = step_propagator(model, cfg)
-    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), step=step, target=chi1)
+    step = config_step(model, cfg)
+    rec = run_iteration(phi0, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
     assert rec.outcome == "excited"
     assert rec.excitation_probability == pytest.approx(1.0 / 12.0, abs=0.01)
-    _, _, excited = step_branches(step, phi0)
+    _, _, excited = step(phi0)
     assert np.linalg.norm(excited) ** 2 == pytest.approx(rec.excitation_probability, abs=1e-12)
     assert np.allclose(rec.system_state, excited / np.linalg.norm(excited), atol=1e-12)
     assert np.linalg.norm(rec.system_state) == pytest.approx(1.0, abs=1e-10)
@@ -106,8 +106,8 @@ def test_first_iteration_excitation_probability(chain):
 def test_ground_state_is_a_fixed_point(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1, mode="post-selected")
-    step = step_propagator(model, cfg)
-    rec = run_iteration(chi1, model, cfg, np.random.default_rng(0), step=step, target=chi1)
+    step = config_step(model, cfg)
+    rec = run_iteration(chi1, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
     assert rec.excitation_probability == pytest.approx(1.0, abs=1e-9)
     assert rec.fidelity_to_target == pytest.approx(1.0, abs=1e-8)
 
@@ -120,8 +120,8 @@ def test_excited_branch_coefficients_match_closed_form():
     rng = np.random.default_rng(31)
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     z /= np.linalg.norm(z)
-    step = step_propagator(model, cfg)
-    _, _, excited = step_branches(step, z)
+    step = config_step(model, cfg)
+    _, _, excited = step(z)
     energies, vecs = np.linalg.eigh(model.h_s)
     d = vecs.conj().T @ z
     _, c_j1 = block_amplitudes(energies, cfg.epsilon0, cfg.coupling, cfg.tau)
@@ -133,10 +133,10 @@ def test_stochastic_ground_outcome_renormalizes_the_complement(chain):
     # seed 0 draws 0.63..., far above p ~ 0.086, so the probe reads ground
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="stochastic")
-    step = step_propagator(model, cfg)
-    rec = run_iteration(phi0, model, cfg, np.random.default_rng(0), step=step, target=chi1)
+    step = config_step(model, cfg)
+    rec = run_iteration(phi0, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
     assert rec.outcome == "ground"
-    _, ground, _ = step_branches(step, phi0)
+    _, ground, _ = step(phi0)
     p_ground = 1.0 - rec.excitation_probability
     assert np.linalg.norm(ground) ** 2 == pytest.approx(p_ground, abs=1e-12)
     assert np.allclose(rec.system_state, ground / np.linalg.norm(ground), atol=1e-12)
@@ -228,13 +228,13 @@ def test_restart_cap_aborts_the_run(chain):
 def test_stochastic_outcome_frequency_matches_the_probability(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="stochastic")
-    step = step_propagator(model, cfg)
+    step = config_step(model, cfg)
     rng = np.random.default_rng(7)
     runs = 2000
     hits = 0
     p = None
     for _ in range(runs):
-        rec = run_iteration(phi0, model, cfg, rng, step=step, target=chi1)
+        rec = run_iteration(phi0, cfg.mode, rng, step=step, target=chi1)
         p = rec.excitation_probability
         hits += rec.outcome == "excited"
     sigma = np.sqrt(p * (1.0 - p) / runs)

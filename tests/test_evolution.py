@@ -6,10 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rescool import acceptance, cooling, evolution, sweep
 from rescool.cooling import run_algorithm
 from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
-from rescool.hamiltonian import AlgorithmConfig, SystemModel, assemble_hamiltonian, split_parts
-from rescool.linalg import DimensionMismatch, NotHermitian, hermitian_eig, propagator
+from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
+from rescool.linalg import (
+    DimensionMismatch,
+    NotHermitian,
+    NotNormalized,
+    hermitian_eig,
+    propagator,
+)
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import SweepConfig, scan
 
@@ -21,6 +28,14 @@ def resonant_config(e1, c, **kwargs):
 def exact_step(model, cfg):
     # the dense reference: exp(-i H tau) of the whole register
     return propagator(assemble_hamiltonian(model.h_s, cfg.epsilon0, cfg.coupling), cfg.tau)
+
+
+def config_parts(model, cfg):
+    return split_parts(model.h_s, cfg.epsilon0, cfg.coupling)
+
+
+def config_step(model, cfg):
+    return step_propagator(model.h_s, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
 
 
 def block_matrix(e1, ej, c):
@@ -129,7 +144,7 @@ def test_trotter_rejects_non_hermitian_parts():
 def test_trotter_is_unitary():
     model = build_aklt(1)
     cfg = resonant_config(0.0, 0.05)
-    part_a, part_b = split_parts(model, cfg)
+    part_a, part_b = config_parts(model, cfg)
     for l in (1, 3, 16):
         u = trotter_propagator(part_a, part_b, cfg.tau, l)
         assert np.allclose(u.conj().T @ u, np.eye(u.shape[0]), atol=1e-9)
@@ -138,7 +153,7 @@ def test_trotter_is_unitary():
 def test_trotter_exact_in_commuting_limit():
     model = build_aklt(1)
     cfg = resonant_config(0.0, 0.05)
-    part_a, part_b = split_parts(model, cfg)
+    part_a, part_b = config_parts(model, cfg)
     u_a = propagator(part_a, 2.0)
     for l in (1, 7):
         u = trotter_propagator(part_a, np.zeros_like(part_b), 2.0, l)
@@ -150,7 +165,7 @@ def test_trotter_error_scales_as_one_over_l():
     e1, _, _ = ground_truth(model)
     cfg = resonant_config(e1, 0.05)
     u_exact = exact_step(model, cfg)
-    part_a, part_b = split_parts(model, cfg)
+    part_a, part_b = config_parts(model, cfg)
     errs = [
         float(np.linalg.norm(trotter_propagator(part_a, part_b, cfg.tau, l) - u_exact, 2))
         for l in (64, 128, 256)
@@ -197,7 +212,7 @@ def components(m):
 def test_trotter_power_matches_the_dense_power(n_sites):
     model = build_aklt(n_sites)
     cfg = resonant_config(0.0, 0.05)
-    part_a, part_b = split_parts(model, cfg)
+    part_a, part_b = config_parts(model, cfg)
     inside = components(assemble_hamiltonian(model.h_s, cfg.epsilon0, cfg.coupling))
     assert not inside.all()
     for l in (1, 2, 3, 64, 511):
@@ -209,47 +224,122 @@ def test_trotter_power_matches_the_dense_power(n_sites):
         assert not u[~inside].any()
 
 
-def applied_columns(step, n_dim):
-    # the step applied to every |00>|k> basis state: the |00> columns of its propagator
-    return np.column_stack([step(col) for col in np.eye(n_dim, dtype=complex)])
+def branch_columns(step, n_dim):
+    # the |00> and |11> slices of the step applied to every |00>|k> basis state
+    branches = [step(col) for col in np.eye(n_dim, dtype=complex)]
+    return tuple(np.column_stack([b[i] for b in branches]) for i in (1, 2))
 
 
 def test_step_propagator_selects_exact_or_trotter():
     model = build_diagonal([0.0, 2.0])
     cfg_exact = resonant_config(0.0, 0.05)
     cfg_trot = resonant_config(0.0, 0.05, trotter_steps=32)
-    u_exact = applied_columns(step_propagator(model, cfg_exact), 2)
-    assert np.allclose(u_exact, exact_step(model, cfg_exact)[:, :2])
-    part_a, part_b = split_parts(model, cfg_trot)
-    u_trot = applied_columns(step_propagator(model, cfg_trot), 2)
-    assert np.allclose(u_trot, trotter_propagator(part_a, part_b, cfg_trot.tau, 32)[:, :2])
-    assert np.linalg.norm(u_trot - u_exact) > 1e-6
+    ground_exact, excited_exact = branch_columns(config_step(model, cfg_exact), 2)
+    u_exact = exact_step(model, cfg_exact)
+    assert np.allclose(ground_exact, u_exact[:2, :2])
+    assert np.allclose(excited_exact, u_exact[6:, :2])
+    ground_trot, excited_trot = branch_columns(config_step(model, cfg_trot), 2)
+    u_trot = trotter_propagator(*config_parts(model, cfg_trot), cfg_trot.tau, 32)
+    assert np.allclose(ground_trot, u_trot[:2, :2])
+    assert np.allclose(excited_trot, u_trot[6:, :2])
+    assert np.linalg.norm(excited_trot - excited_exact) > 1e-6
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(
-    n_qubits=st.integers(1, 4),
+    n_dim=st.integers(1, 16),
     seed=st.integers(0, 2**32 - 1),
     real=st.booleans(),
     epsilon0=st.floats(-3.0, 3.0),
-    c=st.floats(1e-3, 2.0),
-    tau=st.floats(1e-3, 40.0),
+    c=st.just(0.0) | st.floats(0.0, 2.0),
+    tau=st.just(0.0) | st.floats(0.0, 40.0),
+    trotter_steps=st.sampled_from([0, 4]),
 )
-def test_applied_step_matches_the_formed_propagator(n_qubits, seed, real, epsilon0, c, tau):
-    # N = 16 makes a 64-row register, which hermitian_eig splits into blocks
-    n_dim = 2**n_qubits
+def test_step_branches_match_the_dense_oracle(
+    n_dim, seed, real, epsilon0, c, tau, trotter_steps
+):
+    # 16 levels make a 64-row register, which hermitian_eig splits into blocks
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_dim, n_dim))
     if not real:
         a = a + 1j * rng.normal(size=(n_dim, n_dim))
-    model = SystemModel((a + a.conj().T) / 2.0)
-    assert model.n_qubits == n_qubits
-    cfg = AlgorithmConfig(epsilon0=epsilon0, coupling=c, tau=tau)
+    h_s = (a + a.conj().T) / 2.0
     phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     phi /= np.linalg.norm(phi)
-    got = step_propagator(model, cfg)(phi)
-    want = exact_step(model, cfg)[:, :n_dim] @ phi
-    assert np.max(np.abs(got - want)) <= 1e-12
+    p, ground, excited = step_propagator(h_s, epsilon0, c, tau, trotter_steps)(phi)
+    if trotter_steps:
+        u = trotter_propagator(*split_parts(h_s, epsilon0, c), tau, trotter_steps)
+    else:
+        u = propagator(assemble_hamiltonian(h_s, epsilon0, c), tau)
+    want = u[:, :n_dim] @ phi
+    assert abs(p - min(float(np.sum(np.abs(want[2 * n_dim :]) ** 2)), 1.0)) <= 1e-12
+    assert np.max(np.abs(ground - want[:n_dim])) <= 1e-12
+    assert np.max(np.abs(excited - want[3 * n_dim :])) <= 1e-12
+
+
+def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
+    phi = np.array([0.6, 0.8], dtype=complex)
+    p_exc, ground, excited = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.0, 0.0)(phi)
+    assert p_exc == 0.0
+    assert np.array_equal(ground, phi)
+    assert np.all(excited == 0)
+
+
+def test_step_rejects_bad_inputs(monkeypatch):
+    step = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.05, 10.0)
+    with pytest.raises(NotNormalized):
+        step(np.array([1.0, 1.0]))
+    for phi in (np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])):
+        with pytest.raises(DimensionMismatch, match=rf"^state is {phi.size}-dim, step is 2-dim$"):
+            step(phi)
+    # a non-unitary Trotter step fails the norm check on the evolved register
+    formed = evolution.trotter_propagator
+    monkeypatch.setattr(evolution, "trotter_propagator", lambda *args: 2.0 * formed(*args))
+    doubled = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.05, 10.0, 4)
+    with pytest.raises(NotNormalized):
+        doubled(np.array([1.0, 0.0]))
+
+
+def test_trotter_step_reads_only_the_00_columns(monkeypatch):
+    # |00>|phi> is zero past its first N entries, so the other columns never count
+    h_s = build_aklt(1).h_s
+    phi = np.full(16, 0.25, dtype=complex)
+    want = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
+    formed = evolution.trotter_propagator
+
+    def poisoned(*args):
+        u = formed(*args)
+        u[:, 16:] = np.nan
+        return u
+
+    monkeypatch.setattr(evolution, "trotter_propagator", poisoned)
+    got = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
+    # one step per sweep point, per cooling run and per fixed-point check
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return step_propagator(*args)
+
+    for module in (sweep, cooling, acceptance):
+        monkeypatch.setattr(module, "step_propagator", counted)
+    model = build_aklt(1)
+    phi0 = np.zeros(16, dtype=complex)
+    phi0[12] = 1.0
+    scan(model, SweepConfig(eps_min=0.8, eps_max=1.2, points=7), phi0)
+    assert len(calls) == 7
+    for iterations, built in ((3, 1), (0, 0)):
+        calls.clear()
+        run_algorithm(model, resonant_config(0.0, 0.05, max_iterations=iterations), phi0)
+        assert len(calls) == built
+    calls.clear()
+    passed, _ = acceptance.check_resonance_fixed_point(1.0)
+    assert passed and len(calls) == 1
 
 
 def test_exact_paths_never_form_a_propagator(monkeypatch):
@@ -268,7 +358,7 @@ def test_exact_paths_never_form_a_propagator(monkeypatch):
     cfg = resonant_config(0.0, 0.05, max_iterations=2)
     assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
     with pytest.raises(AssertionError, match="propagator formed"):
-        step_propagator(model, resonant_config(0.0, 0.05, trotter_steps=4))
+        config_step(model, resonant_config(0.0, 0.05, trotter_steps=4))
 
 
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():
@@ -293,7 +383,7 @@ def test_a_non_finite_phase_raises_when_the_step_is_built(trotter_steps):
     model = build_diagonal([0.0, 1e308])
     cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, trotter_steps=trotter_steps)
     with pytest.raises(ValueError, match=r"max\|E\| = .*, t = "):
-        step_propagator(model, cfg)
+        config_step(model, cfg)
 
 
 # Spectra of N = 2, 4 or 8 levels, drawn mostly from a few values so that

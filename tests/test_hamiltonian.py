@@ -4,9 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rescool import evolution
 from rescool.cli import main
-from rescool.evolution import step_propagator
 from rescool.hamiltonian import (
     AlgorithmConfig,
     SizeCap,
@@ -15,12 +13,10 @@ from rescool.hamiltonian import (
     load_matrix_file,
     save_matrix_file,
     split_parts,
-    step_branches,
 )
 from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
-    NotNormalized,
     propagator,
 )
 from rescool.models import build_aklt, build_diagonal
@@ -204,59 +200,11 @@ def test_zero_coupling_blocks_are_diagonal():
     assert np.allclose(h, np.diag(np.diag(h)), atol=0)
 
 
-def applied(u):
-    # a step given by its matrix acts on |00>|phi> through the |00> columns
-    return lambda v: u[:, : v.size] @ v
-
-
-def test_step_branches_with_identity_leaves_phi_in_the_ground_slice():
-    phi = np.array([0.6, 0.8], dtype=complex)
-    p_exc, ground, excited = step_branches(applied(np.eye(8, dtype=complex)), phi)
-    assert p_exc == 0.0
-    assert np.array_equal(ground, phi)
-    assert np.all(excited == 0)
-
-
-def test_step_branches_rejects_bad_inputs():
-    with pytest.raises(NotNormalized):
-        step_branches(applied(np.eye(8)), np.array([1.0, 1.0]))
-    # the evolved register of a 2-dim phi must have shape (8,)
-    for shape in ((4,), (16,), (8, 1)):
-
-        def misshapen(v, shape=shape):
-            return np.ones(shape) / np.sqrt(np.prod(shape))
-
-        with pytest.raises(DimensionMismatch):
-            step_branches(misshapen, np.array([1.0, 0.0]))
-    # a non-unitary step fails the norm check on the evolved register
-    with pytest.raises(NotNormalized):
-        step_branches(applied(2.0 * np.eye(8)), np.array([1.0, 0.0]))
-
-
-def test_trotter_step_reads_only_the_00_columns(monkeypatch):
-    # |00>|phi> is zero past its first N entries, so the other columns never count
-    model = build_aklt(1)
-    cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, tau=10.0, trotter_steps=8)
-    phi = np.full(16, 0.25, dtype=complex)
-    want = step_branches(step_propagator(model, cfg), phi)
-    formed = evolution.trotter_propagator
-
-    def poisoned(*args):
-        u = formed(*args)
-        u[:, 16:] = np.nan
-        return u
-
-    monkeypatch.setattr(evolution, "trotter_propagator", poisoned)
-    got = step_branches(step_propagator(model, cfg), phi)
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
-
-
 def test_split_parts_sum_to_full_hamiltonian():
     rng = np.random.default_rng(16)
     model = random_model(rng, 2)
     cfg = AlgorithmConfig(epsilon0=0.8, coupling=0.12)
-    part_a, part_b = split_parts(model, cfg)
+    part_a, part_b = split_parts(model.h_s, cfg.epsilon0, cfg.coupling)
     # assemble_hamiltonian adds the same two parts in the same order
     assert np.array_equal(part_a + part_b, register_hamiltonian(model, cfg))
     # the transverse coupling never touches the diagonal

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
+from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
     BLOCKWISE_MIN_DIM,
     BlockProduct,
@@ -223,7 +223,7 @@ def test_register_blocks_are_the_structure_the_speed_up_needs():
     blocks = hermitian_eig(register).blocks
     assert sum(rows.shape[0] for rows, _, _ in blocks) == 18
     assert max(rows.shape[1] for rows, _, _ in blocks) == 140
-    _, part_b = split_parts(model, AlgorithmConfig(epsilon0=1.0, coupling=0.05))
+    _, part_b = split_parts(model.h_s, 1.0, 0.05)
     (rows, _, _), = hermitian_eig(part_b).blocks
     assert rows.shape == (512, 2)
 

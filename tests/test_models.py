@@ -311,6 +311,14 @@ def test_registry_rejects_non_power_of_two_files(tmp_path):
         from_registry(name)
 
 
+@pytest.mark.parametrize("name", ["diag:", "diag:,,", "diag:0,,2", "diag:0,2,", "diag:,0,2"])
+def test_registry_rejects_empty_levels(name):
+    # every comma-separated token is a level; an empty one is not silently dropped
+    message = f"bad level list in model name {name!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_registry(name)
+
+
 @pytest.mark.parametrize(
     "name",
     ["", "aklt", "akltx", "aklt0", "ising2", "diag:"]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rescool.cli import main
+from rescool.linalg import DimensionMismatch, NotNormalized
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import (
     FlatCurve,
@@ -122,6 +123,16 @@ def test_scan_zero_coupling_is_flat():
     cfg = SweepConfig(eps_min=0.8, eps_max=1.2, points=21, coupling=0.0)
     with pytest.raises(FlatCurve):
         scan(model, cfg, phi0)
+
+
+def test_scan_refuses_a_bad_initial_state(chain):
+    # the step checks phi0 at every grid point, so scan makes no check of its own
+    model = chain[0]
+    cfg = SweepConfig(eps_min=0.8, eps_max=1.2, points=3)
+    with pytest.raises(NotNormalized):
+        scan(model, cfg, np.ones(16))
+    with pytest.raises(DimensionMismatch, match="^state is 4-dim, step is 16-dim$"):
+        scan(model, cfg, np.full(4, 0.5))
 
 
 def test_sweep_config_validation():

@@ -1,0 +1,153 @@
+import importlib
+import shutil
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+REPORT = """mode=post-selected
+d1_sq=0.0833333333333
+a0=3.7479848196
+k,outcome,probability,fidelity
+1,excited,0.0828545324629,0.99
+index,re,im
+0,0.5,0
+1,-0.5,1e-05
+"""
+
+
+def load(monkeypatch, name):
+    # the tools are scripts, not a package; reference_outputs imports compare_outputs
+    monkeypatch.syspath_prepend(str(TOOLS))
+    return importlib.import_module(name)
+
+
+@pytest.fixture
+def compare_outputs(monkeypatch):
+    return load(monkeypatch, "compare_outputs")
+
+
+@pytest.fixture
+def reference_outputs(monkeypatch):
+    return load(monkeypatch, "reference_outputs")
+
+
+@pytest.fixture
+def dirs(tmp_path):
+    # invocation 0 printed a report and exited 0; invocation 1 refused its model
+    parent = tmp_path / "parent"
+    parent.mkdir()
+    files = {
+        "0.code": "0\n",
+        "0.out": REPORT,
+        "0.err": "",
+        "1.code": "2\n",
+        "1.out": "",
+        "1.err": "error: bad level list in model name 'diag:'\n",
+    }
+    for name, text in files.items():
+        (parent / name).write_text(text)
+    change = tmp_path / "change"
+    shutil.copytree(parent, change)
+    return parent, change
+
+
+def compare(tool, capsys, parent, change):
+    code = tool.main([str(parent), str(change)])
+    return code, capsys.readouterr().out
+
+
+def edit(path, old, new):
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+
+
+def test_identical_directories_compare_equal(compare_outputs, capsys, dirs):
+    code, out = compare(compare_outputs, capsys, *dirs)
+    assert (code, out) == (0, "all within tolerance\n")
+
+
+def test_a_thirteenth_digit_change_is_listed_and_allowed(compare_outputs, capsys, dirs):
+    parent, change = dirs
+    edit(change / "0.out", "d1_sq=0.0833333333333", "d1_sq=0.08333333333331")
+    code, out = compare(compare_outputs, capsys, parent, change)
+    assert code == 0
+    assert out.splitlines() == [
+        "0.out:2: within tolerance",
+        "  parent: d1_sq=0.0833333333333",
+        "  change: d1_sq=0.08333333333331",
+        "all within tolerance",
+    ]
+
+
+def test_a_last_printed_digit_change_is_allowed(compare_outputs, capsys, dirs):
+    # one unit in the twelfth significant digit, exactly at the bound
+    parent, change = dirs
+    edit(change / "0.out", ",0.0828545324629,", ",0.0828545324630,")
+    assert compare(compare_outputs, capsys, parent, change)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("d1_sq=0.0833333333333", "d1_sq=0.0833333334333"),  # tenth digit
+        ("1,excited,", "1,ground,"),  # a word
+        ("0.99\n", "0.99,0.5\n"),  # a token more
+        ("0,0.5,0\n", "0,0.500000000002,0\n"),  # an amplitude moved by 2e-12
+        ("1,-0.5,1e-05", "1,-0.5,1.000002e-05"),  # and a small one by 2e-11
+        ("index,re,im\n", "index,re,im\n\n"),  # a line more
+    ],
+)
+def test_a_difference_out_of_tolerance_fails(compare_outputs, capsys, dirs, old, new):
+    parent, change = dirs
+    edit(change / "0.out", old, new)
+    code, out = compare(compare_outputs, capsys, parent, change)
+    assert code == 1
+    assert out.splitlines()[-1] == "out of tolerance"
+
+
+def test_amplitudes_compare_in_absolute_terms(compare_outputs, capsys, dirs):
+    # 5e-13 on an amplitude of 1e-05 is far past its twelfth digit, but within 1e-12
+    parent, change = dirs
+    edit(change / "0.out", "1,-0.5,1e-05", "1,-0.5,1.00000005e-05")
+    assert compare(compare_outputs, capsys, parent, change)[0] == 0
+
+
+def test_a_changed_exit_code_fails(compare_outputs, capsys, dirs):
+    parent, change = dirs
+    (change / "1.code").write_text("3\n")
+    code, out = compare(compare_outputs, capsys, parent, change)
+    assert code == 1
+    assert "1.code: exit code 2 -> 3: out of tolerance" in out.splitlines()
+
+
+def test_a_missing_output_fails(compare_outputs, capsys, dirs):
+    parent, change = dirs
+    (change / "1.err").unlink()
+    code, out = compare(compare_outputs, capsys, parent, change)
+    assert code == 1
+    assert "1.err: missing in the change directory: out of tolerance" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "code, out, err, refused",
+    [
+        (0, REPORT, "", False),
+        (0, "a0=inf\n", "", False),  # the documented a0 of an init with no ground weight
+        (0, "model=nano\n", "", False),
+        (0, "1,excited,nan,0.5\n", "", True),
+        (0, "", "warning: a0=NaN\n", True),
+        (2, "", "error: got nan\n", False),
+        (3, "", "", False),
+        (4, "", "", False),
+        (1, "", "", True),
+        (-9, "", "", True),
+    ],
+)
+def test_the_reference_guard_refuses_nan_with_exit_0_and_unknown_codes(
+    reference_outputs, code, out, err, refused
+):
+    found = reference_outputs.problems(code, out.encode(), err.encode())
+    assert bool(found) == refused

@@ -8,13 +8,26 @@ PYTHONPATH=<checkout>/src, RC_SEED unset and <outdir> as the working
 directory, so a `file:` model names the same relative path in every run.
 Invocation i leaves <i>.code, <i>.out and <i>.err in <outdir>, next to
 argvs.txt (line i is argv i) and the matrix files the `file:` cases read.
-`diff -r` of two output directories is then the reference diff.
+`diff -r` of two output directories is then the reference diff, and
+tools/compare_outputs.py the same diff with last-digit rounding allowed.
+
+The run also guards "never NaN with exit 0": it exits 1, after writing every
+output, if an invocation exits with a code outside ALLOWED_CODES or exits 0
+having printed a token that reads as NaN.  A token is what is left after
+splitting on ",", "=" and whitespace; a0=inf is legal, the documented value
+for an init with no ground weight.
 """
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
+
+from compare_outputs import tokens
+
+# success, bad flags or configuration, flat sweep curve, restart cap exceeded
+ALLOWED_CODES = (0, 2, 3, 4)
 
 INITS = {
     "aklt1": "1100",
@@ -83,6 +96,24 @@ SHAPES = [
 ARGVS = README_QUICKSTART + PATHS + CHAIN_COUPLINGS + REFERENCE_INITS + SHAPES
 
 
+def is_nan(token: str) -> bool:
+    try:
+        return math.isnan(float(token))
+    except ValueError:
+        return False
+
+
+def problems(code: int, out: bytes, err: bytes) -> list[str]:
+    """What the guard refuses in one run: a code outside ALLOWED_CODES, or NaN with exit 0."""
+    if code not in ALLOWED_CODES:
+        return [f"exit code {code} is not one of {ALLOWED_CODES}"]
+    if code != 0:
+        return []
+    text = (out + err).decode("ascii", errors="replace")
+    nan_lines = [line for line in text.splitlines() if any(map(is_nan, tokens(line)))]
+    return [f"exit 0 with NaN in {line!r}" for line in nan_lines]
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print("usage: python tools/reference_outputs.py <checkout> <outdir>", file=sys.stderr)
@@ -96,6 +127,7 @@ def main(argv: list[str]) -> int:
         fh.write("".join(f"{line}\n" for line in ARGVS))
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
     env.pop("RC_SEED", None)
+    refused = []
     for i, line in enumerate(ARGVS):
         cmd = [sys.executable, "-W", "error::RuntimeWarning", "-m", "rescool", *line.split()]
         done = subprocess.run(cmd, cwd=outdir, env=env, capture_output=True)
@@ -103,8 +135,12 @@ def main(argv: list[str]) -> int:
         for suffix, body in outputs.items():
             with open(os.path.join(outdir, f"{i}.{suffix}"), "wb") as fh:
                 fh.write(body)
+        found = problems(done.returncode, done.stdout, done.stderr)
+        refused += [f"{i} ({line}): {problem}" for problem in found]
     print(f"{len(ARGVS)} invocations written to {outdir}")
-    return 0
+    for entry in refused:
+        print(f"refused: {entry}", file=sys.stderr)
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":
