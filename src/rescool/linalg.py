@@ -2,19 +2,18 @@
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
 up to a few thousand.  propagator_action applies exp(-iht) to a state, as a
-cooling step does; propagator forms it, for the Trotter factors and as the
-dense oracle.  Matrices are row-major ndarrays and states are flat
-complex vectors.  as_matrix holds the one dtype rule: a matrix whose
-imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
-other is complex128, so a real matrix is never cast up to complex.  The
-eigendecomposition works on the blocks the matrix's exact zeros leave: the
-connected components of m != 0, checked for Hermiticity and diagonalized one
-batch per block size; the eigenvectors stay in those blocks, which are their
-only form.  BlockProduct multiplies a vector by them, or by their adjoint,
-block by block, so nothing forms the dense n x n eigenvector matrix.
-power_of_product forms (a @ b)^l on the components of a and b together, so
-no dense product or power of the whole matrix is taken.  All functions are
-pure and never mutate their arguments.
+cooling step does; propagator forms it, as the dense oracle only.  Matrices
+are row-major ndarrays and states are flat complex vectors.  as_matrix holds
+the one dtype rule: a matrix whose imaginary part is exactly zero (no
+tolerance; -0.0 is zero) is float64, any other is complex128, so a real
+matrix is never cast up to complex.  The eigendecomposition works on the
+blocks the matrix's exact zeros leave: the connected components of m != 0,
+checked for Hermiticity and diagonalized one batch per block size; the
+eigenvectors stay in those blocks, which are their only form.  BlockProduct
+multiplies a vector by them, or by their adjoint, block by block, so nothing
+forms the dense n x n eigenvector matrix.  joint_blocks joins two such
+partitions, on which a product of the two matrices and its powers are taken
+block by block.  All functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -90,11 +89,11 @@ def require_hermitian(h) -> np.ndarray:
     return m
 
 
-def require_normalized(v) -> np.ndarray:
+def require_normalized(v, context: str = "") -> np.ndarray:
     vec = as_state(v)
     dev = abs(float(np.linalg.norm(vec)) - 1.0)
     if not dev <= NORM_ATOL:
-        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {NORM_ATOL:.1e}")
+        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {NORM_ATOL:.1e}{context}")
     return vec
 
 
@@ -116,20 +115,25 @@ class EigenSystem:
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """Connected components of m != 0 (read both ways), one k x s index array per size s.
+    """Connected components of m != 0 (read both ways), as _components lists them.
 
-    Rows of an array list a component's indices ascending; components of
-    one size come in the order of their smallest index.  label[i] is an
-    index of i's component no larger than i, and a root labels itself.  The
-    first hook is each row's first nonzero, which settles a dense matrix at
-    once.  After that, pointer jumping (label <- label[label]) alternates
-    with hooking every root onto the smallest label across its nonzero
-    entries, until no root moves; each component ends on its smallest index.
+    The first hook, each row's first nonzero, settles a dense matrix at once.
     """
     n = m.shape[0]
     linked = m != 0
     np.fill_diagonal(linked, True)
-    label = linked.argmax(axis=1)
+    return _components(linked.argmax(axis=1), lambda: np.divmod(np.flatnonzero(linked), n))
+
+
+def _components(label: np.ndarray, pairs: Callable) -> list[np.ndarray]:
+    """Components of a first hook and index pairs, one k x s index array per size s.
+
+    label[i] <= i is joined to i; pairs() returns two index arrays joined
+    entry by entry and is called only if the hook leaves two roots.  Rows
+    list a component's indices ascending, one size in order of their first.
+    Pointer jumping (label <- label[label]) alternates with hooking every
+    root onto the smallest label across its pairs until no root moves.
+    """
     ends = None
     while True:
         jumped = label[label]
@@ -139,7 +143,7 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
         if ends is None:
             if not label.any():
                 break
-            rows, cols = np.divmod(np.flatnonzero(linked), n)
+            rows, cols = pairs()
             ends = np.concatenate((rows, cols))
             others = np.concatenate((cols, rows))
         hooked = label.copy()
@@ -147,13 +151,25 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
         if (hooked == label).all():
             break
         label = hooked
-    sizes = np.bincount(label, minlength=n)
+    sizes = np.bincount(label, minlength=label.size)
     counts = sizes[sizes > 0]
     starts = np.cumsum(counts) - counts
     members = np.argsort(label, kind="stable")
     return [
         members[starts[counts == s][:, None] + np.arange(s)] for s in sorted(set(counts.tolist()))
     ]
+
+
+def joint_blocks(a: EigenSystem, b: EigenSystem) -> list[np.ndarray]:
+    """The blocks of a's and b's partitions together, as _components lists them.
+
+    They join each row of every block, in either partition, to its first row.
+    """
+    first = np.empty((2, a.eigenvalues.size), dtype=np.intp)
+    for f, es in enumerate((a, b)):
+        for rows, _, _ in es.blocks:
+            first[f, rows] = rows[:, :1]
+    return _components(first[0], lambda: (np.arange(first.shape[1]), first[1]))
 
 
 def hermitian_eig(h) -> EigenSystem:
@@ -279,23 +295,6 @@ def propagator_action(h, t: float, n: int) -> Callable:
     phases = np.exp(-1j * es.eigenvalues * t)
     product = BlockProduct(es, n)
     return lambda x: product.times(phases * product.adjoint(x))
-
-
-def power_of_product(a: np.ndarray, b: np.ndarray, l: int) -> np.ndarray:
-    """(a @ b)^l for square a and b of one shape, built block by block.
-
-    The blocks are the connected components of the exact nonzeros of a and
-    b taken together, so both are block-diagonal on them and so is every
-    power of their product.  Each block gets its own product and
-    matrix_power, batched over blocks of one size, and the entries between
-    blocks stay exactly zero.
-    """
-    n = a.shape[0]
-    u = np.zeros((n, n), dtype=np.result_type(a, b))
-    for idx in _blocks((a != 0) | (b != 0)):
-        sel = idx[:, :, None], idx[:, None, :]
-        u[sel] = np.linalg.matrix_power(a[sel] @ b[sel], l)
-    return u
 
 
 def fidelity(a, b) -> float:

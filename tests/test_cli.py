@@ -461,6 +461,20 @@ def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, ar
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "steps", ["1000000", "100000000000000000000", "1" + "0" * 400], ids=["1e6", "1e20", "1e400"]
+)
+def test_too_many_trotter_steps_is_a_usage_error_naming_the_count(capsys, steps):
+    # the split's rounding grows about linearly in the step count: 1e6 steps
+    # drift past the norm check on aklt1, 1e20 overflow the power, and 1e400
+    # has no float step size
+    argv = "cool --model aklt1 --init 1100 --auto-epsilon --iters 1 --trotter-steps"
+    code, out, err = run_cli(capsys, *argv.split(), steps)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Trotter steps" in err and steps in err
+
+
 def test_a_request_too_large_to_allocate_is_a_usage_error(capsys, monkeypatch):
     # numpy raises MemoryError when, say, --points asks for a terabyte grid;
     # the stand-in raises it without allocating

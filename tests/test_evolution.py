@@ -12,6 +12,7 @@ from rescool.evolution import block_amplitudes, step_propagator, trotter_propaga
 from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import (
     DimensionMismatch,
+    EigenSystem,
     NotHermitian,
     NotNormalized,
     hermitian_eig,
@@ -296,26 +297,66 @@ def test_step_rejects_bad_inputs(monkeypatch):
     formed = evolution.trotter_propagator
     monkeypatch.setattr(evolution, "trotter_propagator", lambda *args: 2.0 * formed(*args))
     doubled = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.05, 10.0, 4)
-    with pytest.raises(NotNormalized):
+    with pytest.raises(NotNormalized, match=r"exceeds 1\.0e-10 at 4 Trotter steps"):
         doubled(np.array([1.0, 0.0]))
 
 
 def test_trotter_step_reads_only_the_00_columns(monkeypatch):
-    # |00>|phi> is zero past its first N entries, so the other columns never count
+    # |00>|phi> is zero past its first N entries, so only U[:, :N] is built;
+    # the 01 + 10 blocks hold none of those columns and are never read
     h_s = build_aklt(1).h_s
     phi = np.full(16, 0.25, dtype=complex)
     want = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
+    shapes = []
     formed = evolution.trotter_propagator
 
-    def poisoned(*args):
+    def recorded(*args):
         u = formed(*args)
-        u[:, 16:] = np.nan
+        shapes.append(u.shape)
         return u
 
-    monkeypatch.setattr(evolution, "trotter_propagator", poisoned)
+    def poisoned(h):
+        # inf on the factor blocks of the 01 and 10 sectors, indices 16 to 47:
+        # any product with them is an invalid-value RuntimeWarning, an error here
+        es = hermitian_eig(h)
+        blocks = []
+        for rows, cols, vecs in es.blocks:
+            dead = (16 <= rows[:, :1, None]) & (rows[:, :1, None] < 48)
+            blocks.append((rows, cols, np.where(dead, np.inf, vecs)))
+        return EigenSystem(es.eigenvalues, tuple(blocks))
+
+    monkeypatch.setattr(evolution, "trotter_propagator", recorded)
+    monkeypatch.setattr(evolution, "hermitian_eig", poisoned)
     got = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
+    assert shapes == [(64, 16)]
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+def refuse_propagators(monkeypatch):
+    # every binding of linalg.propagator raises
+    def refuse(*args):
+        raise AssertionError("propagator formed")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescool" and getattr(module, "propagator", None) is propagator:
+            monkeypatch.setattr(module, "propagator", refuse)
+
+
+def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
+    # one hermitian_eig per split part, both on the 256-row aklt2 register,
+    # and no propagator: the factors come from the parts' eigenblocks
+    seen = []
+
+    def counted(h):
+        seen.append(np.shape(h))
+        return hermitian_eig(h)
+
+    monkeypatch.setattr(evolution, "hermitian_eig", counted)
+    refuse_propagators(monkeypatch)
+    tau = np.pi / (2.0 * 0.05)
+    step_propagator(build_aklt(2).h_s, 1.0, 0.05, tau, 8)
+    assert seen == [(256, 256), (256, 256)]
 
 
 def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
@@ -342,23 +383,17 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
     assert passed and len(calls) == 1
 
 
-def test_exact_paths_never_form_a_propagator(monkeypatch):
-    # every binding of linalg.propagator raises: only the Trotter factors still need it
-    def refuse(*args):
-        raise AssertionError("propagator formed")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rescool" and getattr(module, "propagator", None) is propagator:
-            monkeypatch.setattr(module, "propagator", refuse)
+def test_no_run_path_forms_a_propagator(monkeypatch):
+    # only the oracles still form one
+    refuse_propagators(monkeypatch)
     model = build_aklt(1)
     phi0 = np.zeros(16, dtype=complex)
     phi0[12] = 1.0
     sweep = scan(model, SweepConfig(eps_min=0.8, eps_max=1.2, points=5), phi0)
     assert sweep.peak_epsilon == 1.0
-    cfg = resonant_config(0.0, 0.05, max_iterations=2)
-    assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
-    with pytest.raises(AssertionError, match="propagator formed"):
-        config_step(model, resonant_config(0.0, 0.05, trotter_steps=4))
+    for trotter_steps in (0, 4):
+        cfg = resonant_config(0.0, 0.05, max_iterations=2, trotter_steps=trotter_steps)
+        assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
 
 
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescool.evolution import trotter_propagator
 from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
     BLOCKWISE_MIN_DIM,
@@ -15,7 +16,6 @@ from rescool.linalg import (
     align_global_phase,
     fidelity,
     hermitian_eig,
-    power_of_product,
     propagator,
     propagator_action,
     require_hermitian,
@@ -167,33 +167,41 @@ def test_blockwise_step_matches_the_whole_matrix_oracle(sizes, blockwise, seed, 
         assert np.max(np.abs(propagator_action(h, t, n)(x) - u[:, :n] @ x)) <= 1e-12
 
 
+def eigh_exponential(h, t):
+    # exp(-i h t) from numpy's eigh of the whole matrix, no partition
+    w, q = np.linalg.eigh(h)
+    return (q * np.exp(-1j * w * t)) @ q.conj().T
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
     seed=st.integers(0, 2**32 - 1),
-    t=st.floats(0.0, 10.0),
+    tau=st.floats(0.0, 10.0),
     l=st.sampled_from([1, 2, 3, 17, 64]),
+    data=st.data(),
 )
-def test_power_of_product_works_on_the_union_of_both_partitions(sizes, seed, t, l):
+def test_trotter_columns_work_on_the_union_of_both_partitions(sizes, seed, tau, l, data):
     # b is cut into other blocks and shuffled apart from a, so neither
     # partition alone holds the product; only the union of the two does
     sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
-    n = sum(sizes)
+    dim = sum(sizes)
+    n = data.draw(st.integers(1, dim))
     rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(n // 2), replace=False))
+    cuts = np.sort(rng.choice(np.arange(1, dim), size=rng.integers(dim // 2), replace=False))
     a, parts_a = permuted_block_diagonal(rng, sizes, real=False)
-    sizes_b = np.diff(cuts, prepend=0, append=n).tolist()
+    sizes_b = np.diff(cuts, prepend=0, append=dim).tolist()
     b, parts_b = permuted_block_diagonal(rng, sizes_b, real=True)
-    u_a = propagator(a, t)
-    u_b = propagator(b, t)
-    dense = np.linalg.matrix_power(u_a @ u_b, l)
-    u = power_of_product(u_a, u_b, l)
-    assert np.max(np.abs(u - dense)) <= 1e-12
-    label = np.arange(n)
+    dt = tau / l
+    dense = np.linalg.matrix_power(eigh_exponential(a, dt) @ eigh_exponential(b, dt), l)
+    u = trotter_propagator(a, b, tau, l, n)
+    assert u.shape == (dim, n)
+    assert np.max(np.abs(u - dense[:, :n])) <= 1e-12
+    label = np.arange(dim)
     for part in parts_a | parts_b:
         members = sorted(part)
         label[np.isin(label, label[members])] = label[members].min()
-    assert not u[label[:, None] != label[None, :]].any()
+    assert not u[label[:, None] != label[None, :n]].any()
 
 
 @pytest.mark.parametrize("real", [True, False])

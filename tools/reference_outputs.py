@@ -62,6 +62,14 @@ PATHS = [
     "cool --model aklt1 --init 1100 --auto-epsilon --c 1e300",
 ]
 
+# the split step at many slices, stochastically, and at a count whose rounding overflows
+TROTTER = [
+    "cool --model aklt3 --init 01100110 --auto-epsilon --trotter-steps 300 --iters 3 --target-known",
+    "cool --model aklt2 --init 011001 --auto-epsilon --trotter-steps 64 --mode stochastic --seed 5"
+    " --iters 3",
+    "cool --model aklt1 --init 1100 --auto-epsilon --iters 1 --trotter-steps 100000000000000000000",
+]
+
 # couplings from strong to far below the rounding of the phase E_j tau
 CHAIN_COUPLINGS = [
     f"cool --model aklt{n} --init {INITS[f'aklt{n}']} --auto-epsilon --c {c} --target-known"
@@ -93,7 +101,7 @@ SHAPES = [
     "cool --model file:h4.txt --auto-epsilon --iters 2 --target-known",
 ]
 
-ARGVS = README_QUICKSTART + PATHS + CHAIN_COUPLINGS + REFERENCE_INITS + SHAPES
+ARGVS = README_QUICKSTART + PATHS + TROTTER + CHAIN_COUPLINGS + REFERENCE_INITS + SHAPES
 
 
 def is_nan(token: str) -> bool:
