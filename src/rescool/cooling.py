@@ -10,14 +10,13 @@ streak and restarts from the original state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite, pi, sqrt
+from math import hypot, pi, sqrt
 
 import numpy as np
 
 from .evolution import block_amplitudes, step_propagator
 from .hamiltonian import AlgorithmConfig, SystemModel
 from .linalg import (
-    BlockProduct,
     DimensionMismatch,
     fidelity,
     align_global_phase,
@@ -144,7 +143,7 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     es = hermitian_eig(model.h_s)
     require_finite_phase(es.eigenvalues, pi / (2.0 * c))
     e1 = float(es.eigenvalues[0])
-    d = BlockProduct(es, vec.size).adjoint(vec)
+    d = es.coefficients(vec)
     excited = es.eigenvalues - e1 > DEGENERACY_ATOL
     d1_sq = float(np.sum(np.abs(d[~excited]) ** 2))
     if d1_sq < 1e-30:
@@ -196,11 +195,11 @@ def run_algorithm(
         raise DimensionMismatch(f"state is {phi0.size}-dim, model is {model.dimension}-dim")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    e1, chi1, gaps = ground_truth(model)
+    _, chi1, gaps = ground_truth(model)
     degenerate = chi1.ndim == 2
     positive_gaps = gaps[gaps > DEGENERACY_ATOL]
     delta_min = float(positive_gaps.min()) if positive_gaps.size else float("inf")
-    slow = isfinite(delta_min) and delta_min < SLOW_PURIFICATION_FACTOR * config.coupling
+    slow = delta_min < SLOW_PURIFICATION_FACTOR * config.coupling
     d1_sq = ground_overlap(chi1, phi0)
     a0 = compute_a0(model, phi0, config.coupling)
     m_tail = max(config.max_iterations - 1, 0)

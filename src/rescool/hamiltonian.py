@@ -187,17 +187,21 @@ def write_atomic(path: str, body: str) -> None:
     """Write ASCII text through a temporary file, so path is never left partial.
 
     The file gets open()'s mode, 0o666 less the umask; mkstemp's would be 0o600.
+    An OSError is raised again naming path, not the temporary file.
     """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp_path = None
     try:
+        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(body)
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp_path, 0o666 & ~umask)
         os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
+    except BaseException as exc:
+        if tmp_path is not None and os.path.exists(tmp_path):
             os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -9,11 +9,12 @@ tolerance; -0.0 is zero) is float64, any other is complex128, so a real
 matrix is never cast up to complex.  The eigendecomposition works on the
 blocks the matrix's exact zeros leave: the connected components of m != 0,
 checked for Hermiticity and diagonalized one batch per block size; the
-eigenvectors stay in those blocks, which are their only form.  BlockProduct
-multiplies a vector by them, or by their adjoint, block by block, so nothing
-forms the dense n x n eigenvector matrix.  joint_blocks joins two such
-partitions, on which a product of the two matrices and its powers are taken
-block by block.  All functions are pure and never mutate their arguments.
+eigenvectors stay in those blocks, which are their only form.  EigenSystem
+reads them block by block, as the lowest k columns or as the coefficients
+V^dag x, so no run path forms the dense n x n eigenvector matrix.
+joint_blocks joins two such partitions, on which a product of the two
+matrices and its powers are taken block by block.  All functions are pure
+and never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -106,12 +107,34 @@ class EigenSystem:
     with the matrix's dtype.  Block b spans matrix indices rows[b], listed
     ascending; its eigenvector vecs[b][:, j] has eigenvalue
     eigenvalues[cols[b, j]] and is exactly zero off rows[b].  Blocks of one
-    size come in the order of their smallest index.  There is no dense view:
-    BlockProduct applies the eigenvectors, and one column is V e_k.
+    size come in the order of their smallest index.  lowest and coefficients
+    read the blocks; only lowest(n) returns the dense V.
     """
 
     eigenvalues: np.ndarray
     blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+
+    def lowest(self, k: int) -> np.ndarray:
+        """Eigenvectors of the k lowest eigenvalues, n x k, copied out of the blocks."""
+        out = np.zeros((self.eigenvalues.size, k), dtype=self.blocks[0][2].dtype)
+        for rows, cols, vecs in self.blocks:
+            b, j = np.nonzero(cols < k)
+            out[rows[b], cols[b, j][:, None]] = vecs[b, :, j]
+        return out
+
+    def coefficients(self, x: np.ndarray) -> np.ndarray:
+        """V^dag x in eigenvalue order, block by block."""
+        out = np.zeros(self.eigenvalues.size, dtype=np.result_type(self.blocks[0][2], x))
+        for rows, cols, vecs in self.blocks:
+            out[cols[:, :, None]] = _times(vecs.conj().swapaxes(1, 2), x[rows[:, :, None]])
+        return out
+
+
+def _times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """stack @ b; a real stack takes a complex b as a float view, so neither is cast up."""
+    if stack.dtype.kind != "c" and b.dtype.kind == "c":
+        return (stack @ b.view(float)).view(complex)
+    return stack @ b
 
 
 def _blocks(m: np.ndarray) -> list[np.ndarray]:
@@ -219,82 +242,48 @@ def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """exp(-i h t) for Hermitian h, built block by block from the eigendecomposition.
+    """exp(-i h t) for Hermitian h, as V exp(-i E t) V^dag: the dense oracle only.
 
-    The spectral form keeps the result unitary to rounding error and makes
-    the propagator exact for any t, which the analytic amplitude checks
-    rely on.  Each block of hermitian_eig's partition gets its own
-    (V_b * phases) @ V_b^dag from its stack of eigenvectors, so the entries
-    between blocks stay exactly zero.  require_finite_phase runs before any
-    phase is formed.
+    The spectral form keeps the result unitary to rounding error and exact
+    for any t, which the analytic amplitude checks rely on.  Every
+    eigenvector is exactly zero off its block, so the entries between blocks
+    are too.  require_finite_phase runs before any phase is formed.
     """
     es = hermitian_eig(h)
     require_finite_phase(es.eigenvalues, t)
-    phases = np.exp(-1j * es.eigenvalues * t)
-    n = phases.size
-    u = np.zeros((n, n), dtype=complex)
-    for rows, cols, vecs in es.blocks:
-        ub = (vecs * phases[cols][:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        u[rows[:, :, None], rows[:, None, :]] = ub
-    return u
-
-
-class BlockProduct:
-    """V[:n]^dag x and V y for the eigenvectors V of an EigenSystem, block by block.
-
-    Each block size keeps its rows, cols, stack and the stack's adjoint,
-    built once, for the blocks with a row among the first n only: the others
-    have no entry in V[:n], so V[:n]^dag x is zero on their columns, and
-    times is V y for a y that is zero there too (any y when n is the full
-    dimension).  Coefficients are in eigenvalue order.
-    """
-
-    def __init__(self, es: EigenSystem, n: int):
-        self.dim = es.eigenvalues.size
-        self.n = n
-        self.dtype = es.blocks[0][2].dtype
-        self.parts = []
-        for rows, cols, vecs in es.blocks:
-            # blocks of one size come in the order of their smallest row
-            live = int(np.searchsorted(rows[:, 0], n))
-            if live:
-                vecs = vecs[:live]
-                adjoint = vecs.conj().swapaxes(1, 2)
-                self.parts.append((rows[:live, :, None], cols[:live, :, None], vecs, adjoint))
-
-    def _times(self, stack: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # a real stack multiplies a float view of a complex b, which puts each
-        # entry's two parts side by side, so neither operand is cast up
-        if self.dtype.kind != "c" and b.dtype.kind == "c":
-            return (stack @ b.view(float)).view(complex)
-        return stack @ b
-
-    def adjoint(self, x: np.ndarray) -> np.ndarray:
-        padded = np.zeros(self.dim, dtype=x.dtype)
-        padded[: self.n] = x
-        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, x))
-        for rows, cols, _, adjoint in self.parts:
-            out[cols] = self._times(adjoint, padded[rows])
-        return out
-
-    def times(self, y: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.dim, dtype=np.result_type(self.dtype, y))
-        for rows, cols, vecs, _ in self.parts:
-            out[rows] = self._times(vecs, y[cols])
-        return out
+    v = es.lowest(es.eigenvalues.size)
+    return (v * np.exp(-1j * es.eigenvalues * t)) @ v.conj().T
 
 
 def propagator_action(h, t: float, n: int) -> Callable:
-    """x -> exp(-i h t)[:, :n] @ x, as V (exp(-i E t) * (V[:n]^dag x)) from hermitian_eig.
+    """x -> exp(-i h t)[:, :n] @ x, as V_b (exp(-i E_b t) * (V_b^dag x_b)) per block.
 
-    No exp(-i h t) and no dense V is formed: one BlockProduct for length n
-    runs the product block by block, and the phase check runs once, here.
+    No exp(-i h t) and no dense V is formed.  Each block with a row among the
+    first n keeps its rows, phases, stack and the stack's adjoint, built once;
+    the others have no entry in x, so their part of the result is zero.  The
+    phase check runs once, here.
     """
     es = hermitian_eig(h)
     require_finite_phase(es.eigenvalues, t)
     phases = np.exp(-1j * es.eigenvalues * t)
-    product = BlockProduct(es, n)
-    return lambda x: product.times(phases * product.adjoint(x))
+    parts = []
+    for rows, cols, vecs in es.blocks:
+        # blocks of one size come in the order of their smallest row
+        live = int(np.searchsorted(rows[:, 0], n))
+        if live:
+            vecs = vecs[:live]
+            adjoint = vecs.conj().swapaxes(1, 2)
+            parts.append((rows[:live, :, None], phases[cols[:live, :, None]], vecs, adjoint))
+
+    def action(x: np.ndarray) -> np.ndarray:
+        padded = np.zeros(phases.size, dtype=x.dtype)
+        padded[:n] = x
+        out = np.zeros(phases.size, dtype=complex)
+        for rows, phase, vecs, adjoint in parts:
+            out[rows] = _times(vecs, phase * _times(adjoint, padded[rows]))
+        return out
+
+    return action
 
 
 def fidelity(a, b) -> float:

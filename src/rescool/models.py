@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
-from .linalg import BlockProduct, hermitian_eig
+from .linalg import hermitian_eig
 
 DEGENERACY_ATOL = 1e-9
 
@@ -102,11 +102,9 @@ def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
     es = hermitian_eig(model.h_s)
     e1 = float(es.eigenvalues[0])
     degeneracy = int(np.sum(es.eigenvalues - e1 <= DEGENERACY_ATOL))
-    product = BlockProduct(es, es.eigenvalues.size)
-    columns = [product.times(unit) for unit in np.eye(degeneracy, es.eigenvalues.size)]
-    chi1 = np.stack(columns, axis=1) if degeneracy > 1 else columns[0]
+    chi1 = es.lowest(degeneracy)
     gaps = np.asarray(es.eigenvalues, dtype=float) - e1
-    return e1, chi1, gaps
+    return e1, (chi1 if degeneracy > 1 else chi1[:, 0]), gaps
 
 
 def from_registry(name: str) -> SystemModel:

@@ -259,6 +259,22 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == out
 
 
+@pytest.mark.parametrize("target", ["missing/report.txt", "outdir"])
+def test_out_error_names_the_requested_path(tmp_path, capsys, target):
+    # a missing directory fails on the temporary file, a directory target on
+    # its replace; both name the path asked for, the same on every run
+    (tmp_path / "outdir").mkdir()
+    path = str(tmp_path / target)
+    argv = ["cool", "--model", "diag:0,2", "--auto-epsilon", "--out", path]
+    first = run_cli(capsys, *argv)
+    second = run_cli(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert (code, out) == (2, "")
+    assert repr(path) in err and ".tmp" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["outdir"]
+
+
 def test_identical_invocations_are_byte_identical(capsys):
     args = [
         "cool",

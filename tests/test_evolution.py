@@ -384,8 +384,16 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
 
 
 def test_no_run_path_forms_a_propagator(monkeypatch):
-    # only the oracles still form one
+    # only the oracles still form one, or read every eigenvector as a dense V
     refuse_propagators(monkeypatch)
+    read = []
+    lowest = EigenSystem.lowest
+
+    def recorded(es, k):
+        read.append((k, es.eigenvalues.size))
+        return lowest(es, k)
+
+    monkeypatch.setattr(EigenSystem, "lowest", recorded)
     model = build_aklt(1)
     phi0 = np.zeros(16, dtype=complex)
     phi0[12] = 1.0
@@ -394,6 +402,7 @@ def test_no_run_path_forms_a_propagator(monkeypatch):
     for trotter_steps in (0, 4):
         cfg = resonant_config(0.0, 0.05, max_iterations=2, trotter_steps=trotter_steps)
         assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
+    assert read and all(k < dim for k, dim in read)
 
 
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():

@@ -9,7 +9,6 @@ from rescool.evolution import trotter_propagator
 from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
     BLOCKWISE_MIN_DIM,
-    BlockProduct,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -117,8 +116,11 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     h, parts = permuted_block_diagonal(rng, sizes, real)
     n = h.shape[0]
     es = hermitian_eig(h)
-    product = BlockProduct(es, n)
-    v = np.column_stack([product.times(unit) for unit in np.eye(n)])  # column k of V is V e_k
+    v = es.lowest(n)
+    k = int(rng.integers(0, n + 1))
+    assert np.array_equal(es.lowest(k), v[:, :k])
+    x = random_state(rng, n)
+    assert np.max(np.abs(es.coefficients(x) - v.conj().T @ x)) <= 1e-12
     scale = np.linalg.norm(h, 2)
     assert np.isrealobj(v) == (not np.iscomplex(h).any())
     assert np.all(np.diff(es.eigenvalues) >= 0)

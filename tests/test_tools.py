@@ -1,10 +1,14 @@
 import importlib
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
+SRC = TOOLS.parent / "src"
 
 REPORT = """mode=post-selected
 d1_sq=0.0833333333333
@@ -151,3 +155,21 @@ def test_the_reference_guard_refuses_nan_with_exit_0_and_unknown_codes(
 ):
     found = reference_outputs.problems(code, out.encode(), err.encode())
     assert bool(found) == refused
+
+
+@pytest.mark.parametrize("bound_mb, code", [("100000", 0), ("1", 1)])
+def test_peak_rss_holds_an_invocation_to_its_bound(bound_mb, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    argv = ["verify", "--only", "initial-fidelity"]
+    done = subprocess.run(
+        [sys.executable, str(TOOLS / "peak_rss.py"), bound_mb, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-2] == "1/1 checks passed" and lines[-1].startswith("peak RSS ")
+    assert ("exceeds 1 MB" in done.stderr) == (code == 1)
