@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from math import inf, isfinite, pi
+from math import copysign, inf, isfinite, pi
 
 import numpy as np
 
@@ -116,14 +116,20 @@ def _register_parts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Energy terms (diagonal blocks) and coupling (anti-diagonal); one array twice unless apart."""
     n_dim = h_s.shape[0]
-    eye = np.eye(n_dim)
     part_a = np.zeros((4 * n_dim, 4 * n_dim), dtype=h_s.dtype)
-    part_b = np.zeros_like(part_a) if apart else part_a
-    diagonal = ((epsilon0 - 0.5) * eye, h_s - 0.5 * eye, (epsilon0 + 0.5) * eye, h_s + 0.5 * eye)
-    for k, block in enumerate(diagonal):
-        rows = slice(k * n_dim, (k + 1) * n_dim)
-        part_a[rows, rows] = block
-        part_b[rows, (3 - k) * n_dim : (4 - k) * n_dim] = coupling * eye
+    part_b = np.zeros(part_a.shape, dtype=h_s.dtype) if apart else part_a
+    # each block in place, bit for bit as x * I and h_s -+ I/2 would give it
+    at = [slice(k * n_dim, (k + 1) * n_dim) for k in range(4)]
+    part_a[at[1], at[1]] = h_s
+    np.add(h_s, 0.0, out=part_a[at[3], at[3]])  # + I/2 adds 0.0 off the diagonal: -0.0 -> 0.0
+    scalars = [(part_a, 0, 0, epsilon0 - 0.5), (part_a, 2, 2, epsilon0 + 0.5)]
+    for part, i, j, x in scalars + [(part_b, k, 3 - k, coupling) for k in range(4)]:
+        if (off := x * 0.0) != 0.0 or copysign(1.0, off) < 0:  # x * I: -0.0 off the diagonal
+            part[at[i], at[j]] = off
+        np.fill_diagonal(part[at[i], at[j]], x)
+    diagonal = part_a.reshape(-1)[:: 4 * n_dim + 1]
+    diagonal[at[1]] -= 0.5
+    diagonal[at[3]] += 0.5
     return part_a, part_b
 
 

@@ -8,17 +8,16 @@ the one dtype rule: a matrix whose imaginary part is exactly zero (no
 tolerance; -0.0 is zero) is float64, any other is complex128, so a real
 matrix is never cast up to complex.  The eigendecomposition works on the
 blocks the matrix's exact zeros leave: the connected components of m != 0,
-checked for Hermiticity and diagonalized one batch per block size; the
-eigenvectors stay in those blocks, which are their only form.  EigenSystem
-reads them block by block, as the lowest k columns or as the coefficients
-V^dag x, so no run path forms the dense n x n eigenvector matrix.
-joint_blocks joins two such partitions, on which a product of the two
-matrices and its powers are taken block by block.  All functions are pure
-and never mutate their arguments.
+all checked for Hermiticity at the call and each block size diagonalized in
+one batch when first read, so a step never solves a block it does not read.
+The eigenvectors stay in those blocks, their only form, and no run path
+forms the dense n x n eigenvector matrix.  joint_blocks joins two such
+partitions, on which a product of the two matrices and its powers are taken
+block by block.  All functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import cached_property
 from math import isfinite
 from typing import Callable
 
@@ -98,21 +97,50 @@ def require_normalized(v, context: str = "") -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
 class EigenSystem:
     """Eigenvalues ascending, and the eigenvectors in the blocks they live on.
 
-    blocks is one (rows, cols, vecs) triple per block size s: rows and cols
-    are k x s index arrays and vecs is the k x s x s stack eigh returned,
-    with the matrix's dtype.  Block b spans matrix indices rows[b], listed
-    ascending; its eigenvector vecs[b][:, j] has eigenvalue
-    eigenvalues[cols[b, j]] and is exactly zero off rows[b].  Blocks of one
-    size come in the order of their smallest index.  lowest and coefficients
-    read the blocks; only lowest(n) returns the dense V.
+    It holds hermitian_eig's checked k x s x s stack per block size s.
+    blocks is one (rows, cols, vecs) triple per block size: rows and cols are
+    k x s index arrays and vecs is the stack eigh returned, with the matrix's
+    dtype.  Block b spans matrix indices rows[b], listed ascending; its
+    eigenvector vecs[b][:, j] has eigenvalue eigenvalues[cols[b, j]] and is
+    exactly zero off rows[b].  Blocks of one size come in the order of their
+    smallest index.  Reading eigenvalues, blocks, lowest or coefficients
+    solves every stack, once; blocks_below solves only the blocks it
+    returns.  Only lowest(n) forms the dense V.
     """
 
-    eigenvalues: np.ndarray
-    blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    def __init__(self, rows: list[np.ndarray], stacks: list[np.ndarray]):
+        self._rows, self._stacks = rows, stacks
+
+    @cached_property
+    def _merged(self) -> tuple[np.ndarray, tuple]:
+        solved = [np.linalg.eigh(s) for s in self._stacks]
+        w = np.concatenate([wb.ravel() for wb, _ in solved])
+        order = np.argsort(w, kind="stable")
+        position = np.empty(w.size, dtype=np.intp)
+        position[order] = np.arange(w.size)
+        ends = np.cumsum([0] + [idx.size for idx in self._rows]).tolist()
+        cols = [position[a:b].reshape(i.shape) for i, a, b in zip(self._rows, ends, ends[1:])]
+        return w[order], tuple(zip(self._rows, cols, [vb for _, vb in solved]))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._merged[0]
+
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        return self._merged[1]
+
+    def blocks_below(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(rows, energies, vecs): eigh of each size's blocks with a row below n, a prefix."""
+        out = []
+        for rows, stack in zip(self._rows, self._stacks):
+            live = int(np.searchsorted(rows[:, 0], n))
+            if live:
+                out.append((rows[:live], *np.linalg.eigh(stack[:live])))
+        return out
 
     def lowest(self, k: int) -> np.ndarray:
         """Eigenvectors of the k lowest eigenvalues, n x k, copied out of the blocks."""
@@ -202,41 +230,28 @@ def hermitian_eig(h) -> EigenSystem:
     zero to the real-symmetric solver, which gives real eigenvectors; any
     other keeps the complex solver.  From BLOCKWISE_MIN_DIM rows on, the
     matrix is split into the connected components of its exact nonzeros (no
-    tolerance) and each is diagonalized on its own, one batched eigh per
-    block size; a stable sort then merges the eigenvalues, and each block
-    keeps its eigenvectors as eigh returned them, with cols naming their
-    places in the merged order.  Nothing is scattered into a dense n x n
-    matrix.  The Hermiticity check runs on the same gathered blocks, and it
-    is as strict as require_hermitian on the whole matrix: NaN and inf are
+    tolerance), gathered into one stack per block size; the EigenSystem runs
+    one batched eigh per stack when first read, merges the eigenvalues by a
+    stable sort, and keeps each block's eigenvectors as eigh returned them,
+    with cols naming their places in the merged order.  Nothing is scattered
+    into a dense n x n matrix.  The search, the gather and the Hermiticity
+    check run here, on every block, solved or not, and the check is as
+    strict as require_hermitian on the whole matrix: NaN and inf are
     nonzeros, so they fall inside a block, and every entry between blocks is
     exactly zero on both sides of the diagonal.  An irreducible matrix, or
     one below BLOCKWISE_MIN_DIM rows, is one block holding eigh's own output.
     """
     m = _square(h)
-    n = m.shape[0]
-    groups = _blocks(m) if n >= BLOCKWISE_MIN_DIM else [np.arange(n)[None]]
+    groups = _blocks(m) if len(m) >= BLOCKWISE_MIN_DIM else [np.arange(len(m))[None]]
     whole = len(groups) == 1 and groups[0].shape[0] == 1
-    stacks = [m] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
+    stacks = [m[None]] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
     _check_hermitian(stacks)
-    if whole:
-        w, v = np.linalg.eigh(m)
-        return EigenSystem(w, ((groups[0], groups[0], v[None]),))
-    solved = [np.linalg.eigh(s) for s in stacks]
-    w = np.concatenate([wb.ravel() for wb, _ in solved])
-    order = np.argsort(w, kind="stable")
-    position = np.empty(n, dtype=np.intp)
-    position[order] = np.arange(n)
-    blocks = []
-    start = 0
-    for idx, (_, vb) in zip(groups, solved):
-        blocks.append((idx, position[start : start + idx.size].reshape(idx.shape), vb))
-        start += idx.size
-    return EigenSystem(w[order], tuple(blocks))
+    return EigenSystem(groups, stacks)
 
 
 def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
-    """ValueError unless max|E| * t is finite (E ascending); Python floats cannot warn."""
-    e_max = max(abs(float(eigenvalues[0])), abs(float(eigenvalues[-1])))
+    """ValueError unless max|E| * t is finite, E any array; Python floats cannot warn."""
+    e_max = float(np.abs(eigenvalues).max())
     if not isfinite(e_max * t):
         raise ValueError(f"phase max|E| * t is not finite: max|E| = {e_max:.6g}, t = {t:.6g}")
 
@@ -259,26 +274,23 @@ def propagator_action(h, t: float, n: int) -> Callable:
     """x -> exp(-i h t)[:, :n] @ x, as V_b (exp(-i E_b t) * (V_b^dag x_b)) per block.
 
     No exp(-i h t) and no dense V is formed.  Each block with a row among the
-    first n keeps its rows, phases, stack and the stack's adjoint, built once;
-    the others have no entry in x, so their part of the result is zero.  The
-    phase check runs once, here.
+    first n keeps its rows, its eigenvalues' phases, its stack and the
+    stack's adjoint, built once; the others have no entry in x, so their part
+    of the result is zero, and they are never diagonalized.  The phase check
+    runs once, here, on the eigenvalues whose phases are formed.
     """
-    es = hermitian_eig(h)
-    require_finite_phase(es.eigenvalues, t)
-    phases = np.exp(-1j * es.eigenvalues * t)
+    live = hermitian_eig(h).blocks_below(n)
+    require_finite_phase(np.concatenate([energies.ravel() for _, energies, _ in live]), t)
     parts = []
-    for rows, cols, vecs in es.blocks:
-        # blocks of one size come in the order of their smallest row
-        live = int(np.searchsorted(rows[:, 0], n))
-        if live:
-            vecs = vecs[:live]
-            adjoint = vecs.conj().swapaxes(1, 2)
-            parts.append((rows[:live, :, None], phases[cols[:live, :, None]], vecs, adjoint))
+    for rows, energies, vecs in live:
+        phase = np.exp(-1j * energies * t)[:, :, None]
+        parts.append((rows[:, :, None], phase, vecs, vecs.conj().swapaxes(1, 2)))
+    dim = np.shape(h)[0]
 
     def action(x: np.ndarray) -> np.ndarray:
-        padded = np.zeros(phases.size, dtype=x.dtype)
+        padded = np.zeros(dim, dtype=x.dtype)
         padded[:n] = x
-        out = np.zeros(phases.size, dtype=complex)
+        out = np.zeros(dim, dtype=complex)
         for rows, phase, vecs, adjoint in parts:
             out[rows] = _times(vecs, phase * _times(adjoint, padded[rows]))
         return out

@@ -106,7 +106,9 @@ def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
     probs = np.zeros(sweep_config.points)
     errs = np.zeros(sweep_config.points)
     for i, eps0 in enumerate(grid):
-        rng = np.random.default_rng(np.random.SeedSequence(sweep_config.seed, spawn_key=(i,)))
+        rng = None
+        if sweep_config.shots:
+            rng = np.random.default_rng(np.random.SeedSequence(sweep_config.seed, spawn_key=(i,)))
         probs[i], errs[i] = excitation_probability(
             model,
             float(eps0),

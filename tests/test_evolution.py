@@ -317,13 +317,14 @@ def test_trotter_step_reads_only_the_00_columns(monkeypatch):
 
     def poisoned(h):
         # inf on the factor blocks of the 01 and 10 sectors, indices 16 to 47:
-        # any product with them is an invalid-value RuntimeWarning, an error here
+        # any product with them is an invalid-value RuntimeWarning, an error here.
+        # blocks solves every stack once and hands out the kept eigenvectors,
+        # so writing into them poisons what trotter_propagator reads next.
         es = hermitian_eig(h)
-        blocks = []
-        for rows, cols, vecs in es.blocks:
+        for rows, _, vecs in es.blocks:
             dead = (16 <= rows[:, :1, None]) & (rows[:, :1, None] < 48)
-            blocks.append((rows, cols, np.where(dead, np.inf, vecs)))
-        return EigenSystem(es.eigenvalues, tuple(blocks))
+            np.copyto(vecs, np.inf, where=dead)
+        return es
 
     monkeypatch.setattr(evolution, "trotter_propagator", recorded)
     monkeypatch.setattr(evolution, "hermitian_eig", poisoned)
@@ -331,6 +332,38 @@ def test_trotter_step_reads_only_the_00_columns(monkeypatch):
     assert shapes == [(64, 16)]
     assert got[0] == want[0]
     assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+
+
+@pytest.mark.parametrize("n_qubits", [1, 2])
+def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
+    # the step reads |00 chi_j> and |11 chi_j> only, so eigh sees the 2N rows
+    # of the blocks with a row below N and never the 01 + 10 half
+    h_s = build_aklt(n_qubits).h_s
+    n_dim = h_s.shape[0]
+    solved = []
+    eigh = np.linalg.eigh
+
+    def recorded(a):
+        solved.append(a.size // a.shape[-1])
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    step_propagator(h_s, 1.0, 0.05, 10.0)
+    assert sum(solved) == 2 * n_dim
+    # a reader of the whole decomposition still gets all 4N eigenvalues
+    register = assemble_hamiltonian(h_s, 1.0, 0.05)
+    w = hermitian_eig(register).eigenvalues
+    assert w.size == 4 * n_dim
+    scale = np.linalg.norm(register, 2)
+    assert np.max(np.abs(w - np.linalg.eigvalsh(register))) <= 1e-12 * scale
+    # and the check still covers the half no step solves, before any eigh
+    solved.clear()
+    for i, j, value in ((n_dim, n_dim + 1, np.nan), (n_dim, 2 * n_dim, 0.3)):
+        bad = register.copy()
+        bad[i, j] = value
+        with pytest.raises(NotHermitian):
+            hermitian_eig(bad)
+    assert solved == []
 
 
 def refuse_propagators(monkeypatch):

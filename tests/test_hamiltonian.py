@@ -108,6 +108,50 @@ def test_aklt4_build_peaks_at_most_28_mib():
     assert peak <= 28 * 2**20
 
 
+def eye_register(h_s, eps0, c):
+    # the blocks as x * I and h_s -+ I/2 give them, signed zeros included
+    n_dim = h_s.shape[0]
+    eye = np.eye(n_dim)
+    z = np.zeros((n_dim, n_dim))
+    return np.block(
+        [
+            [(eps0 - 0.5) * eye, z, z, c * eye],
+            [z, h_s - 0.5 * eye, c * eye, z],
+            [z, c * eye, (eps0 + 0.5) * eye, z],
+            [c * eye, z, z, h_s + 0.5 * eye],
+        ]
+    )
+
+
+def test_register_is_written_in_place_bit_for_bit():
+    # eps0 < 1/2 puts -0.0 off the 00 block's diagonal, and h_s + 1/2 I turns
+    # a -0.0 entry of h_s into 0.0; the in-place blocks keep both
+    rng = np.random.default_rng(21)
+    for kind in ("real", "complex"):
+        a = rng.normal(size=(4, 4))
+        if kind == "complex":
+            a = a + 1j * rng.normal(size=(4, 4))
+        h_s = (a + a.conj().T) / 2
+        h_s[0, 1] = h_s[1, 0] = -0.0
+        h_s[2, 2] = -0.0
+        for eps0, c in ((1.0, 0.05), (0.3, 0.0), (0.5, 1.7), (-1.0, 0.05)):
+            want = eye_register(h_s, eps0, c)
+            full = assemble_hamiltonian(h_s, eps0, c)
+            assert full.dtype == want.dtype and full.tobytes() == want.tobytes()
+            part_a, part_b = split_parts(h_s, eps0, c)
+            assert part_a.tobytes() == eye_register(h_s, eps0, 0.0).tobytes()
+            assert np.array_equal(part_a + part_b, full)
+    # no N x N temporary: the aklt3 assembly peaks at its own 8 MiB register
+    h_s = build_aklt(3).h_s
+    tracemalloc.start()
+    try:
+        full = assemble_hamiltonian(h_s, 1.0, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= full.nbytes + 2**19
+
+
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_assembled_hamiltonian_is_hermitian(n_qubits):
     rng = np.random.default_rng(10 + n_qubits)

@@ -104,6 +104,28 @@ def test_scan_with_shots_is_reproducible(chain):
     assert res_a.peak_epsilon == res_b.peak_epsilon
 
 
+def test_only_a_shot_sampled_scan_builds_its_point_streams(chain, monkeypatch):
+    # an exact scan draws nothing, so it builds no Generator; a sampled one
+    # still draws point i from SeedSequence(seed, spawn_key=(i,))
+    model, _, phi0 = chain
+    built = []
+    default_rng = np.random.default_rng
+
+    def counted(*args):
+        built.append(args)
+        return default_rng(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    exact = scan(model, SweepConfig(eps_min=0.9, eps_max=1.1, points=11, coupling=0.05), phi0)
+    assert built == []
+    cfg = SweepConfig(eps_min=0.9, eps_max=1.1, points=11, shots=200, coupling=0.05, seed=9)
+    sampled = scan(model, cfg, phi0)
+    assert len(built) == 11
+    streams = [default_rng(np.random.SeedSequence(9, spawn_key=(i,))) for i in range(11)]
+    hits = [rng.binomial(200, p) for rng, p in zip(streams, exact.probabilities)]
+    assert np.array_equal(sampled.probabilities, np.array(hits) / 200)
+
+
 def test_scan_ties_break_toward_lower_epsilon():
     # shots = 1 quantizes the estimates, forcing duplicated maxima
     model = build_diagonal([0.0, 2.0])

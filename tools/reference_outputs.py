@@ -37,11 +37,35 @@ INITS = {
     "diag:0,2": "0",
 }
 
-# name -> matrix file text, written into <outdir>: two that are not 2^n x 2^n, one that is
+
+def three_block_matrix(n: int = 16) -> str:
+    """A complex Hermitian n x n matrix file whose entries join i and j only when i = j mod 3.
+
+    Its three blocks interleave, and its 4n-row register is split and solved
+    block by block, with complex stacks.  Every entry is a multiple of 1/8.
+    """
+    rows = [f"dim {n}"]
+    for i in range(n):
+        entries = []
+        for j in range(n):
+            lo, hi = min(i, j), max(i, j)
+            re, im = 0.0, 0.0
+            if i == j:
+                re = (5 * i % n) / 4 - 1.5
+            elif i % 3 == j % 3:
+                re = ((lo + 2 * hi) % 7 - 3) / 8
+                im = ((3 * lo + hi) % 5 - 2) / 8 * (1 if i < j else -1)
+            entries.append(f"{re:g},{im:g}")
+        rows.append(" ".join(entries))
+    return "\n".join(rows) + "\n"
+
+
+# name -> matrix file text, written into <outdir>: two that are not 2^n x 2^n, two that are
 MATRIX_FILES = {
     "h1.txt": "dim 1\n1,0\n",
     "h3.txt": "dim 3\n1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n",
     "h4.txt": "dim 4\n0,0 1,0 0,0 0,0\n1,0 0,0 0,0 0,0\n0,0 0,0 2,0 0,1\n0,0 0,0 0,-1 3,0\n",
+    "h16.txt": three_block_matrix(),
 }
 
 README_QUICKSTART = [
@@ -101,7 +125,27 @@ SHAPES = [
     "cool --model file:h4.txt --auto-epsilon --iters 2 --target-known",
 ]
 
-ARGVS = README_QUICKSTART + PATHS + TROTTER + CHAIN_COUPLINGS + REFERENCE_INITS + SHAPES
+# exact steps whose register splits into blocks that no step reads: complex stacks,
+# degenerate levels, an off-resonant eps0 and tau, and eps0 below the spectrum
+REGISTER_BLOCKS = [
+    "cool --model file:h16.txt --auto-epsilon --init 0110 --iters 3 --target-known",
+    "sweep --model file:h16.txt --range=-3:3 --points 61 --c 0.1",
+    "sweep --model aklt3 --init 01100110 --range 0.9:1.1 --points 9 --c 0.02",
+    "cool --model aklt2 --init 011001 --epsilon0 1.003 --tau 17.5 --iters 3",
+    "cool --model diag:0,0,0.5,0.5,1,1,1.5,1.5,2,2,2.5,2.5,3,3,3.5,3.5 --init 0000 --auto-epsilon"
+    " --iters 2 --target-known",
+    "cool --model diag:-3,-3,-2,0,0,1,1,2,2,2,2,5,5,6,6,7 --init 0011 --epsilon0 -2 --iters 2",
+]
+
+ARGVS = (
+    README_QUICKSTART
+    + PATHS
+    + TROTTER
+    + CHAIN_COUPLINGS
+    + REFERENCE_INITS
+    + SHAPES
+    + REGISTER_BLOCKS
+)
 
 
 def is_nan(token: str) -> bool:
