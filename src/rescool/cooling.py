@@ -140,15 +140,14 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     if not c > 0:
         raise ValueError(f"coupling must be positive, got {c}")
     vec = require_normalized(phi0)
-    es = hermitian_eig(model.h_s)
-    require_finite_phase(es.eigenvalues, pi / (2.0 * c))
-    e1 = float(es.eigenvalues[0])
-    d = es.coefficients(vec)
-    excited = es.eigenvalues - e1 > DEGENERACY_ATOL
+    energies, d = hermitian_eig(model.h_s).overlaps(vec)
+    require_finite_phase(energies, pi / (2.0 * c))
+    e1 = float(energies.min())
+    excited = energies - e1 > DEGENERACY_ATOL
     d1_sq = float(np.sum(np.abs(d[~excited]) ** 2))
     if d1_sq < 1e-30:
         return float("inf")
-    _, c_j1 = block_amplitudes(es.eigenvalues[excited], e1 + 1.0, c, pi / (2.0 * c))
+    _, c_j1 = block_amplitudes(energies[excited], e1 + 1.0, c, pi / (2.0 * c))
     # math.hypot scales its arguments: the squares of |d_j c_j1| ~ c underflow
     # below c ~ 1e-154, and dividing by c first underflows them at c ~ 1e300
     return hypot(*np.abs(d[excited] * c_j1)) / c / sqrt(d1_sq)

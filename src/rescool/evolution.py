@@ -76,11 +76,11 @@ def trotter_propagator(part_a, part_b, tau: float, l: int, n: int | None = None)
         place[idx] = np.arange(idx.shape[1])
     flat = np.zeros((2, offsets[-1]), dtype=complex)
     for f, es in enumerate(factors):
-        phases = np.exp(-1j * es.eigenvalues * (tau / l))
-        for rows, cols, vecs in es.blocks:
+        for rows, energies, vecs in es.blocks:
             keep = base[rows[:, 0]] >= 0
             rows, vecs = rows[keep], vecs[keep]
-            ub = (vecs * phases[cols[keep]][:, None, :]) @ vecs.conj().swapaxes(1, 2)
+            phases = np.exp(-1j * energies[keep] * (tau / l))
+            ub = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
             flat[f, base[rows][:, :, None] + place[rows][:, None, :]] = ub
     out = np.zeros((dim, n), dtype=complex)
     for idx, start, end in zip(live, offsets, offsets[1:]):

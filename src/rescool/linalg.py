@@ -2,18 +2,19 @@
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
 up to a few thousand.  propagator_action applies exp(-iht) to a state, as a
-cooling step does; propagator forms it, as the dense oracle only.  Matrices
-are row-major ndarrays and states are flat complex vectors.  as_matrix holds
-the one dtype rule: a matrix whose imaginary part is exactly zero (no
-tolerance; -0.0 is zero) is float64, any other is complex128, so a real
-matrix is never cast up to complex.  The eigendecomposition works on the
-blocks the matrix's exact zeros leave: the connected components of m != 0,
-all checked for Hermiticity at the call and each block size diagonalized in
-one batch when first read, so a step never solves a block it does not read.
-The eigenvectors stay in those blocks, their only form, and no run path
-forms the dense n x n eigenvector matrix.  joint_blocks joins two such
-partitions, on which a product of the two matrices and its powers are taken
-block by block.  All functions are pure and never mutate their arguments.
+cooling step does; propagator forms it from one eigh of the whole matrix, as
+the dense oracle only.  Matrices are row-major ndarrays and states are flat
+complex vectors.  as_matrix holds the one dtype rule: a matrix whose
+imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
+other is complex128, so a real matrix is never cast up to complex.  The
+eigendecomposition works on the blocks the matrix's exact zeros leave: the
+connected components of m != 0, all checked for Hermiticity at the call and
+each block size diagonalized in one batch when first read, so a step never
+solves a block it does not read.  Each block keeps its eigenvectors, in
+their only form, next to its own energies, and no run path forms the dense
+n x n eigenvector matrix.  joint_blocks joins two such partitions, on which
+a product of the two matrices and its powers are taken block by block.  All
+functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
@@ -101,40 +102,29 @@ class EigenSystem:
     """Eigenvalues ascending, and the eigenvectors in the blocks they live on.
 
     It holds hermitian_eig's checked k x s x s stack per block size s.
-    blocks is one (rows, cols, vecs) triple per block size: rows and cols are
-    k x s index arrays and vecs is the stack eigh returned, with the matrix's
-    dtype.  Block b spans matrix indices rows[b], listed ascending; its
-    eigenvector vecs[b][:, j] has eigenvalue eigenvalues[cols[b, j]] and is
-    exactly zero off rows[b].  Blocks of one size come in the order of their
-    smallest index.  Reading eigenvalues, blocks, lowest or coefficients
-    solves every stack, once; blocks_below solves only the blocks it
-    returns.  Only lowest(n) forms the dense V.
+    blocks is one (rows, energies, vecs) triple per block size: rows and
+    energies are k x s arrays and vecs is the stack eigh returned, with the
+    matrix's dtype.  Block b spans matrix indices rows[b], listed ascending;
+    its eigenvector vecs[b][:, j] has energy energies[b, j] and is exactly
+    zero off rows[b].  Blocks of one size come in the order of their
+    smallest index.  eigenvalues is every block's energies, sorted.  Reading
+    eigenvalues, blocks or overlaps solves every stack, once; blocks_below
+    solves only the blocks it returns.
     """
 
     def __init__(self, rows: list[np.ndarray], stacks: list[np.ndarray]):
         self._rows, self._stacks = rows, stacks
 
     @cached_property
-    def _merged(self) -> tuple[np.ndarray, tuple]:
-        solved = [np.linalg.eigh(s) for s in self._stacks]
-        w = np.concatenate([wb.ravel() for wb, _ in solved])
-        order = np.argsort(w, kind="stable")
-        position = np.empty(w.size, dtype=np.intp)
-        position[order] = np.arange(w.size)
-        ends = np.cumsum([0] + [idx.size for idx in self._rows]).tolist()
-        cols = [position[a:b].reshape(i.shape) for i, a, b in zip(self._rows, ends, ends[1:])]
-        return w[order], tuple(zip(self._rows, cols, [vb for _, vb in solved]))
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return self._merged[0]
-
-    @property
     def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        return self._merged[1]
+        return tuple((rows, *np.linalg.eigh(s)) for rows, s in zip(self._rows, self._stacks))
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        return np.sort(np.concatenate([energies.ravel() for _, energies, _ in self.blocks]))
 
     def blocks_below(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(rows, energies, vecs): eigh of each size's blocks with a row below n, a prefix."""
+        """The triples of each size's blocks with a row below n, a prefix; solves only those."""
         out = []
         for rows, stack in zip(self._rows, self._stacks):
             live = int(np.searchsorted(rows[:, 0], n))
@@ -142,20 +132,13 @@ class EigenSystem:
                 out.append((rows[:live], *np.linalg.eigh(stack[:live])))
         return out
 
-    def lowest(self, k: int) -> np.ndarray:
-        """Eigenvectors of the k lowest eigenvalues, n x k, copied out of the blocks."""
-        out = np.zeros((self.eigenvalues.size, k), dtype=self.blocks[0][2].dtype)
-        for rows, cols, vecs in self.blocks:
-            b, j = np.nonzero(cols < k)
-            out[rows[b], cols[b, j][:, None]] = vecs[b, :, j]
-        return out
-
-    def coefficients(self, x: np.ndarray) -> np.ndarray:
-        """V^dag x in eigenvalue order, block by block."""
-        out = np.zeros(self.eigenvalues.size, dtype=np.result_type(self.blocks[0][2], x))
-        for rows, cols, vecs in self.blocks:
-            out[cols[:, :, None]] = _times(vecs.conj().swapaxes(1, 2), x[rows[:, :, None]])
-        return out
+    def overlaps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(E, V^dag x): every eigenvector's energy and overlap with x, in block order."""
+        energies, d = zip(*[
+            (e.ravel(), _times(v.conj().swapaxes(1, 2), x[rows[:, :, None]]).ravel())
+            for rows, e, v in self.blocks
+        ])
+        return np.concatenate(energies), np.concatenate(d)
 
 
 def _times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -194,9 +177,9 @@ def _components(label: np.ndarray, pairs: Callable) -> list[np.ndarray]:
         if ends is None:
             if not label.any():
                 break
-            rows, cols = pairs()
-            ends = np.concatenate((rows, cols))
-            others = np.concatenate((cols, rows))
+            left, right = pairs()
+            ends = np.concatenate((left, right))
+            others = np.concatenate((right, left))
         hooked = label.copy()
         np.minimum.at(hooked, label[ends], label[others])
         if (hooked == label).all():
@@ -231,9 +214,8 @@ def hermitian_eig(h) -> EigenSystem:
     other keeps the complex solver.  From BLOCKWISE_MIN_DIM rows on, the
     matrix is split into the connected components of its exact nonzeros (no
     tolerance), gathered into one stack per block size; the EigenSystem runs
-    one batched eigh per stack when first read, merges the eigenvalues by a
-    stable sort, and keeps each block's eigenvectors as eigh returned them,
-    with cols naming their places in the merged order.  Nothing is scattered
+    one batched eigh per stack when first read and keeps each block's
+    energies and eigenvectors as eigh returned them.  Nothing is scattered
     into a dense n x n matrix.  The search, the gather and the Hermiticity
     check run here, on every block, solved or not, and the check is as
     strict as require_hermitian on the whole matrix: NaN and inf are
@@ -259,15 +241,15 @@ def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
 def propagator(h, t: float) -> np.ndarray:
     """exp(-i h t) for Hermitian h, as V exp(-i E t) V^dag: the dense oracle only.
 
-    The spectral form keeps the result unitary to rounding error and exact
-    for any t, which the analytic amplitude checks rely on.  Every
-    eigenvector is exactly zero off its block, so the entries between blocks
-    are too.  require_finite_phase runs before any phase is formed.
+    V and E come from one numpy eigh of the whole matrix, with no block
+    search, so the oracle shares no code with hermitian_eig and the run path
+    it checks.  The spectral form keeps the result unitary to rounding error
+    and exact for any t, which the analytic amplitude checks rely on.
+    require_finite_phase runs before any phase is formed.
     """
-    es = hermitian_eig(h)
-    require_finite_phase(es.eigenvalues, t)
-    v = es.lowest(es.eigenvalues.size)
-    return (v * np.exp(-1j * es.eigenvalues * t)) @ v.conj().T
+    energies, v = np.linalg.eigh(require_hermitian(h))
+    require_finite_phase(energies, t)
+    return (v * np.exp(-1j * energies * t)) @ v.conj().T
 
 
 def propagator_action(h, t: float, n: int) -> Callable:

@@ -96,15 +96,21 @@ def build_diagonal(levels) -> SystemModel:
 def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenvalue, its eigenvector, and every gap E_j - E_1.
 
-    A degenerate ground space comes back as an N x g column basis instead of
-    a flat vector; callers can spot that case by ndim.
+    The ground levels are every E_j - E_1 <= DEGENERACY_ATOL, each copied out
+    of its block.  A degenerate ground space comes back as an N x g column
+    basis, in block order, instead of a flat vector; callers can spot that
+    case by ndim.
     """
     es = hermitian_eig(model.h_s)
     e1 = float(es.eigenvalues[0])
-    degeneracy = int(np.sum(es.eigenvalues - e1 <= DEGENERACY_ATOL))
-    chi1 = es.lowest(degeneracy)
+    ground = []  # chi_j for every E_j - E_1 <= DEGENERACY_ATOL, in block order
+    for rows, energies, vecs in es.blocks:
+        for b, j in zip(*np.nonzero(energies - e1 <= DEGENERACY_ATOL)):
+            chi = np.zeros(len(es.eigenvalues), dtype=vecs.dtype)
+            chi[rows[b]] = vecs[b, :, j]
+            ground.append(chi)
     gaps = np.asarray(es.eigenvalues, dtype=float) - e1
-    return e1, (chi1 if degeneracy > 1 else chi1[:, 0]), gaps
+    return e1, (np.stack(ground, axis=1) if len(ground) > 1 else ground[0]), gaps
 
 
 def from_registry(name: str) -> SystemModel:

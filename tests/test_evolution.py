@@ -12,7 +12,6 @@ from rescool.evolution import block_amplitudes, step_propagator, trotter_propaga
 from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import (
     DimensionMismatch,
-    EigenSystem,
     NotHermitian,
     NotNormalized,
     hermitian_eig,
@@ -417,16 +416,19 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
 
 
 def test_no_run_path_forms_a_propagator(monkeypatch):
-    # only the oracles still form one, or read every eigenvector as a dense V
+    # only the oracles still form one.  The eigenvectors a run copies out of
+    # their blocks are ground_truth's, one column per ground level, never all N.
     refuse_propagators(monkeypatch)
     read = []
-    lowest = EigenSystem.lowest
 
-    def recorded(es, k):
-        read.append((k, es.eigenvalues.size))
-        return lowest(es, k)
+    def recorded(model):
+        e1, chi1, gaps = ground_truth(model)
+        read.append(chi1.reshape(gaps.size, -1).shape)
+        return e1, chi1, gaps
 
-    monkeypatch.setattr(EigenSystem, "lowest", recorded)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescool" and getattr(module, "ground_truth", None) is ground_truth:
+            monkeypatch.setattr(module, "ground_truth", recorded)
     model = build_aklt(1)
     phi0 = np.zeros(16, dtype=complex)
     phi0[12] = 1.0
@@ -435,7 +437,7 @@ def test_no_run_path_forms_a_propagator(monkeypatch):
     for trotter_steps in (0, 4):
         cfg = resonant_config(0.0, 0.05, max_iterations=2, trotter_steps=trotter_steps)
         assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
-    assert read and all(k < dim for k, dim in read)
+    assert read and all(k < dim for dim, k in read)
 
 
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescool import linalg
 from rescool.evolution import trotter_propagator
 from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
@@ -119,32 +120,45 @@ def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
     h, parts = permuted_block_diagonal(rng, sizes, real)
     n = h.shape[0]
     es = hermitian_eig(h)
-    v = es.lowest(n)
-    k = int(rng.integers(0, n + 1))
-    assert np.array_equal(es.lowest(k), v[:, :k])
-    x = random_state(rng, n)
-    assert np.max(np.abs(es.coefficients(x) - v.conj().T @ x)) <= 1e-12
-    scale = np.linalg.norm(h, 2)
-    assert np.isrealobj(v) == (not np.iscomplex(h).any())
-    assert np.all(np.diff(es.eigenvalues) >= 0)
-    assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12 * scale
-    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
-    assert np.max(np.abs((v * es.eigenvalues) @ v.conj().T - h)) <= 1e-12 * scale
-    # the partition is the components, and each eigenvector lives on its block
+    # the partition is the components, and each block holds its own energies
     found = {frozenset(block.tolist()) for rows, _, _ in es.blocks for block in rows}
     assert found == parts
-    inside = np.zeros((n, n), dtype=bool)
-    for rows, cols, _ in es.blocks:
-        inside[rows[:, :, None], cols[:, None, :]] = True
-    assert not v[~inside].any()
+    assert all(e.shape == rows.shape for rows, e, _ in es.blocks)
+    # each eigenvector, exactly zero off its block, is an eigenvector of h:
+    # V in block order, scattered by the test, rebuilds h
+    v = np.zeros((n, n), dtype=es.blocks[0][2].dtype)
+    column = 0
+    for rows, _, vecs in es.blocks:
+        for b, j in np.ndindex(rows.shape):
+            v[rows[b], column] = vecs[b, :, j]
+            column += 1
+    scale = np.linalg.norm(h, 2)
+    assert np.isrealobj(v) == (not np.iscomplex(h).any())
+    x = random_state(rng, n)
+    energies, d = es.overlaps(x)
+    assert np.max(np.abs(v.conj().T @ v - np.eye(n))) <= 1e-12
+    assert np.max(np.abs((v * energies) @ v.conj().T - h)) <= 1e-12 * scale
+    assert np.max(np.abs(h @ v - v * energies)) <= 1e-12 * scale
+    assert np.max(np.abs(d - v.conj().T @ x)) <= 1e-12
+    assert np.array_equal(es.eigenvalues, np.sort(energies))
+    assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-12 * scale
     w, q = np.linalg.eigh(h)
     dense = (q * np.exp(-1j * w * t)) @ q.conj().T
-    u = propagator(h, t)
-    assert np.max(np.abs(u - dense)) <= 1e-12
-    inside[:] = False
-    for rows, _, _ in es.blocks:
-        inside[rows[:, :, None], rows[:, None, :]] = True
-    assert not u[~inside].any()
+    assert np.max(np.abs(propagator(h, t) - dense)) <= 1e-12
+
+
+def test_propagator_is_one_eigh_of_the_whole_matrix(monkeypatch):
+    # the dense oracle shares no block code with the run path it checks
+    def refuse(h):
+        raise AssertionError("propagator went through hermitian_eig")
+
+    monkeypatch.setattr(linalg, "hermitian_eig", refuse)
+    rng = np.random.default_rng(11)
+    h, _ = permuted_block_diagonal(rng, [1, 3, 5, 7] * 4, False)
+    assert h.shape == (BLOCKWISE_MIN_DIM, BLOCKWISE_MIN_DIM)
+    t = 2.7
+    w, q = np.linalg.eigh(h)
+    assert np.max(np.abs(propagator(h, t) - (q * np.exp(-1j * w * t)) @ q.conj().T)) <= 1e-12
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)

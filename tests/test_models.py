@@ -116,6 +116,22 @@ def test_valence_bond_state_has_string_order_minus_four_ninths(n_bulk):
             assert correlator == pytest.approx(-4.0 / 9.0, abs=1e-12)
 
 
+def neel_init(n_bulk):
+    # left end 0, spin-1 pairs alternating 11 / 00, right end alternating: 0110, 011001, ...
+    pairs = "".join("11" if k % 2 else "00" for k in range(1, n_bulk + 1))
+    return "0" + pairs + ("0" if n_bulk % 2 else "1")
+
+
+@pytest.mark.parametrize("n_bulk", range(1, 8))
+def test_neel_init_carries_the_valence_bond_weight(n_bulk):
+    # d1_sq of the reference inits, |<init|AKLT>|^2 = (1/2)(2/3)^n, read off
+    # the valence-bond state with no diagonalization; n = 7 is 16 qubits
+    init = neel_init(n_bulk)
+    assert len(init) == 2 * n_bulk + 2
+    weight = abs(valence_bond_state(n_bulk)[int(init, 2)]) ** 2
+    assert abs(weight - 0.5 * (2.0 / 3.0) ** n_bulk) <= 1e-12
+
+
 def test_three_spin_chain_singlet_sector():
     # a singlet on the middle pair scores 4/3 regardless of the edge qubits
     model = build_aklt(1)

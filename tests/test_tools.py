@@ -153,8 +153,20 @@ def test_a_missing_output_fails(compare_outputs, capsys, dirs):
 def test_the_reference_guard_refuses_nan_with_exit_0_and_unknown_codes(
     reference_outputs, code, out, err, refused
 ):
-    found = reference_outputs.problems(code, out.encode(), err.encode())
+    line = reference_outputs.PATHS[0]
+    found = reference_outputs.problems(line, code, out.encode(), err.encode())
     assert bool(found) == refused
+
+
+@pytest.mark.parametrize("code, refused", [(0, False), (2, True), (3, True), (4, True)])
+def test_the_reference_guard_requires_exit_0_of_the_readme_quickstart(
+    reference_outputs, code, refused
+):
+    # an allowed refusal elsewhere, but a README command that fails is a broken README
+    for line in reference_outputs.README_QUICKSTART:
+        found = reference_outputs.problems(line, code, b"", b"")
+        assert bool(found) == refused
+        assert all(f"README quickstart exits {code}" in problem for problem in found)
 
 
 @pytest.mark.parametrize("bound_mb, code", [("100000", 0), ("1", 1)])

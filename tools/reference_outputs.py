@@ -12,7 +12,8 @@ argvs.txt (line i is argv i) and the matrix files the `file:` cases read.
 tools/compare_outputs.py the same diff with last-digit rounding allowed.
 
 The run also guards "never NaN with exit 0": it exits 1, after writing every
-output, if an invocation exits with a code outside ALLOWED_CODES or exits 0
+output, if an invocation exits with a code outside ALLOWED_CODES, a
+README_QUICKSTART argv exits with any code but 0, or an invocation exits 0
 having printed a token that reads as NaN.  A token is what is left after
 splitting on ",", "=" and whitespace; a0=inf is legal, the documented value
 for an init with no ground weight.
@@ -155,12 +156,16 @@ def is_nan(token: str) -> bool:
         return False
 
 
-def problems(code: int, out: bytes, err: bytes) -> list[str]:
-    """What the guard refuses in one run: a code outside ALLOWED_CODES, or NaN with exit 0."""
+def problems(line: str, code: int, out: bytes, err: bytes) -> list[str]:
+    """What the guard refuses in one run of argv line.
+
+    A code outside ALLOWED_CODES, a README quickstart argv that does not
+    exit 0, or NaN with exit 0.
+    """
     if code not in ALLOWED_CODES:
         return [f"exit code {code} is not one of {ALLOWED_CODES}"]
     if code != 0:
-        return []
+        return [f"README quickstart exits {code}, not 0"] if line in README_QUICKSTART else []
     text = (out + err).decode("ascii", errors="replace")
     nan_lines = [line for line in text.splitlines() if any(map(is_nan, tokens(line)))]
     return [f"exit 0 with NaN in {line!r}" for line in nan_lines]
@@ -187,7 +192,7 @@ def main(argv: list[str]) -> int:
         for suffix, body in outputs.items():
             with open(os.path.join(outdir, f"{i}.{suffix}"), "wb") as fh:
                 fh.write(body)
-        found = problems(done.returncode, done.stdout, done.stderr)
+        found = problems(line, done.returncode, done.stdout, done.stderr)
         refused += [f"{i} ({line}): {problem}" for problem in found]
     print(f"{len(ARGVS)} invocations written to {outdir}")
     for entry in refused:
