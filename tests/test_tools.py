@@ -153,8 +153,8 @@ def test_a_missing_output_fails(compare_outputs, capsys, dirs):
 def test_the_reference_guard_refuses_nan_with_exit_0_and_unknown_codes(
     reference_outputs, code, out, err, refused
 ):
-    line = reference_outputs.PATHS[0]
-    found = reference_outputs.problems(line, code, out.encode(), err.encode())
+    argv = reference_outputs.PATHS[0]
+    found = reference_outputs.problems(argv, code, out.encode(), err.encode())
     assert bool(found) == refused
 
 
@@ -163,8 +163,8 @@ def test_the_reference_guard_requires_exit_0_of_the_readme_quickstart(
     reference_outputs, code, refused
 ):
     # an allowed refusal elsewhere, but a README command that fails is a broken README
-    for line in reference_outputs.README_QUICKSTART:
-        found = reference_outputs.problems(line, code, b"", b"")
+    for argv in reference_outputs.README_QUICKSTART:
+        found = reference_outputs.problems(argv, code, b"", b"")
         assert bool(found) == refused
         assert all(f"README quickstart exits {code}" in problem for problem in found)
 

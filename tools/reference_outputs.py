@@ -156,8 +156,8 @@ def is_nan(token: str) -> bool:
         return False
 
 
-def problems(line: str, code: int, out: bytes, err: bytes) -> list[str]:
-    """What the guard refuses in one run of argv line.
+def problems(argv: str, code: int, out: bytes, err: bytes) -> list[str]:
+    """What the guard refuses in one run of argv.
 
     A code outside ALLOWED_CODES, a README quickstart argv that does not
     exit 0, or NaN with exit 0.
@@ -165,7 +165,7 @@ def problems(line: str, code: int, out: bytes, err: bytes) -> list[str]:
     if code not in ALLOWED_CODES:
         return [f"exit code {code} is not one of {ALLOWED_CODES}"]
     if code != 0:
-        return [f"README quickstart exits {code}, not 0"] if line in README_QUICKSTART else []
+        return [f"README quickstart exits {code}, not 0"] if argv in README_QUICKSTART else []
     text = (out + err).decode("ascii", errors="replace")
     nan_lines = [line for line in text.splitlines() if any(map(is_nan, tokens(line)))]
     return [f"exit 0 with NaN in {line!r}" for line in nan_lines]
