@@ -2,10 +2,11 @@
 
 A statevector simulator for the two-ancilla cooling loop: evolve |00>|phi>
 for half a resonant period, measure the probe, and purify toward the ground
-state or scan the reference eigenvalue for the ground energy.  The dense 4N
-register that computes a step stays inside its modules.
+state or scan the reference eigenvalue for the ground energy.  A step is
+computed from the system's spectrum, one 2x2 block per level; the dense 4N
+register survives only as the oracle of the verification suite, which
+rescool.acceptance holds and `rescool verify` runs.
 """
-from .acceptance import CheckResult, render_results, run_checks
 from .cooling import (
     CoolingReport,
     DivergentTail,
@@ -53,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlgorithmConfig",
-    "CheckResult",
     "CoolingReport",
     "DimensionMismatch",
     "DivergentTail",
@@ -81,9 +81,7 @@ __all__ = [
     "propagator",
     "render_csv",
     "render_report",
-    "render_results",
     "run_algorithm",
-    "run_checks",
     "save_matrix_file",
     "scan",
     "success_probability_bound",

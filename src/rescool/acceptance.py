@@ -10,12 +10,15 @@ ground_truth on aklt1 to aklt4.  The iteration states, the sweep curve and
 the streak probability are compared with closed forms built from one numpy
 eigh of the aklt1 H_S and block_amplitudes alone (the block states
 psi_m ∝ sum_j d_j c_j1^m chi_j, the curve sum_j |d_j c_j1(eps0)|^2 and the
-streak sum_j |d_j|^2 |c_j1|^6), so the dense register run is checked
-against a path that shares neither its eigendecomposition nor its
-propagator code.  tolerance_scale multiplies every numeric tolerance, so 0.1
-runs the suite tightened tenfold and values > 1 loosen it; the two-iteration
-purification threshold and the sweep peak's one-grid-step window are
-properties of the algorithm and the grid, not tolerances, and stay fixed.
+streak sum_j |d_j|^2 |c_j1|^6), which share the run path's closed form
+but not its eigendecomposition.  The dense 4N register, which no run path
+builds, is the path independent of both: trotter-scaling compares its split
+with trotter_amplitudes level by level, and resonance-fixed-point compares
+the run step's branches with its exp(-iH tau).  tolerance_scale multiplies
+every numeric tolerance, so 0.1 runs the suite tightened tenfold and
+values > 1 loosen it; the two-iteration purification threshold and the
+sweep peak's one-grid-step window are properties of the algorithm and the
+grid, not tolerances, and stay fixed.
 """
 from __future__ import annotations
 
@@ -33,7 +36,7 @@ from .cooling import (
     run_iteration,
     success_probability_bound,
 )
-from .evolution import block_amplitudes, step_propagator, trotter_propagator
+from .evolution import block_amplitudes, step_propagator, trotter_amplitudes, trotter_propagator
 from .hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from .linalg import fidelity, propagator
 from .models import build_aklt, build_diagonal, ground_truth, valence_bond_state
@@ -241,17 +244,26 @@ def check_success_bound(scale: float) -> tuple[bool, str]:
 
 
 def check_trotter_scaling(scale: float) -> tuple[bool, str]:
-    model, phi0, _, _, _, _ = _chain_context()
+    model, phi0, energies, vecs, _, _ = _chain_context()
+    n_dim = energies.size
     config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
     h_full = assemble_hamiltonian(model.h_s, config.epsilon0, config.coupling)
     u_exact = propagator(h_full, config.tau)
     part_a, part_b = split_parts(model.h_s, config.epsilon0, config.coupling)
-    errors = []
+    errors, level_devs = [], []
     for steps in (64, 128, 256):
         u_trot = trotter_propagator(part_a, part_b, config.tau, steps)
         errors.append(float(np.max(np.abs(u_trot - u_exact))))
+        # the dense split on |00 chi_j> against the per-level split the run path takes
+        c_j0, c_j1 = trotter_amplitudes(
+            energies, config.epsilon0, config.coupling, config.tau, steps
+        )
+        level = np.zeros((4 * n_dim, n_dim), dtype=complex)
+        level[:n_dim], level[3 * n_dim :] = vecs * c_j0, vecs * c_j1
+        level_devs.append(float(np.max(np.abs(u_trot[:, :n_dim] @ vecs - level))))
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     ratio_lo, ratio_hi = 2.0 - 0.4 * scale, 2.0 + 0.4 * scale
+    level_tol = 1e-10 * scale
     config_512 = AlgorithmConfig(
         epsilon0=1.0,
         coupling=0.05,
@@ -263,14 +275,18 @@ def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     fid = report.records[-1].fidelity_to_target
     target_fid = 1.0 / (1.0 + (report.a0 * config.coupling) ** 2)
     fid_dev = abs(fid - target_fid)
+    # np.max keeps a NaN, which then fails the comparison
+    level_dev = float(np.max(level_devs))
     passed = (
         errors[0] > errors[1] > errors[2]
         and all(ratio_lo <= r <= ratio_hi for r in ratios)
+        and level_dev <= level_tol
         and fid_dev <= 1e-3 * scale
     )
     return passed, (
         f"errors {errors[0]:.3e}/{errors[1]:.3e}/{errors[2]:.3e}, "
         f"ratios {ratios[0]:.3f},{ratios[1]:.3f} (band [{ratio_lo:.2f}, {ratio_hi:.2f}]), "
+        f"per-level split deviation {level_dev:.2e} from the dense split (tol {level_tol:.1e}), "
         f"L=512 fidelity {fid:.6f} vs closed form {target_fid:.6f}, "
         f"deviation {fid_dev:.2e} (tol {1e-3 * scale:.1e})"
     )
@@ -307,15 +323,27 @@ def check_monotone_convergence(scale: float) -> tuple[bool, str]:
 
 def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     model = _chain_context()[0]
+    n_dim = model.dimension
     chi1 = valence_bond_state(1)
-    step = step_propagator(model.h_s, 1.0, 0.05, pi / (2.0 * 0.05))
+    tau = pi / (2.0 * 0.05)
+    step = step_propagator(model.spectrum, 1.0, 0.05, tau)
+    # the run step's branches on |00 chi_1> against the dense register's exp(-iH tau)
+    _, ground, excited = step(chi1)
+    want = propagator(assemble_hamiltonian(model.h_s, 1.0, 0.05), tau)[:, :n_dim] @ chi1
+    branch_dev = max(
+        float(np.max(np.abs(ground - want[:n_dim]))),
+        float(np.max(np.abs(excited - want[3 * n_dim :]))),
+    )
     record = run_iteration(chi1, "post-selected", np.random.default_rng(0), step=step, target=chi1)
     prob_dev = abs(record.excitation_probability - 1.0)
     state_dev = _state_deviation(chi1, record.system_state)
-    passed = prob_dev <= 1e-9 * scale and state_dev <= 1e-8 * scale
+    passed = (
+        prob_dev <= 1e-9 * scale and state_dev <= 1e-8 * scale and branch_dev <= 1e-10 * scale
+    )
     return passed, (
         f"excitation probability deviation {prob_dev:.2e} (tol {1e-9 * scale:.1e}), "
-        f"state deviation {state_dev:.2e} (tol {1e-8 * scale:.1e})"
+        f"state deviation {state_dev:.2e} (tol {1e-8 * scale:.1e}), "
+        f"branch deviation {branch_dev:.2e} from the dense register (tol {1e-10 * scale:.1e})"
     )
 
 

@@ -15,7 +15,6 @@ from functools import cache
 
 import numpy as np
 
-from .acceptance import render_results, run_checks
 from .cooling import RestartCapExceeded, render_report, run_algorithm
 from .hamiltonian import AlgorithmConfig, SystemModel, write_atomic
 from .models import from_registry, ground_truth
@@ -177,6 +176,9 @@ def cmd_cool(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: the suite builds nothing a sweep or a cool request needs
+    from .acceptance import render_results, run_checks
+
     results = run_checks(only=args.only, tolerance_scale=args.tolerance_scale)
     if not results:
         print(f"error: no checks match --only {args.only!r}", file=sys.stderr)

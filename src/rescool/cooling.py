@@ -20,7 +20,6 @@ from .linalg import (
     DimensionMismatch,
     fidelity,
     align_global_phase,
-    hermitian_eig,
     require_finite_phase,
     require_normalized,
 )
@@ -130,17 +129,17 @@ def run_iteration(phi_in, mode: str, rng, k: int = 1, *, step, target) -> Iterat
 def compute_a0(model: SystemModel, phi0, c: float) -> float:
     """a0 = sqrt(sum_{j>1} |d_j c_j1|^2) / (|d_1| c) from the spectral overlaps.
 
-    d_j are the eigenbasis coefficients of phi0; c_j1 is the closed-form
-    amplitude of one resonant step (eps0 = E_1 + 1, tau = pi/(2c)).
-    Degenerate ground levels pool into |d_1|^2.  A state with no
-    ground-space weight gets a0 = inf: such a run can never purify, but it
-    is still a legal thing to simulate.  A phase E_j tau that is not finite
-    raises ValueError before any amplitude is formed.
+    d_j are the eigenbasis coefficients of phi0 on model.spectrum; c_j1 is
+    the closed-form amplitude of one resonant step (eps0 = E_1 + 1,
+    tau = pi/(2c)).  Degenerate ground levels pool into |d_1|^2.  A state
+    with no ground-space weight gets a0 = inf: such a run can never purify,
+    but it is still a legal thing to simulate.  A phase E_j tau that is not
+    finite raises ValueError before any amplitude is formed.
     """
     if not c > 0:
         raise ValueError(f"coupling must be positive, got {c}")
     vec = require_normalized(phi0)
-    energies, d = hermitian_eig(model.h_s).overlaps(vec)
+    energies, d = model.spectrum.overlaps(vec)
     require_finite_phase(energies, pi / (2.0 * c))
     e1 = float(energies.min())
     excited = energies - e1 > DEGENERACY_ATOL
@@ -206,8 +205,8 @@ def run_algorithm(
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
-    step_args = (model.h_s, config.epsilon0, config.coupling, config.tau, config.trotter_steps)
-    step = step_propagator(*step_args) if config.max_iterations else None
+    step_args = (model.spectrum, config.epsilon0, config.coupling, config.tau)
+    step = step_propagator(*step_args, config.trotter_steps) if config.max_iterations else None
     records: list[IterationRecord] = []
     streak = 0
     restarts = 0

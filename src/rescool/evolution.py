@@ -1,13 +1,15 @@
-"""The cooling step and the closed-form block transition amplitudes.
+"""The cooling step, from the closed-form amplitudes of each level's 2x2 block.
 
-step_propagator evolves |00>|phi> for tau, exactly or through the first-order
-split [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
-transverse coupling), and reads the probe.  It is the only run-path code that
-builds or reads the 4N register; sweep, cooling and the checks see only its
-branches.  The exact step is applied, never formed; the Trotter step forms
-only its |00> columns.  Inside each invariant 2x2 block the same step has a
-closed form; block_amplitudes evaluates it and is the oracle the register
-step is checked against.
+In the eigenbasis of H_S the register Hamiltonian decouples into one block
+[[eps0 - 1/2, c], [c, 1/2 + E_j]] per level on {|00 chi_j>, |11 chi_j>}, so
+evolving |00>|phi> for tau moves each overlap d_j = <chi_j|phi> into
+d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
+(c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
+[exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
+transverse coupling).  step_propagator builds a step from them on a model's
+spectrum; sweep, cooling and the checks take every step from it, and none
+builds the 4N register.  trotter_propagator forms the split on the register
+itself, as the dense oracle the per-level split is checked against.
 """
 from __future__ import annotations
 
@@ -15,16 +17,26 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import assemble_hamiltonian, split_parts
 from .linalg import (
     DimensionMismatch,
+    EigenSystem,
     NotNormalized,
     hermitian_eig,
     joint_blocks,
-    propagator_action,
     require_finite_phase,
     require_normalized,
 )
+
+
+def require_finite_block_phase(energies, epsilon0, coupling, t) -> None:
+    """ValueError unless every phase the levels' 2x2 blocks form in time t is finite.
+
+    Both eigenvalues of a block, and every intermediate that block_amplitudes
+    and trotter_amplitudes form, lie within |E_j| + |eps0| + c + 1 of zero.
+    """
+    # summed as Python floats, which overflow to inf without a warning
+    bound = float(np.abs(energies).max()) + float(abs(epsilon0)) + float(coupling) + 1.0
+    require_finite_phase(bound, t)
 
 
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
@@ -35,26 +47,55 @@ def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray
     c_j0 there and moves c_j1 onto |11 chi_j>.  Writing H_j = mu + h Z + c X
     with Omega = hypot(c, h), sin(Omega tau)/Omega = tau sinc(Omega tau/pi)
     stays finite at Omega = 0, so any eps0, c and tau need no special case;
-    hypot keeps Omega finite where c*c would overflow.
+    hypot keeps Omega finite where c*c would overflow.  The cosine takes the
+    angle pi * (Omega tau/pi) that sinc rounds to, so |c_j0|^2 + |c_j1|^2 = 1
+    to rounding however large Omega tau grows; at Omega tau ~ 1e8 the two
+    roundings of the angle alone differ by about 1e-8.
     The arguments broadcast against each other like numpy operands.
     """
     e = np.asarray(energies, dtype=float)
     mu = (epsilon0 + e) / 2.0
     h = (epsilon0 - 1.0 - e) / 2.0
     omega = np.hypot(c, h)
-    s = tau * np.sinc(omega * tau / np.pi)
+    turns = omega * tau / np.pi
+    s = tau * np.sinc(turns)
     phase = np.exp(-1j * mu * tau)
-    return phase * (np.cos(omega * tau) - 1j * h * s), -1j * c * s * phase
+    return phase * (np.cos(np.pi * turns) - 1j * h * s), -1j * c * s * phase
+
+
+def trotter_amplitudes(energies, epsilon0, c, tau, l: int) -> tuple[np.ndarray, np.ndarray]:
+    """First column (c_j0, c_j1) of each level's split step, the Trotter block_amplitudes.
+
+    On {|00 chi_j>, |11 chi_j>} the energy terms act as
+    diag(eps0 - 1/2, 1/2 + E_j) and the coupling as c X, so with dt = tau/l a
+    level's slice is the 2x2 diag(e^{-i(eps0-1/2)dt}, e^{-i(1/2+E_j)dt})
+    exp(-i c X dt), and [slice]^l is the split step restricted to its block.
+    All levels take one batched matrix_power.  An overflowing power raises
+    NotNormalized.
+    """
+    if not 1 <= l <= 1e308:  # tau / l takes l as a float
+        raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
+    e = np.asarray(energies, dtype=float).reshape(-1)
+    dt = tau / l
+    require_finite_block_phase(e, epsilon0, c, dt)
+    cos, sin = np.cos(c * dt), -1j * np.sin(c * dt)
+    phases = np.exp(-1j * dt * np.stack(np.broadcast_arrays(epsilon0 - 0.5, e + 0.5), axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.linalg.matrix_power(phases[:, :, None] * np.array([[cos, sin], [sin, cos]]), l)
+    if not np.isfinite(power).all():
+        raise NotNormalized(f"the split step overflows at {l} Trotter steps; use fewer")
+    return power[:, 0, 0], power[:, 1, 0]
 
 
 def trotter_propagator(part_a, part_b, tau: float, l: int, n: int | None = None) -> np.ndarray:
     """Columns U[:, :n] (n = None: all) of the split U = [exp(-i A tau/l) exp(-i B tau/l)]^l.
 
-    Both factors, so U too, are block-diagonal on linalg.joint_blocks of the
-    parts' partitions.  Blocks with no index below n are skipped; the others
-    get their factors from the eigenblocks V_b exp(-i E_b tau/l) V_b^dag, one
-    batched matrix_power per block size, and their columns below n, so
-    nothing 4N x 4N is formed.  An overflowing power raises NotNormalized.
+    The dense oracle: no run path calls it.  Both factors, so U too, are
+    block-diagonal on linalg.joint_blocks of the parts' partitions.  Blocks
+    with no index below n are skipped; the others get their factors from the
+    eigenblocks V_b exp(-i E_b tau/l) V_b^dag, one batched matrix_power per
+    block size, and their columns below n, so nothing 4N x 4N is formed.  An
+    overflowing power raises NotNormalized.
     """
     if not 1 <= l <= 1e308:  # tau / l takes l as a float
         raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
@@ -94,30 +135,39 @@ def trotter_propagator(part_a, part_b, tau: float, l: int, n: int | None = None)
     return out
 
 
-def step_propagator(h_s, epsilon0, coupling, tau, trotter_steps: int = 0) -> Callable:
-    """One step as phi -> (p_excited, ground, excited); trotter_steps = 0 is exact.
+def step_propagator(
+    spectrum: EigenSystem, epsilon0, coupling, tau, trotter_steps: int = 0
+) -> Callable:
+    """One step on H_S's spectrum, phi -> (p_excited, ground, excited); 0 Trotter steps is exact.
 
-    It takes block_amplitudes' arguments, any c >= 0 and tau >= 0.  p_excited
-    (capped at 1) is the probe-excited weight; ground and excited are the
-    unnormalized |00> and |11> system slices.  phi must be normalized and
-    N-dim; the evolved register must stay normalized, a unitarity check that
-    names any Trotter step count.
+    The levels' (c_j0, c_j1) come once, here: from block_amplitudes, or
+    trotter_amplitudes at trotter_steps slices.  A step takes d = V^dag phi
+    (spectrum.overlaps); p_excited = sum_j |d_j c_j1|^2, capped at 1, is the
+    probe-excited weight, and ground = V (d c_0) and excited = V (d c_1)
+    (spectrum.combine) are the unnormalized |00> and |11> system slices.  It
+    takes block_amplitudes' arguments, any c >= 0 and tau >= 0.  phi must be
+    normalized and N-dim; the evolved state must stay normalized, a
+    unitarity check that names any Trotter step count.
     """
-    n_dim = np.shape(h_s)[0]
+    energies = spectrum.energies
+    n_dim = energies.size
     drift = ""
     if trotter_steps == 0:
-        evolve = propagator_action(assemble_hamiltonian(h_s, epsilon0, coupling), tau, n_dim)
+        require_finite_block_phase(energies, epsilon0, coupling, tau)
+        amplitudes = block_amplitudes(energies, epsilon0, coupling, tau)
     else:
-        parts = split_parts(h_s, epsilon0, coupling)
-        evolve = trotter_propagator(*parts, tau, trotter_steps, n_dim).__matmul__
+        amplitudes = trotter_amplitudes(energies, epsilon0, coupling, tau, trotter_steps)
         drift = f" at {trotter_steps} Trotter steps, whose rounding grows with their count"
+    amplitudes = np.stack(amplitudes, axis=1)
 
     def step(phi) -> tuple[float, np.ndarray, np.ndarray]:
         vec = require_normalized(phi)
         if vec.size != n_dim:
             raise DimensionMismatch(f"state is {vec.size}-dim, step is {n_dim}-dim")
-        evolved = require_normalized(evolve(vec), drift)
-        p_excited = min(float(np.sum(np.abs(evolved[2 * n_dim :]) ** 2)), 1.0)
-        return p_excited, evolved[:n_dim], evolved[3 * n_dim :]
+        _, d = spectrum.overlaps(vec)
+        evolved = require_normalized(d[:, None] * amplitudes, drift).reshape(n_dim, 2)
+        p_excited = min(float(np.sum(np.abs(evolved[:, 1]) ** 2)), 1.0)
+        ground, excited = spectrum.combine(evolved).T
+        return p_excited, ground, excited
 
     return step

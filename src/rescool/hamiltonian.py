@@ -12,23 +12,24 @@ Over the ancilla states 00, 01, 10, 11 its N x N diagonal blocks are
 ones c I, in the dtype of H_S and in one array.  On span{|00 chi_j>, |11 chi_j>}
 it decouples into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit
 on the resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal
-entries.  Only evolution.step_propagator reads the evolved register.
+entries.  No run path builds the register: evolution.step_propagator takes
+those blocks' amplitudes on the model's spectrum, and assemble_hamiltonian and
+split_parts serve the dense oracle that verify and the tests compare it with.
 """
 from __future__ import annotations
 
 import os
 import tempfile
 from dataclasses import dataclass
+from functools import cached_property
 from math import copysign, inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import DimensionMismatch, require_hermitian
+from .linalg import DimensionMismatch, EigenSystem, hermitian_eig, require_hermitian
 
-# Largest 4N the dense path may build.  At the cap the largest array is the
-# 4096 x 4096 register, 128 MiB in float64 (twice that for a complex H_S);
-# its eigenvectors stay in their blocks, and the exact step is applied, not
-# formed as a matrix.
+# Largest 4N the dense register oracle may build, so N <= 1024.  A run builds
+# no register: its largest array is H_S, 8 MiB in float64 at the cap.
 REGISTER_CAP = 2**12
 
 
@@ -48,6 +49,9 @@ class SystemModel:
 
     dimension and n_qubits are read off h_s.  The size cap runs on its shape
     before h_s is converted or copied, and the 2^n rule is checked here only.
+    spectrum is hermitian_eig(h_s), computed on first read and kept, so every
+    reader of one model (ground truth, a0, the step, the sweep curve) shares
+    one decomposition and building a model solves nothing.
     """
 
     h_s: np.ndarray
@@ -61,6 +65,10 @@ class SystemModel:
                 f"{self.label or 'h_s'} is {h.shape[0]}-dimensional, not 2^n with n >= 1"
             )
         object.__setattr__(self, "h_s", h)
+
+    @cached_property
+    def spectrum(self) -> EigenSystem:
+        return hermitian_eig(self.h_s)
 
     @property
     def dimension(self) -> int:

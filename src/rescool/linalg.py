@@ -1,19 +1,21 @@
 """Dense linear algebra kernel.
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
-up to a few thousand.  propagator_action applies exp(-iht) to a state, as a
-cooling step does; propagator forms it from one eigh of the whole matrix, as
-the dense oracle only.  Matrices are row-major ndarrays and states are flat
-complex vectors.  as_matrix holds the one dtype rule: a matrix whose
-imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
-other is complex128, so a real matrix is never cast up to complex.  The
-eigendecomposition works on the blocks the matrix's exact zeros leave: the
-connected components of m != 0, all checked for Hermiticity at the call and
-each block size diagonalized in one batch when first read, so a step never
-solves a block it does not read.  Each block keeps its eigenvectors, in
-their only form, next to its own energies, and no run path forms the dense
-n x n eigenvector matrix.  joint_blocks joins two such partitions, on which
-a product of the two matrices and its powers are taken block by block.  All
+up to a few thousand.  The run path reads one EigenSystem of H_S per model:
+overlaps(x) takes a state into its eigenbasis and combine(d) back out, so a
+cooling step is a product of N amplitudes between the two.  propagator_action
+applies exp(-iht) to a state and propagator forms it from one eigh of the
+whole matrix; both serve the dense register oracle only.  Matrices are
+row-major ndarrays and states are flat complex vectors.  as_matrix holds the
+one dtype rule: a matrix whose imaginary part is exactly zero (no tolerance;
+-0.0 is zero) is float64, any other is complex128, so a real matrix is never
+cast up to complex.  The eigendecomposition works on the blocks the matrix's
+exact zeros leave, at every size: the connected components of m != 0, all
+checked for Hermiticity at the call and each block size diagonalized in one
+batch when first read.  Each block keeps its eigenvectors, in their only
+form, next to its own energies, and no run path forms the dense n x n
+eigenvector matrix.  joint_blocks joins two such partitions, on which a
+product of the two matrices and its powers are taken block by block.  All
 functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
@@ -26,11 +28,6 @@ import numpy as np
 
 HERMITIAN_ATOL = 1e-10
 NORM_ATOL = 1e-10
-# Below this dimension one eigh of the whole matrix is cheaper than finding
-# and batching its blocks: finding them costs about 0.1 ms, more than a dense
-# eigh of 32 rows.  At 64 rows the blocks win on the aklt1 register that
-# every mc-aklt1 run diagonalizes (see CHANGES.md).
-BLOCKWISE_MIN_DIM = 64
 
 
 class NotHermitian(ValueError):
@@ -107,9 +104,10 @@ class EigenSystem:
     matrix's dtype.  Block b spans matrix indices rows[b], listed ascending;
     its eigenvector vecs[b][:, j] has energy energies[b, j] and is exactly
     zero off rows[b].  Blocks of one size come in the order of their
-    smallest index.  eigenvalues is every block's energies, sorted.  Reading
-    eigenvalues, blocks or overlaps solves every stack, once; blocks_below
-    solves only the blocks it returns.
+    smallest index.  energies is every eigenvector's energy in block order,
+    the order overlaps and combine use, and eigenvalues the same sorted.
+    Reading any of them solves every stack, once; blocks_below solves only
+    the blocks it returns.
     """
 
     def __init__(self, rows: list[np.ndarray], stacks: list[np.ndarray]):
@@ -120,8 +118,12 @@ class EigenSystem:
         return tuple((rows, *np.linalg.eigh(s)) for rows, s in zip(self._rows, self._stacks))
 
     @cached_property
+    def energies(self) -> np.ndarray:
+        return np.concatenate([energies.ravel() for _, energies, _ in self.blocks])
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.sort(np.concatenate([energies.ravel() for _, energies, _ in self.blocks]))
+        return np.sort(self.energies)
 
     def blocks_below(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The triples of each size's blocks with a row below n, a prefix; solves only those."""
@@ -133,12 +135,25 @@ class EigenSystem:
         return out
 
     def overlaps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(E, V^dag x): every eigenvector's energy and overlap with x, in block order."""
-        energies, d = zip(*[
-            (e.ravel(), _times(v.conj().swapaxes(1, 2), x[rows[:, :, None]]).ravel())
-            for rows, e, v in self.blocks
-        ])
-        return np.concatenate(energies), np.concatenate(d)
+        """(energies, V^dag x): every eigenvector's energy and overlap with x, in block order."""
+        d = [
+            _times(v.conj().swapaxes(1, 2), x[rows[:, :, None]]).ravel()
+            for rows, _, v in self.blocks
+        ]
+        return self.energies, np.concatenate(d)
+
+    def combine(self, d: np.ndarray) -> np.ndarray:
+        """V d = sum_j d_j chi_j, which undoes overlaps: d in block order along its first axis.
+
+        d is n or n x m; the result has d's shape, one state per column.
+        """
+        out = np.zeros(d.shape, dtype=complex)
+        start = 0
+        for rows, _, v in self.blocks:
+            part = d[start : start + rows.size].reshape(*rows.shape, -1)
+            out[rows] = _times(v, part).reshape(*rows.shape, *d.shape[1:])
+            start += rows.size
+        return out
 
 
 def _times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,20 +226,21 @@ def hermitian_eig(h) -> EigenSystem:
 
     as_matrix's dtype rule sends a matrix whose imaginary part is exactly
     zero to the real-symmetric solver, which gives real eigenvectors; any
-    other keeps the complex solver.  From BLOCKWISE_MIN_DIM rows on, the
-    matrix is split into the connected components of its exact nonzeros (no
-    tolerance), gathered into one stack per block size; the EigenSystem runs
-    one batched eigh per stack when first read and keeps each block's
-    energies and eigenvectors as eigh returned them.  Nothing is scattered
-    into a dense n x n matrix.  The search, the gather and the Hermiticity
-    check run here, on every block, solved or not, and the check is as
-    strict as require_hermitian on the whole matrix: NaN and inf are
-    nonzeros, so they fall inside a block, and every entry between blocks is
-    exactly zero on both sides of the diagonal.  An irreducible matrix, or
-    one below BLOCKWISE_MIN_DIM rows, is one block holding eigh's own output.
+    other keeps the complex solver.  The matrix is split into the connected
+    components of its exact nonzeros (no tolerance), at every size, so an
+    exact zero weight reads as zero whatever the dimension; the components
+    are gathered into one stack per block size, and the EigenSystem runs one
+    batched eigh per stack when first read and keeps each block's energies
+    and eigenvectors as eigh returned them.  Nothing is scattered into a
+    dense n x n matrix.  The search, the gather and the Hermiticity check
+    run here, on every block, solved or not, and the check is as strict as
+    require_hermitian on the whole matrix: NaN and inf are nonzeros, so they
+    fall inside a block, and every entry between blocks is exactly zero on
+    both sides of the diagonal.  An irreducible matrix is one block holding
+    eigh's own output.
     """
     m = _square(h)
-    groups = _blocks(m) if len(m) >= BLOCKWISE_MIN_DIM else [np.arange(len(m))[None]]
+    groups = _blocks(m)
     whole = len(groups) == 1 and groups[0].shape[0] == 1
     stacks = [m[None]] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
     _check_hermitian(stacks)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
-from .linalg import hermitian_eig
 
 DEGENERACY_ATOL = 1e-9
 
@@ -94,14 +93,14 @@ def build_diagonal(levels) -> SystemModel:
 
 
 def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
-    """Lowest eigenvalue, its eigenvector, and every gap E_j - E_1.
+    """Lowest eigenvalue, its eigenvector, and every gap E_j - E_1, from model.spectrum.
 
     The ground levels are every E_j - E_1 <= DEGENERACY_ATOL, each copied out
     of its block.  A degenerate ground space comes back as an N x g column
     basis, in block order, instead of a flat vector; callers can spot that
     case by ndim.
     """
-    es = hermitian_eig(model.h_s)
+    es = model.spectrum
     e1 = float(es.eigenvalues[0])
     ground = []  # chi_j for every E_j - E_1 <= DEGENERACY_ATOL, in block order
     for rows, energies, vecs in es.blocks:

@@ -2,9 +2,11 @@
 
 The probe excitation probability after one step peaks when eps0 sits on the
 resonance eps0 = E_1 + 1, so a grid scan over eps0 followed by an argmax
-reads off the ground energy as peak - 1.  Probabilities are exact when
-shots = 0 and binomial estimates otherwise, with one RNG stream per grid
-point derived from (seed, point index).
+reads off the ground energy as peak - 1.  On the model's spectrum that
+probability is sum_j |d_j c_j1(eps0)|^2, d = V^dag phi0, so the whole grid
+is one broadcast of block_amplitudes.  Probabilities are exact when shots =
+0 and binomial estimates otherwise, with one RNG stream per grid point
+derived from (seed, point index).
 """
 from __future__ import annotations
 
@@ -13,10 +15,13 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .evolution import step_propagator
+from .evolution import block_amplitudes, require_finite_block_phase
 from .hamiltonian import SystemModel
+from .linalg import DimensionMismatch, require_normalized
 
 FLAT_CURVE_FLOOR = 1e-12
+# Grid points per broadcast: at most 2^16 amplitudes, 1 MiB of complex, per array.
+CHUNK_AMPLITUDES = 2**16
 
 
 class FlatCurve(RuntimeError):
@@ -70,6 +75,33 @@ class SweepResult:
     refined_peak: float
 
 
+def _exact_curve(model: SystemModel, grid: np.ndarray, c: float, tau: float, phi0) -> np.ndarray:
+    """sum_j |d_j c_j1(eps0)|^2, capped at 1, at every eps0 of the grid, d = V^dag phi0.
+
+    One broadcast of block_amplitudes over the model's spectrum per chunk of
+    grid points, so memory stays bounded for any grid size.  phi0 must be
+    normalized and N-dim.
+    """
+    vec = require_normalized(phi0)
+    if vec.size != model.dimension:
+        raise DimensionMismatch(f"state is {vec.size}-dim, step is {model.dimension}-dim")
+    energies, d = model.spectrum.overlaps(vec)
+    require_finite_block_phase(energies, float(np.abs(grid).max()), c, tau)
+    curve = np.empty(grid.size)
+    chunk = max(CHUNK_AMPLITUDES // energies.size, 1)
+    for lo in range(0, grid.size, chunk):
+        _, c_j1 = block_amplitudes(energies, grid[lo : lo + chunk, None], c, tau)
+        curve[lo : lo + chunk] = np.sum(np.abs(d * c_j1) ** 2, axis=1)
+    return np.minimum(curve, 1.0)
+
+
+def _estimate(p_exact: float, shots: int, rng) -> tuple[float, float]:
+    """One binomial draw of shots trials at p_exact: the estimate and its standard error."""
+    hits = int(rng.binomial(shots, p_exact))
+    p_hat = hits / shots
+    return p_hat, sqrt(p_hat * (1.0 - p_hat) / shots)
+
+
 def excitation_probability(
     model: SystemModel,
     epsilon0: float,
@@ -79,45 +111,34 @@ def excitation_probability(
     shots: int = 0,
     rng=None,
 ) -> tuple[float, float]:
-    """Probe excitation probability of U(tau)|00 phi0> at one eps0.
+    """Probe excitation probability of U(tau)|00 phi0> at one eps0, a one-point _exact_curve.
 
     shots = 0 returns the exact branch weight with stderr 0; shots > 0
     returns a binomial estimate and its standard error.
     """
-    p_exact, _, _ = step_propagator(model.h_s, epsilon0, c, tau)(phi0)
+    p_exact = float(_exact_curve(model, np.array([float(epsilon0)]), c, tau, phi0)[0])
     if shots == 0:
         return p_exact, 0.0
-    if rng is None:
-        rng = np.random.default_rng(0)
-    hits = int(rng.binomial(shots, p_exact))
-    p_hat = hits / shots
-    return p_hat, sqrt(p_hat * (1.0 - p_hat) / shots)
+    return _estimate(p_exact, shots, np.random.default_rng(0) if rng is None else rng)
 
 
 def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
     """Evaluate the probability curve on the grid and locate its peak.
 
-    The peak is the grid argmax; ties break toward the lower eps0 (first
+    The exact curve is one _exact_curve call; with shots, point i is then
+    estimated from its own stream SeedSequence(seed, spawn_key=(i,)).  The
+    peak is the grid argmax; ties break toward the lower eps0 (first
     maximum on the ascending grid).  FlatCurve is raised when the curve's
     range is below twice the median standard error (with a small absolute
     floor so exact flat curves also trip it).
     """
     grid = np.linspace(sweep_config.eps_min, sweep_config.eps_max, sweep_config.points)
-    probs = np.zeros(sweep_config.points)
+    probs = _exact_curve(model, grid, sweep_config.coupling, sweep_config.tau, phi0)
     errs = np.zeros(sweep_config.points)
-    for i, eps0 in enumerate(grid):
-        rng = None
-        if sweep_config.shots:
-            rng = np.random.default_rng(np.random.SeedSequence(sweep_config.seed, spawn_key=(i,)))
-        probs[i], errs[i] = excitation_probability(
-            model,
-            float(eps0),
-            sweep_config.coupling,
-            sweep_config.tau,
-            phi0,
-            shots=sweep_config.shots,
-            rng=rng,
-        )
+    if sweep_config.shots:
+        for i, p_exact in enumerate(probs.tolist()):
+            seeds = np.random.SeedSequence(sweep_config.seed, spawn_key=(i,))
+            probs[i], errs[i] = _estimate(p_exact, sweep_config.shots, np.random.default_rng(seeds))
     spread = float(probs.max() - probs.min())
     noise = max(2.0 * float(np.median(errs)), FLAT_CURVE_FLOOR)
     if spread < noise:

@@ -478,12 +478,12 @@ def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize(
-    "steps", ["1000000", "100000000000000000000", "1" + "0" * 400], ids=["1e6", "1e20", "1e400"]
+    "steps", ["10000000", "100000000000000000000", "1" + "0" * 400], ids=["1e7", "1e20", "1e400"]
 )
 def test_too_many_trotter_steps_is_a_usage_error_naming_the_count(capsys, steps):
-    # the split's rounding grows about linearly in the step count: 1e6 steps
-    # drift past the norm check on aklt1, 1e20 overflow the power, and 1e400
-    # has no float step size
+    # the split's rounding grows about linearly in the step count: on aklt1
+    # 1e6 steps drift 4.8e-11 per level, inside the norm check, while 1e7
+    # (7.6e-10) and 1e20 steps drift past it, and 1e400 has no float step size
     argv = "cool --model aklt1 --init 1100 --auto-epsilon --iters 1 --trotter-steps"
     code, out, err = run_cli(capsys, *argv.split(), steps)
     assert (code, out) == (2, "")

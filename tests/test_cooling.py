@@ -36,7 +36,7 @@ def resonant_config(e1, **kwargs):
 
 def config_step(model, cfg):
     # the step run_algorithm builds for this model and configuration
-    return step_propagator(model.h_s, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
 
 
 def test_prepare_register_state_is_h_r_eigenstate(chain):
@@ -54,7 +54,7 @@ def test_prepare_register_state_is_h_r_eigenstate(chain):
 def test_measurement_of_unevolved_state_has_no_excited_branch(chain):
     model, e1, chi1, _ = chain
     # with no coupling and no time the step leaves |00>|v> where it is
-    identity = step_propagator(model.h_s, e1 + 1.0, 0.0, 0.0)
+    identity = step_propagator(model.spectrum, e1 + 1.0, 0.0, 0.0)
     p_exc, ground, excited = identity(chi1)
     assert p_exc == 0.0
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rescool import acceptance, cooling, evolution, sweep
+from rescool import acceptance, cli, evolution
 from rescool.cooling import run_algorithm
-from rescool.evolution import block_amplitudes, step_propagator, trotter_propagator
+from rescool.evolution import (
+    block_amplitudes,
+    step_propagator,
+    trotter_amplitudes,
+    trotter_propagator,
+)
 from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts
 from rescool.linalg import (
     DimensionMismatch,
@@ -35,7 +40,7 @@ def config_parts(model, cfg):
 
 
 def config_step(model, cfg):
-    return step_propagator(model.h_s, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
 
 
 def block_matrix(e1, ej, c):
@@ -258,7 +263,7 @@ def test_step_propagator_selects_exact_or_trotter():
 def test_step_branches_match_the_dense_oracle(
     n_dim, seed, real, epsilon0, c, tau, trotter_steps
 ):
-    # 16 levels make a 64-row register, which hermitian_eig splits into blocks
+    # the spectral step against the 4N register's exp(-iH tau) or its dense split
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n_dim, n_dim))
     if not real:
@@ -266,7 +271,7 @@ def test_step_branches_match_the_dense_oracle(
     h_s = (a + a.conj().T) / 2.0
     phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     phi /= np.linalg.norm(phi)
-    p, ground, excited = step_propagator(h_s, epsilon0, c, tau, trotter_steps)(phi)
+    p, ground, excited = step_propagator(hermitian_eig(h_s), epsilon0, c, tau, trotter_steps)(phi)
     if trotter_steps:
         u = trotter_propagator(*split_parts(h_s, epsilon0, c), tau, trotter_steps)
     else:
@@ -279,66 +284,73 @@ def test_step_branches_match_the_dense_oracle(
 
 def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
     phi = np.array([0.6, 0.8], dtype=complex)
-    p_exc, ground, excited = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.0, 0.0)(phi)
+    p_exc, ground, excited = step_propagator(hermitian_eig(np.diag([0.0, 1.0])), 1.0, 0.0, 0.0)(phi)
     assert p_exc == 0.0
     assert np.array_equal(ground, phi)
     assert np.all(excited == 0)
 
 
 def test_step_rejects_bad_inputs(monkeypatch):
-    step = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.05, 10.0)
+    spectrum = hermitian_eig(np.diag([0.0, 1.0]))
+    step = step_propagator(spectrum, 1.0, 0.05, 10.0)
     with pytest.raises(NotNormalized):
         step(np.array([1.0, 1.0]))
     for phi in (np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])):
         with pytest.raises(DimensionMismatch, match=rf"^state is {phi.size}-dim, step is 2-dim$"):
             step(phi)
-    # a non-unitary Trotter step fails the norm check on the evolved register
-    formed = evolution.trotter_propagator
-    monkeypatch.setattr(evolution, "trotter_propagator", lambda *args: 2.0 * formed(*args))
-    doubled = step_propagator(np.diag([0.0, 1.0]), 1.0, 0.05, 10.0, 4)
+    # a non-unitary Trotter step fails the norm check on the evolved state
+    formed = evolution.trotter_amplitudes
+    monkeypatch.setattr(
+        evolution, "trotter_amplitudes", lambda *args: tuple(2.0 * a for a in formed(*args))
+    )
+    doubled = step_propagator(spectrum, 1.0, 0.05, 10.0, 4)
     with pytest.raises(NotNormalized, match=r"exceeds 1\.0e-10 at 4 Trotter steps"):
         doubled(np.array([1.0, 0.0]))
 
 
+def refuse_register(monkeypatch):
+    # every binding of what assembles or splits the register, or forms a dense propagator, raises
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run path built or propagated the 4N register")
+
+    names = (
+        "assemble_hamiltonian",
+        "split_parts",
+        "trotter_propagator",
+        "propagator",
+        "propagator_action",
+    )
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "rescool":
+            continue
+        for name in names:
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, refuse)
+
+
 def test_trotter_step_reads_only_the_00_columns(monkeypatch):
-    # |00>|phi> is zero past its first N entries, so only U[:, :N] is built;
-    # the 01 + 10 blocks hold none of those columns and are never read
+    # |00>|phi> is zero past its first N entries, so the step needs only the
+    # |00 chi_j> column (c_j0, c_j1) of each level's split, never the 4N split
     h_s = build_aklt(1).h_s
+    tau = 10.0
     phi = np.full(16, 0.25, dtype=complex)
-    want = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
-    shapes = []
-    formed = evolution.trotter_propagator
-
-    def recorded(*args):
-        u = formed(*args)
-        shapes.append(u.shape)
-        return u
-
-    def poisoned(h):
-        # inf on the factor blocks of the 01 and 10 sectors, indices 16 to 47:
-        # any product with them is an invalid-value RuntimeWarning, an error here.
-        # blocks solves every stack once and hands out the kept eigenvectors,
-        # so writing into them poisons what trotter_propagator reads next.
-        es = hermitian_eig(h)
-        for rows, _, vecs in es.blocks:
-            dead = (16 <= rows[:, :1, None]) & (rows[:, :1, None] < 48)
-            np.copyto(vecs, np.inf, where=dead)
-        return es
-
-    monkeypatch.setattr(evolution, "trotter_propagator", recorded)
-    monkeypatch.setattr(evolution, "hermitian_eig", poisoned)
-    got = step_propagator(h_s, 1.0, 0.05, 10.0, 8)(phi)
-    assert shapes == [(64, 16)]
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+    u = trotter_propagator(*split_parts(h_s, 1.0, 0.05), tau, 8)
+    want = u[:, :16] @ phi
+    refuse_register(monkeypatch)
+    got = step_propagator(hermitian_eig(h_s), 1.0, 0.05, tau, 8)(phi)
+    assert abs(got[0] - float(np.sum(np.abs(want[32:]) ** 2))) <= 1e-14
+    assert np.max(np.abs(got[1] - want[:16])) <= 1e-14
+    assert np.max(np.abs(got[2] - want[48:])) <= 1e-14
+    # and the 01 + 10 half, which no step reads, is exactly empty in the dense split
+    assert not u[16:48, :16].any()
 
 
 @pytest.mark.parametrize("n_qubits", [1, 2])
 def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
-    # the step reads |00 chi_j> and |11 chi_j> only, so eigh sees the 2N rows
-    # of the blocks with a row below N and never the 01 + 10 half
-    h_s = build_aklt(n_qubits).h_s
-    n_dim = h_s.shape[0]
+    # the step reads |00 chi_j> and |11 chi_j> only, and both rest on H_S's
+    # eigenvectors: eigh sees the N rows of H_S once, never the 4N register
+    model = build_aklt(n_qubits)
+    n_dim = model.dimension
     solved = []
     eigh = np.linalg.eigh
 
@@ -347,65 +359,54 @@ def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
-    step_propagator(h_s, 1.0, 0.05, 10.0)
-    assert sum(solved) == 2 * n_dim
-    # a reader of the whole decomposition still gets all 4N eigenvalues
-    register = assemble_hamiltonian(h_s, 1.0, 0.05)
-    w = hermitian_eig(register).eigenvalues
-    assert w.size == 4 * n_dim
-    scale = np.linalg.norm(register, 2)
-    assert np.max(np.abs(w - np.linalg.eigvalsh(register))) <= 1e-12 * scale
-    # and the check still covers the half no step solves, before any eigh
-    solved.clear()
-    for i, j, value in ((n_dim, n_dim + 1, np.nan), (n_dim, 2 * n_dim, 0.3)):
-        bad = register.copy()
-        bad[i, j] = value
-        with pytest.raises(NotHermitian):
-            hermitian_eig(bad)
-    assert solved == []
-
-
-def refuse_propagators(monkeypatch):
-    # every binding of linalg.propagator raises
-    def refuse(*args):
-        raise AssertionError("propagator formed")
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rescool" and getattr(module, "propagator", None) is propagator:
-            monkeypatch.setattr(module, "propagator", refuse)
+    refuse_register(monkeypatch)
+    step = step_propagator(model.spectrum, 1.0, 0.05, 10.0)
+    assert sum(solved) == n_dim
+    phi = np.zeros(n_dim, dtype=complex)
+    phi[1] = 1.0
+    step(phi)
+    assert sum(solved) == n_dim
 
 
 def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
-    # one hermitian_eig per split part, both on the 256-row aklt2 register,
-    # and no propagator: the factors come from the parts' eigenblocks
+    # one hermitian_eig, of the 64-row aklt2 H_S, read through model.spectrum;
+    # the split parts of the 256-row register are never formed or solved
     seen = []
+    formed = hermitian_eig
 
     def counted(h):
         seen.append(np.shape(h))
-        return hermitian_eig(h)
+        return formed(h)
 
-    monkeypatch.setattr(evolution, "hermitian_eig", counted)
-    refuse_propagators(monkeypatch)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "rescool" and getattr(module, "hermitian_eig", None):
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    refuse_register(monkeypatch)
+    model = build_aklt(2)
     tau = np.pi / (2.0 * 0.05)
-    step_propagator(build_aklt(2).h_s, 1.0, 0.05, tau, 8)
-    assert seen == [(256, 256), (256, 256)]
+    phi = np.eye(64, dtype=complex)[0b011001]
+    for steps in (8, 64):
+        step_propagator(model.spectrum, 1.0, 0.05, tau, steps)(phi)
+    assert seen == [(64, 64)]
 
 
 def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
-    # one step per sweep point, per cooling run and per fixed-point check
+    # one step per cooling run and per fixed-point check; a sweep takes none,
+    # since its whole curve is one broadcast of block_amplitudes
     calls = []
 
     def counted(*args):
         calls.append(args)
         return step_propagator(*args)
 
-    for module in (sweep, cooling, acceptance):
-        monkeypatch.setattr(module, "step_propagator", counted)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescool" and hasattr(module, "step_propagator"):
+            monkeypatch.setattr(module, "step_propagator", counted)
     model = build_aklt(1)
     phi0 = np.zeros(16, dtype=complex)
     phi0[12] = 1.0
     scan(model, SweepConfig(eps_min=0.8, eps_max=1.2, points=7), phi0)
-    assert len(calls) == 7
+    assert len(calls) == 0
     for iterations, built in ((3, 1), (0, 0)):
         calls.clear()
         run_algorithm(model, resonant_config(0.0, 0.05, max_iterations=iterations), phi0)
@@ -416,9 +417,10 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
 
 
 def test_no_run_path_forms_a_propagator(monkeypatch):
-    # only the oracles still form one.  The eigenvectors a run copies out of
-    # their blocks are ground_truth's, one column per ground level, never all N.
-    refuse_propagators(monkeypatch)
+    # only the oracles build the register or form a propagator.  The
+    # eigenvectors a run copies out of their blocks are ground_truth's, one
+    # column per ground level, never all N.
+    refuse_register(monkeypatch)
     read = []
 
     def recorded(model):
@@ -440,10 +442,38 @@ def test_no_run_path_forms_a_propagator(monkeypatch):
     assert read and all(k < dim for dim, k in read)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --model aklt2 --init 011001 --range 0.9:1.1 --points 21 --c 0.02",
+        "cool --model aklt2 --init 011001 --auto-epsilon --iters 3 --target-known",
+        "cool --model aklt2 --init 011001 --auto-epsilon --iters 2 --trotter-steps 64"
+        " --mode stochastic --seed 5",
+    ],
+    ids=["sweep", "cool", "cool-trotter"],
+)
+def test_a_request_makes_one_decomposition_of_h_s(monkeypatch, capsys, argv):
+    # ground truth, a0, the auto-epsilon resonance, the step and the sweep
+    # curve all read model.spectrum; nothing assembles or splits the register
+    seen = []
+    formed = hermitian_eig
+
+    def counted(h):
+        seen.append(np.shape(h))
+        return formed(h)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "rescool" and getattr(module, "hermitian_eig", None):
+            monkeypatch.setattr(module, "hermitian_eig", counted)
+    refuse_register(monkeypatch)
+    assert cli.main(argv.split()) == 0
+    assert seen == [(64, 64)]
+
+
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():
-    # the 1024 x 1024 float64 register is 8 MiB; its 18 gathered blocks and
-    # their eigenvectors are under 1 MiB each.  A dense eigenvector matrix
-    # would add 8 MiB more, and a formed complex exp(-iH tau) 16 MiB.
+    # the run reads the 256-row H_S's blocks and eigenvectors, about 1 MiB at
+    # peak.  The 1024-row float64 register alone would add 8 MiB, and a dense
+    # complex eigenvector matrix of H_S 1 MiB.
     model = build_aklt(3)
     phi0 = np.zeros(256, dtype=complex)
     phi0[0b01100110] = 1.0
@@ -454,7 +484,7 @@ def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 14 * 2**20
+    assert peak <= 2 * 2**20
 
 
 @pytest.mark.parametrize("trotter_steps", [0, 4])
@@ -476,6 +506,18 @@ couplings = st.just(0.0) | st.floats(0.0, 1.0)
 durations = st.just(0.0) | st.floats(0.0, 40.0)
 
 
+def hermitian_with_levels(levels, seed, real):
+    # q diag(levels) q^dag for a random unitary, or real orthogonal, q
+    n_dim = len(levels)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n_dim, n_dim))
+    if not real:
+        z = z + 1j * rng.normal(size=(n_dim, n_dim))
+    q, _ = np.linalg.qr(z)
+    h_s = (q * np.asarray(levels)) @ q.conj().T
+    return (h_s + h_s.conj().T) / 2.0
+
+
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(
     levels=spectra,
@@ -494,13 +536,7 @@ def test_block_amplitudes_match_the_dense_register(levels, seed, real, epsilon0,
     # orthogonal q makes H_S and the register real, so both go through the
     # real-symmetric solver.
     n_dim = len(levels)
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n_dim, n_dim))
-    if not real:
-        z = z + 1j * rng.normal(size=(n_dim, n_dim))
-    q, _ = np.linalg.qr(z)
-    h_s = (q * np.asarray(levels)) @ q.conj().T
-    h_s = (h_s + h_s.conj().T) / 2.0
+    h_s = hermitian_with_levels(levels, seed, real)
     (_, _, solved), = hermitian_eig(h_s).blocks
     assert np.isrealobj(solved) == (not h_s.imag.any())
     energies, vecs = np.linalg.eigh(h_s)
@@ -523,3 +559,38 @@ def test_block_amplitudes_match_the_dense_register(levels, seed, real, epsilon0,
 def test_block_amplitudes_are_normalized(energy, epsilon0, c, tau):
     c_j0, c_j1 = block_amplitudes(energy, epsilon0, c, tau)
     assert abs(abs(c_j0) ** 2 + abs(c_j1) ** 2 - 1.0) < 1e-10
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    levels=spectra,
+    seed=st.integers(0, 2**32 - 1),
+    real=st.booleans(),
+    epsilon0=st.floats(-2.0, 4.0),
+    c=couplings,
+    tau=durations,
+    l=st.sampled_from([1, 2, 3, 17, 64, 511]),
+)
+@example(levels=[0.0, 0.0, 1.0, 1.0], seed=4, real=True, epsilon0=1.0, c=0.05, tau=31.4, l=64)
+def test_trotter_amplitudes_match_the_dense_split(levels, seed, real, epsilon0, c, tau, l):
+    # The dense split [exp(-iA tau/l) exp(-iB tau/l)]^l of the whole register,
+    # each factor from one numpy eigh, takes |00 chi_j> to
+    # c_j0 |00 chi_j> + c_j1 |11 chi_j> with trotter_amplitudes' pair.
+    n_dim = len(levels)
+    h_s = hermitian_with_levels(levels, seed, real)
+    energies, vecs = np.linalg.eigh(h_s)
+    c_j0, c_j1 = trotter_amplitudes(energies, epsilon0, c, tau, l)
+    part_a, part_b = split_parts(h_s, epsilon0, c)
+    dense = np.linalg.matrix_power(propagator(part_a, tau / l) @ propagator(part_b, tau / l), l)
+    evolved = dense[:, :n_dim] @ vecs
+    expected = np.zeros((4 * n_dim, n_dim), dtype=complex)
+    expected[:n_dim] = vecs * c_j0
+    expected[3 * n_dim :] = vecs * c_j1
+    assert np.max(np.abs(evolved - expected)) < 1e-10
+    assert np.max(np.abs(np.abs(c_j0) ** 2 + np.abs(c_j1) ** 2 - 1.0)) < 1e-12
+
+
+def test_trotter_amplitudes_refuse_a_count_with_no_float_step():
+    for l in (0, 10**309):
+        with pytest.raises(ValueError, match="the split takes 1 to 1e308 Trotter steps"):
+            trotter_amplitudes(np.zeros(2), 1.0, 0.05, 1.0, l)

@@ -9,7 +9,6 @@ from rescool import linalg
 from rescool.evolution import trotter_propagator
 from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
-    BLOCKWISE_MIN_DIM,
     DimensionMismatch,
     NotHermitian,
     NotNormalized,
@@ -25,6 +24,8 @@ from rescool.models import build_aklt
 
 
 eigh = np.linalg.eigh
+# Size lists are repeated up to this many rows, so blocks of one size come in batches.
+BATCH_ROWS = 64
 
 
 def random_hermitian(rng, dim):
@@ -47,7 +48,7 @@ def test_hermitian_eig_invariants(dim, kind):
         if kind == "real":
             h = h.real.astype(complex)
         es = hermitian_eig(h)
-        v = es.blocks[0][2][0]  # below BLOCKWISE_MIN_DIM: one block, eigh's own output
+        v = es.blocks[0][2][0]  # a dense matrix is one block: eigh's own output
         assert np.isrealobj(v) == (kind == "real")
         assert np.all(np.diff(es.eigenvalues) >= 0)
         assert np.allclose(v.conj().T @ v, np.eye(dim), atol=1e-12)
@@ -114,8 +115,8 @@ def permuted_block_diagonal(rng, sizes, real):
     t=st.floats(0.0, 10.0),
 )
 def test_block_eig_matches_dense_eigh(sizes, seed, real, t):
-    # repeating the size list reaches the block path and gives equal-size blocks
-    sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+    # repeating the size list gives batches of equal-size blocks
+    sizes = sizes * -(-BATCH_ROWS // sum(sizes))
     rng = np.random.default_rng(seed)
     h, parts = permuted_block_diagonal(rng, sizes, real)
     n = h.shape[0]
@@ -155,7 +156,7 @@ def test_propagator_is_one_eigh_of_the_whole_matrix(monkeypatch):
     monkeypatch.setattr(linalg, "hermitian_eig", refuse)
     rng = np.random.default_rng(11)
     h, _ = permuted_block_diagonal(rng, [1, 3, 5, 7] * 4, False)
-    assert h.shape == (BLOCKWISE_MIN_DIM, BLOCKWISE_MIN_DIM)
+    assert h.shape == (BATCH_ROWS, BATCH_ROWS)
     t = 2.7
     w, q = np.linalg.eigh(h)
     assert np.max(np.abs(propagator(h, t) - (q * np.exp(-1j * w * t)) @ q.conj().T)) <= 1e-12
@@ -164,24 +165,25 @@ def test_propagator_is_one_eigh_of_the_whole_matrix(monkeypatch):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
-    blockwise=st.booleans(),
+    batched=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     real=st.booleans(),
     t=st.floats(0.0, 10.0),
     data=st.data(),
 )
-def test_blockwise_step_matches_the_whole_matrix_oracle(sizes, blockwise, seed, real, t, data):
-    # at most 7 blocks of at most 9 rows stay below BLOCKWISE_MIN_DIM; repeating
-    # them crosses it.  The oracle is one eigh of the whole matrix, no partition.
-    if blockwise:
-        sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+def test_blockwise_step_matches_the_whole_matrix_oracle(sizes, batched, seed, real, t, data):
+    # at most 7 blocks of at most 9 rows, alone or repeated into batches of
+    # equal-size blocks.  The oracle is one eigh of the whole matrix, no partition.
+    if batched:
+        sizes = sizes * -(-BATCH_ROWS // sum(sizes))
     rng = np.random.default_rng(seed)
-    h, _ = permuted_block_diagonal(rng, sizes, real)
+    h, parts = permuted_block_diagonal(rng, sizes, real)
     dim = h.shape[0]
-    assert (dim >= BLOCKWISE_MIN_DIM) == blockwise
     w, q = np.linalg.eigh(h)
     u = (q * np.exp(-1j * w * t)) @ q.conj().T
     blocks = [rows for rows, _, _ in hermitian_eig(h).blocks]
+    # every matrix is split, whatever its size
+    assert {frozenset(block.tolist()) for rows in blocks for block in rows} == parts
     for n in (data.draw(st.integers(1, dim)), dim):
         x = random_state(rng, n)
         # eigh sees only the blocks with a row below n
@@ -210,7 +212,7 @@ def eigh_exponential(h, t):
 def test_trotter_columns_work_on_the_union_of_both_partitions(sizes, seed, tau, l, data):
     # b is cut into other blocks and shuffled apart from a, so neither
     # partition alone holds the product; only the union of the two does
-    sizes = sizes * -(-BLOCKWISE_MIN_DIM // sum(sizes))
+    sizes = sizes * -(-BATCH_ROWS // sum(sizes))
     dim = sum(sizes)
     n = data.draw(st.integers(1, dim))
     rng = np.random.default_rng(seed)
@@ -234,7 +236,7 @@ def test_trotter_columns_work_on_the_union_of_both_partitions(sizes, seed, tau, 
 @pytest.mark.parametrize("shape", ["dense", "tridiagonal"])
 def test_irreducible_matrix_gets_eighs_own_output(shape, real):
     rng = np.random.default_rng(8)
-    n = 2 * BLOCKWISE_MIN_DIM
+    n = 2 * BATCH_ROWS
     h = random_hermitian(rng, n)
     if real:
         h = h.real
@@ -262,11 +264,24 @@ def test_register_blocks_are_the_structure_the_speed_up_needs():
     assert rows.shape == (512, 2)
 
 
-def test_small_matrices_take_one_eigh():
-    h = np.diag(np.arange(BLOCKWISE_MIN_DIM - 1.0))
+def test_small_matrices_split_along_their_zeros():
+    # every size is split, so an exact zero weight reads as zero at 2 rows as at 64
+    for dim in (2, BATCH_ROWS - 1):
+        h = np.diag(np.arange(dim - 1.0, -1.0, -1.0))
+        es = hermitian_eig(h)
+        (rows, energies, vecs), = es.blocks
+        assert rows.shape == (dim, 1) and np.array_equal(rows[:, 0], np.arange(dim))
+        assert np.array_equal(vecs, np.ones((dim, 1, 1)))
+        assert np.array_equal(es.eigenvalues, np.linalg.eigh(h)[0])
+    # the three-block file matrix the reference invocations load: ground vector
+    # supported on its own block, exactly zero on the others
+    idx = np.arange(16)
+    h = np.where(idx[:, None] % 3 == idx[None, :] % 3, 0.25 + 0.125 * np.add.outer(idx, idx), 0.0)
+    h = h + np.diag(idx / 4.0)
     es = hermitian_eig(h)
-    assert len(es.blocks) == 1 and es.blocks[0][0].shape == (1, h.shape[0])
-    assert np.array_equal(es.eigenvalues, np.linalg.eigh(h)[0])
+    assert sorted(len(r) for rows, _, _ in es.blocks for r in rows) == [5, 5, 6]
+    ground = es.combine(np.eye(16)[:, [int(np.argmin(es.energies))]])[:, 0]
+    assert np.count_nonzero(ground) <= 6
 
 
 def test_hermitian_eig_rejects_non_hermitian():
@@ -281,7 +296,6 @@ def test_block_check_fails_as_the_whole_check_does(defect):
     rng = np.random.default_rng(12)
     h, parts = permuted_block_diagonal(rng, [8] * 9, real=False)
     (i, j, *_), (k, *_) = sorted(sorted(part) for part in parts if len(part) > 1)[:2]
-    assert h.shape[0] >= BLOCKWISE_MIN_DIM
     assert sum(rows.shape[0] for rows, _, _ in hermitian_eig(h).blocks) > 1
     if defect == "inside":
         h[i, j] += 1e-6

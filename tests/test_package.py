@@ -1,4 +1,7 @@
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -6,7 +9,6 @@ import rescool
 
 EXPORTED = {
     "AlgorithmConfig",
-    "CheckResult",
     "CoolingReport",
     "DimensionMismatch",
     "DivergentTail",
@@ -34,15 +36,14 @@ EXPORTED = {
     "propagator",
     "render_csv",
     "render_report",
-    "render_results",
     "run_algorithm",
-    "run_checks",
     "save_matrix_file",
     "scan",
     "success_probability_bound",
 }
 
-# The dense register's step machinery: internal to its modules, not exported.
+# The dense register oracle, the step machinery and the verification suite:
+# internal to their modules, not exported.
 INTERNAL = [
     ("hamiltonian", "assemble_hamiltonian"),
     ("hamiltonian", "split_parts"),
@@ -52,11 +53,14 @@ INTERNAL = [
     ("cooling", "measure_first_ancilla"),
     ("sweep", "excitation_probability"),
     ("linalg", "align_global_phase"),
+    ("evolution", "trotter_amplitudes"),
+    ("acceptance", "run_checks"),
+    ("acceptance", "render_results"),
 ]
 
 
 def test_the_package_exports_exactly_the_simulator_names():
-    assert len(rescool.__all__) == len(set(rescool.__all__)) == 35
+    assert len(rescool.__all__) == len(set(rescool.__all__)) == 32
     assert set(rescool.__all__) == EXPORTED
     for name in rescool.__all__:
         assert getattr(rescool, name) is not None
@@ -66,3 +70,11 @@ def test_the_package_exports_exactly_the_simulator_names():
 def test_register_internals_stay_in_their_modules(module, name):
     assert not hasattr(rescool, name)
     assert callable(getattr(importlib.import_module(f"rescool.{module}"), name))
+
+
+def test_importing_the_cli_leaves_the_verification_suite_unloaded():
+    # a sweep or cool request needs nothing of the suite; verify imports it
+    code = "import sys, rescool, rescool.cli; print('rescool.acceptance' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.stdout == "False\n", done.stderr

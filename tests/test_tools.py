@@ -185,3 +185,41 @@ def test_peak_rss_holds_an_invocation_to_its_bound(bound_mb, code):
     lines = done.stdout.splitlines()
     assert lines[-2] == "1/1 checks passed" and lines[-1].startswith("peak RSS ")
     assert ("exceeds 1 MB" in done.stderr) == (code == 1)
+
+
+# A handful of the reference invocations, one of each kind: the sweep, an exact
+# and a Trotter cooling run, a stochastic run, exact zeros in a blocked file
+# model, and a refused model.  Each reruns in-process and must match the
+# output committed under tools/reference/ within compare_outputs' tolerance.
+REFERENCE_SAMPLE = [
+    "sweep --model aklt1 --init 1100 --range 0.8:1.2 --points 100",
+    "cool --model aklt1 --init 1100 --epsilon0 1.0 --mode stochastic --seed 7 --iters 2",
+    "cool --model aklt2 --init 011001 --auto-epsilon --trotter-steps 8 --iters 2 --target-known",
+    "cool --model file:h16.txt --auto-epsilon --init 0110 --iters 3 --target-known",
+    "cool --model diag:0,0,0.5,0.5,1,1,1.5,1.5,2,2,2.5,2.5,3,3,3.5,3.5 --init 0000 --auto-epsilon"
+    " --iters 2 --target-known",
+    "cool --model file:h3.txt --epsilon0 1",
+]
+
+
+@pytest.mark.parametrize("argv", REFERENCE_SAMPLE, ids=range(len(REFERENCE_SAMPLE)))
+def test_reference_invocations_match_the_committed_outputs(
+    reference_outputs, compare_outputs, tmp_path, monkeypatch, capsys, argv
+):
+    from rescool.cli import main
+
+    i = reference_outputs.ARGVS.index(argv)
+    committed = TOOLS / "reference"
+    assert (committed / "argvs.txt").read_text().splitlines()[i] == argv
+    for name, text in reference_outputs.MATRIX_FILES.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("RC_SEED", raising=False)
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert f"{code}\n" == (committed / f"{i}.code").read_text()
+    for suffix, text in (("out", out), ("err", err)):
+        report, ok = compare_outputs.compare_text(
+            f"{i}.{suffix}", (committed / f"{i}.{suffix}").read_text(), text
+        )
+        assert ok, "\n".join(report)
