@@ -4,8 +4,9 @@ A statevector simulator for the two-ancilla cooling loop: evolve |00>|phi>
 for half a resonant period, measure the probe, and purify toward the ground
 state or scan the reference eigenvalue for the ground energy.  A step is
 computed from the system's spectrum, one 2x2 block per level; the dense 4N
-register survives only as the oracle of the verification suite, which
-rescool.acceptance holds and `rescool verify` runs.
+register survives only as the oracle of the verification suite, one numpy
+eigh of the whole register with no block code, which rescool.acceptance
+holds and `rescool verify` runs.
 """
 from .cooling import (
     CoolingReport,

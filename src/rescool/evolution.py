@@ -8,8 +8,9 @@ d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
 transverse coupling).  step_propagator builds a step from them on a model's
 spectrum; sweep, cooling and the checks take every step from it, and none
-builds the 4N register.  trotter_propagator forms the split on the register
-itself, as the dense oracle the per-level split is checked against.
+builds the 4N register.  trotter_propagator forms the split on the whole
+register, one dense matrix_power of two linalg.propagator factors, as the
+oracle the per-level split is checked against.
 """
 from __future__ import annotations
 
@@ -21,8 +22,7 @@ from .linalg import (
     DimensionMismatch,
     EigenSystem,
     NotNormalized,
-    hermitian_eig,
-    joint_blocks,
+    propagator,
     require_finite_phase,
     require_normalized,
 )
@@ -87,15 +87,12 @@ def trotter_amplitudes(energies, epsilon0, c, tau, l: int) -> tuple[np.ndarray, 
     return power[:, 0, 0], power[:, 1, 0]
 
 
-def trotter_propagator(part_a, part_b, tau: float, l: int, n: int | None = None) -> np.ndarray:
-    """Columns U[:, :n] (n = None: all) of the split U = [exp(-i A tau/l) exp(-i B tau/l)]^l.
+def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
+    """The split U = [exp(-i A tau/l) exp(-i B tau/l)]^l of the whole register: the dense oracle.
 
-    The dense oracle: no run path calls it.  Both factors, so U too, are
-    block-diagonal on linalg.joint_blocks of the parts' partitions.  Blocks
-    with no index below n are skipped; the others get their factors from the
-    eigenblocks V_b exp(-i E_b tau/l) V_b^dag, one batched matrix_power per
-    block size, and their columns below n, so nothing 4N x 4N is formed.  An
-    overflowing power raises NotNormalized.
+    No run path calls it.  Each factor is linalg.propagator, one numpy eigh
+    of the whole part, so the oracle shares no code with trotter_amplitudes
+    and the run path it checks.  An overflowing power raises NotNormalized.
     """
     if not 1 <= l <= 1e308:  # tau / l takes l as a float
         raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
@@ -103,33 +100,9 @@ def trotter_propagator(part_a, part_b, tau: float, l: int, n: int | None = None)
         raise DimensionMismatch(
             f"split parts differ in shape: {np.shape(part_a)} vs {np.shape(part_b)}"
         )
-    dim = np.shape(part_a)[0]
-    n = dim if n is None else n
-    factors = [hermitian_eig(part_a), hermitian_eig(part_b)]
-    for es in factors:
-        require_finite_phase(es.eigenvalues, tau / l)
-    live = [idx[: np.searchsorted(idx[:, 0], n)] for idx in joint_blocks(*factors)]
-    # flat[f]: the live factor stacks in a row; i's row starts at base[i], place[i] is its column
-    offsets = np.cumsum([0] + [idx.size * idx.shape[1] for idx in live])
-    base, place = np.full((2, dim), -1)
-    for idx, offset in zip(live, offsets):
-        base[idx] = offset + idx.shape[1] * np.arange(idx.size).reshape(idx.shape)
-        place[idx] = np.arange(idx.shape[1])
-    flat = np.zeros((2, offsets[-1]), dtype=complex)
-    for f, es in enumerate(factors):
-        for rows, energies, vecs in es.blocks:
-            keep = base[rows[:, 0]] >= 0
-            rows, vecs = rows[keep], vecs[keep]
-            phases = np.exp(-1j * energies[keep] * (tau / l))
-            ub = (vecs * phases[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-            flat[f, base[rows][:, :, None] + place[rows][:, None, :]] = ub
-    out = np.zeros((dim, n), dtype=complex)
-    for idx, start, end in zip(live, offsets, offsets[1:]):
-        u_a, u_b = flat[:, start:end].reshape(2, *idx.shape, idx.shape[1])
-        with np.errstate(over="ignore", invalid="ignore"):
-            power = np.linalg.matrix_power(u_a @ u_b, l)
-        g, p, q = np.nonzero(np.broadcast_to(idx[:, None, :] < n, power.shape))
-        out[idx[g, p], idx[g, q]] = power[g, p, q]
+    factor = propagator(part_a, tau / l) @ propagator(part_b, tau / l)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.linalg.matrix_power(factor, l)
     if not np.isfinite(out).all():
         raise NotNormalized(f"the split step overflows at {l} Trotter steps; use fewer")
     return out

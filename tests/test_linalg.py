@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rescool import linalg
-from rescool.evolution import trotter_propagator
-from rescool.hamiltonian import assemble_hamiltonian, split_parts
 from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
@@ -16,7 +14,6 @@ from rescool.linalg import (
     fidelity,
     hermitian_eig,
     propagator,
-    propagator_action,
     require_hermitian,
     require_normalized,
 )
@@ -162,74 +159,24 @@ def test_propagator_is_one_eigh_of_the_whole_matrix(monkeypatch):
     assert np.max(np.abs(propagator(h, t) - (q * np.exp(-1j * w * t)) @ q.conj().T)) <= 1e-12
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=7),
-    batched=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-    real=st.booleans(),
-    t=st.floats(0.0, 10.0),
-    data=st.data(),
-)
-def test_blockwise_step_matches_the_whole_matrix_oracle(sizes, batched, seed, real, t, data):
-    # at most 7 blocks of at most 9 rows, alone or repeated into batches of
-    # equal-size blocks.  The oracle is one eigh of the whole matrix, no partition.
-    if batched:
-        sizes = sizes * -(-BATCH_ROWS // sum(sizes))
-    rng = np.random.default_rng(seed)
-    h, parts = permuted_block_diagonal(rng, sizes, real)
-    dim = h.shape[0]
-    w, q = np.linalg.eigh(h)
-    u = (q * np.exp(-1j * w * t)) @ q.conj().T
-    blocks = [rows for rows, _, _ in hermitian_eig(h).blocks]
-    # every matrix is split, whatever its size
-    assert {frozenset(block.tolist()) for rows in blocks for block in rows} == parts
-    for n in (data.draw(st.integers(1, dim)), dim):
-        x = random_state(rng, n)
-        # eigh sees only the blocks with a row below n
-        solved = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(np.linalg, "eigh", lambda a: solved.append(a.size // a.shape[-1]) or eigh(a))
-            action = propagator_action(h, t, n)
-        assert sum(solved) == sum(rows[rows[:, 0] < n].size for rows in blocks)
-        assert np.max(np.abs(action(x) - u[:, :n] @ x)) <= 1e-12
-
-
-def eigh_exponential(h, t):
-    # exp(-i h t) from numpy's eigh of the whole matrix, no partition
-    w, q = np.linalg.eigh(h)
-    return (q * np.exp(-1j * w * t)) @ q.conj().T
-
-
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 9), min_size=1, max_size=12),
-    seed=st.integers(0, 2**32 - 1),
-    tau=st.floats(0.0, 10.0),
-    l=st.sampled_from([1, 2, 3, 17, 64]),
-    data=st.data(),
-)
-def test_trotter_columns_work_on_the_union_of_both_partitions(sizes, seed, tau, l, data):
-    # b is cut into other blocks and shuffled apart from a, so neither
-    # partition alone holds the product; only the union of the two does
-    sizes = sizes * -(-BATCH_ROWS // sum(sizes))
-    dim = sum(sizes)
-    n = data.draw(st.integers(1, dim))
-    rng = np.random.default_rng(seed)
-    cuts = np.sort(rng.choice(np.arange(1, dim), size=rng.integers(dim // 2), replace=False))
-    a, parts_a = permuted_block_diagonal(rng, sizes, real=False)
-    sizes_b = np.diff(cuts, prepend=0, append=dim).tolist()
-    b, parts_b = permuted_block_diagonal(rng, sizes_b, real=True)
-    dt = tau / l
-    dense = np.linalg.matrix_power(eigh_exponential(a, dt) @ eigh_exponential(b, dt), l)
-    u = trotter_propagator(a, b, tau, l, n)
-    assert u.shape == (dim, n)
-    assert np.max(np.abs(u - dense[:, :n])) <= 1e-12
-    label = np.arange(dim)
-    for part in parts_a | parts_b:
-        members = sorted(part)
-        label[np.isin(label, label[members])] = label[members].min()
-    assert not u[label[:, None] != label[None, :n]].any()
+def test_hermitian_eig_solves_within_the_call(monkeypatch):
+    # one batched eigh per block size while hermitian_eig runs and none when
+    # its result is read; the one deferred solve is SystemModel.spectrum
+    rng = np.random.default_rng(13)
+    h, _ = permuted_block_diagonal(rng, [1, 3, 5, 7] * 4, real=False)
+    solved = []
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: solved.append(a.shape) or eigh(a))
+    es = hermitian_eig(h)
+    during = list(solved)
+    solved.clear()
+    stacks = [vecs.shape for _, _, vecs in es.blocks]
+    assert len({shape[-1] for shape in stacks}) == len(stacks) > 1
+    assert during == stacks
+    x = random_state(rng, h.shape[0])
+    _, d = es.overlaps(x)
+    assert np.allclose(es.combine(d), x, atol=1e-12)
+    assert es.energies.size == es.eigenvalues.size == h.shape[0]
+    assert solved == []
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -249,19 +196,6 @@ def test_irreducible_matrix_gets_eighs_own_output(shape, real):
     assert len(es.blocks) == 1 and es.blocks[0][0].shape == (1, n)
     assert np.array_equal(es.eigenvalues, w)
     assert np.array_equal(es.blocks[0][2][0], v)
-
-
-def test_register_blocks_are_the_structure_the_speed_up_needs():
-    # exact zeros split the aklt3 register into 18 blocks and part_b into 2 x 2 pairs;
-    # rounding noise in those zeros would merge them back into one dense eigh
-    model = build_aklt(3)
-    register = assemble_hamiltonian(model.h_s, 1.0, 0.05)
-    blocks = hermitian_eig(register).blocks
-    assert sum(rows.shape[0] for rows, _, _ in blocks) == 18
-    assert max(rows.shape[1] for rows, _, _ in blocks) == 140
-    _, part_b = split_parts(model.h_s, 1.0, 0.05)
-    (rows, _, _), = hermitian_eig(part_b).blocks
-    assert rows.shape == (512, 2)
 
 
 def test_small_matrices_split_along_their_zeros():

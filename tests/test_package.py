@@ -1,7 +1,9 @@
+import ast
 import importlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +53,6 @@ INTERNAL = [
     ("evolution", "trotter_propagator"),
     ("cooling", "run_iteration"),
     ("cooling", "measure_first_ancilla"),
-    ("sweep", "excitation_probability"),
     ("linalg", "align_global_phase"),
     ("evolution", "trotter_amplitudes"),
     ("acceptance", "run_checks"),
@@ -78,3 +79,33 @@ def test_importing_the_cli_leaves_the_verification_suite_unloaded():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert done.stdout == "False\n", done.stderr
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; attribute chains count through their root."""
+    tree = ast.parse(source)
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in imports
+        if getattr(node, "module", None) != "__future__"
+        for alias in node.names
+    }
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in Path(rescool.__file__).parent.glob("*.py") if p.name != "__init__.py"),
+    ids=lambda p: p.name,
+)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # __init__.py is exempt: its imports are the package's re-exports
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_unused_import_check_sees_annotations_and_attribute_roots():
+    used = "from typing import Callable\nimport numpy as np\ndef f() -> Callable:\n    np.linalg\n"
+    assert unused_imports("from __future__ import annotations\n" + used) == []
+    assert unused_imports("from typing import Callable\nimport os.path\n") == ["Callable", "os"]

@@ -8,7 +8,8 @@ from rescool.sweep import (
     FlatCurve,
     SweepConfig,
     SweepResult,
-    excitation_probability,
+    _estimate,
+    _exact_curve,
     render_csv,
     scan,
 )
@@ -26,20 +27,19 @@ def chain():
 def test_exact_probability_peaks_on_resonance(chain):
     model, e1, phi0 = chain
     tau = np.pi / 0.1
-    p_res, err = excitation_probability(model, e1 + 1.0, 0.05, tau, phi0)
-    assert err == 0.0
+    cfg = SweepConfig(eps_min=0.8, eps_max=e1 + 1.0, points=2, coupling=0.05, tau=tau)
+    result = scan(model, cfg, phi0)
+    (p_off, p_res), errs = result.probabilities, result.stderr
+    assert np.all(errs == 0.0)
     assert p_res == pytest.approx(1.0 / 12.0, abs=0.01)
-    p_off, _ = excitation_probability(model, 0.8, 0.05, tau, phi0)
     assert p_off < 0.02
 
 
 def test_sampled_probability_converges_to_exact(chain):
     model, e1, phi0 = chain
     tau = np.pi / 0.1
-    p_exact, _ = excitation_probability(model, e1 + 1.0, 0.05, tau, phi0)
-    p_hat, stderr = excitation_probability(
-        model, e1 + 1.0, 0.05, tau, phi0, shots=100000, rng=np.random.default_rng(11)
-    )
+    (p_exact,) = _exact_curve(model, np.array([e1 + 1.0]), 0.05, tau, phi0)
+    p_hat, stderr = _estimate(p_exact, 100000, np.random.default_rng(11))
     assert stderr > 0
     assert stderr <= 0.5 / np.sqrt(100000)
     assert abs(p_hat - p_exact) <= 4.0 * stderr
@@ -48,11 +48,10 @@ def test_sampled_probability_converges_to_exact(chain):
 def test_stderr_shrinks_with_shots(chain):
     model, e1, phi0 = chain
     tau = np.pi / 0.1
+    (p_exact,) = _exact_curve(model, np.array([e1 + 1.0]), 0.05, tau, phi0)
     errs = []
     for shots in (100, 10000):
-        _, stderr = excitation_probability(
-            model, e1 + 1.0, 0.05, tau, phi0, shots=shots, rng=np.random.default_rng(13)
-        )
+        _, stderr = _estimate(p_exact, shots, np.random.default_rng(13))
         errs.append(stderr)
     assert errs[1] < errs[0] / 3.0
 
