@@ -61,12 +61,14 @@ def three_block_matrix(n: int = 16) -> str:
     return "\n".join(rows) + "\n"
 
 
-# name -> matrix file text, written into <outdir>: two that are not 2^n x 2^n, two that are
+# name -> matrix or state file text, written into <outdir>: two matrices that are not
+# 2^n x 2^n, two that are, and an equal mix of four basis states
 MATRIX_FILES = {
     "h1.txt": "dim 1\n1,0\n",
     "h3.txt": "dim 3\n1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n",
     "h4.txt": "dim 4\n0,0 1,0 0,0 0,0\n1,0 0,0 0,0 0,0\n0,0 0,0 2,0 0,1\n0,0 0,0 0,-1 3,0\n",
     "h16.txt": three_block_matrix(),
+    "mix4.txt": "0.5,0\n" * 4,
 }
 
 README_QUICKSTART = [
@@ -138,6 +140,13 @@ REGISTER_BLOCKS = [
     "cool --model diag:-3,-3,-2,0,0,1,1,2,2,2,2,5,5,6,6,7 --init 0011 --epsilon0 -2 --iters 2",
 ]
 
+# a run with no iterations, and a stochastic run that restarts on a degenerate ground space
+RUN_STATE = [
+    "cool --model aklt2 --init 011001 --auto-epsilon --iters 0 --target-known",
+    "cool --model diag:0,0,1,2 --init file:mix4.txt --auto-epsilon --mode stochastic --seed 1"
+    " --iters 2 --target-known",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -146,6 +155,7 @@ ARGVS = (
     + REFERENCE_INITS
     + SHAPES
     + REGISTER_BLOCKS
+    + RUN_STATE
 )
 
 
