@@ -33,7 +33,6 @@ from .cooling import (
     compute_a0,
     ground_overlap,
     run_algorithm,
-    run_iteration,
     success_probability_bound,
 )
 from .evolution import block_amplitudes, step_propagator, trotter_amplitudes, trotter_propagator
@@ -328,13 +327,15 @@ def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     tau = pi / (2.0 * 0.05)
     step = step_propagator(model.spectrum, 1.0, 0.05, tau)
     # the run step's branches on |00 chi_1> against the dense register's exp(-iH tau)
-    _, ground, excited = step(chi1)
+    _, *slices = step(model.spectrum.overlaps(chi1)[1])
+    ground, excited = model.spectrum.combine(np.stack(slices, axis=1)).T
     want = propagator(assemble_hamiltonian(model.h_s, 1.0, 0.05), tau)[:, :n_dim] @ chi1
     branch_dev = max(
         float(np.max(np.abs(ground - want[:n_dim]))),
         float(np.max(np.abs(excited - want[3 * n_dim :]))),
     )
-    record = run_iteration(chi1, "post-selected", np.random.default_rng(0), step=step, target=chi1)
+    config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="post-selected", max_iterations=1)
+    (record,) = run_algorithm(model, config, chi1).records
     prob_dev = abs(record.excitation_probability - 1.0)
     state_dev = _state_deviation(chi1, record.system_state)
     passed = (

@@ -5,12 +5,14 @@ eps0 = E_1 + 1, and measures the probe ancilla.  An excited outcome swaps the
 ground component into the |11> sector intact while every excited component is
 suppressed by its detuning, so conditioning on "excited" purifies the system
 toward the ground state.  A ground outcome in stochastic mode discards the
-streak and restarts from the original state.
+streak and restarts from the original state.  An iteration multiplies each
+overlap d_j = <chi_j|phi> by c_j0 or c_j1, so a run keeps only d and crosses
+the eigenbasis twice: in for phi0, out once for every record's state.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, pi, sqrt
+from math import hypot, inf, pi, sqrt
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from .linalg import (
     require_finite_phase,
     require_normalized,
 )
-from .models import DEGENERACY_ATOL, ground_truth
+from .models import DEGENERACY_ATOL
 
 ZERO_BRANCH_ATOL = 1e-15
 SLOW_PURIFICATION_FACTOR = 5.0
@@ -99,33 +101,6 @@ def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def run_iteration(phi_in, mode: str, rng, k: int = 1, *, step, target) -> IterationRecord:
-    """One prepare-evolve-measure cycle starting from the given system state.
-
-    step is the step_propagator result, which checks phi_in, and target the
-    ground_truth vector or basis; run_algorithm builds both once per run.
-    """
-    p_exc, ground, excited = step(phi_in)
-    if measure_first_ancilla(p_exc, mode, rng):
-        outcome, branch, sys_state = "excited", p_exc, excited
-    else:
-        outcome, branch, sys_state = "ground", 1.0 - p_exc, ground
-    if branch < ZERO_BRANCH_ATOL:
-        raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
-    sys_state = sys_state / sqrt(branch)
-    norm = float(np.linalg.norm(sys_state))
-    if norm < 1e-12:
-        raise ZeroBranch(f"system slice after collapse has norm {norm:.3e}")
-    sys_state = sys_state / norm
-    return IterationRecord(
-        k=k,
-        outcome=outcome,
-        excitation_probability=p_exc,
-        system_state=sys_state,
-        fidelity_to_target=ground_overlap(target, sys_state),
-    )
-
-
 def compute_a0(model: SystemModel, phi0, c: float) -> float:
     """a0 = sqrt(sum_{j>1} |d_j c_j1|^2) / (|d_1| c) from the spectral overlaps.
 
@@ -186,19 +161,17 @@ def run_algorithm(
     Post-selected mode forces every outcome and never restarts.  Stochastic
     mode restarts from phi0 after each ground outcome; RestartCapExceeded
     aborts once restarts pass config.restart_cap.  max_iterations = 0 yields
-    a report with no iterations (initial bookkeeping only).
+    a report with no iterations (initial bookkeeping only).  A fidelity is the
+    weight of d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
     """
     phi0 = require_normalized(phi0)
-    if phi0.size != model.dimension:
-        raise DimensionMismatch(f"state is {phi0.size}-dim, model is {model.dimension}-dim")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    _, chi1, gaps = ground_truth(model)
-    degenerate = chi1.ndim == 2
-    positive_gaps = gaps[gaps > DEGENERACY_ATOL]
-    delta_min = float(positive_gaps.min()) if positive_gaps.size else float("inf")
-    slow = delta_min < SLOW_PURIFICATION_FACTOR * config.coupling
-    d1_sq = ground_overlap(chi1, phi0)
+    energies, d0 = model.spectrum.overlaps(phi0)
+    e1 = float(energies.min())
+    ground = energies - e1 <= DEGENERACY_ATOL
+    delta_min = float(np.min(energies[~ground], initial=inf)) - e1
+    d1_sq = float(np.sum(np.abs(d0[ground]) ** 2))
     a0 = compute_a0(model, phi0, config.coupling)
     m_tail = max(config.max_iterations - 1, 0)
     if a0 * config.coupling < 1.0:
@@ -207,16 +180,22 @@ def run_algorithm(
         succ_bound = 0.0
     step_args = (model.spectrum, config.epsilon0, config.coupling, config.tau)
     step = step_propagator(*step_args, config.trotter_steps) if config.max_iterations else None
-    records: list[IterationRecord] = []
+    rows: list[tuple[int, str, float, np.ndarray]] = []  # k, outcome, p_excited, d
     streak = 0
     restarts = 0
-    phi = phi0
+    d = d0
     while streak < config.max_iterations:
-        rec = run_iteration(phi, config.mode, rng, k=streak + 1, step=step, target=chi1)
-        records.append(rec)
-        if rec.outcome == "excited":
+        p_exc, d_ground, d_excited = step(d)
+        if measure_first_ancilla(p_exc, config.mode, rng):
+            outcome, branch, d = "excited", p_exc, d_excited
+        else:
+            outcome, branch, d = "ground", 1.0 - p_exc, d_ground
+        if branch < ZERO_BRANCH_ATOL:
+            raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
+        d = d / np.linalg.norm(d)
+        rows.append((streak + 1, outcome, p_exc, d))
+        if outcome == "excited":
             streak += 1
-            phi = rec.system_state
         else:
             restarts += 1
             if restarts > config.restart_cap:
@@ -225,19 +204,26 @@ def run_algorithm(
                     f"before {config.max_iterations} consecutive excited outcomes"
                 )
             streak = 0
-            phi = phi0
+            d = d0
+    states = [phi0]
+    if rows:
+        states = model.spectrum.combine(np.stack([row[3] for row in rows], axis=1)).T
+    records = [
+        IterationRecord(k, outcome, p_exc, state, float(np.sum(np.abs(d[ground]) ** 2)))
+        for (k, outcome, p_exc, d), state in zip(rows, states)
+    ]
     return CoolingReport(
         records=records,
         restarts=restarts,
-        final_state=phi,
+        final_state=states[-1],
         d1_sq=d1_sq,
         a0=a0,
         succ_bound=succ_bound,
         mode=config.mode,
         seed=config.seed,
         initial_fidelity=d1_sq,
-        degenerate_ground=degenerate,
-        slow_purification=slow,
+        degenerate_ground=int(ground.sum()) > 1,
+        slow_purification=delta_min < SLOW_PURIFICATION_FACTOR * config.coupling,
         model_label=model.label,
     )
 

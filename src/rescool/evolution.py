@@ -7,10 +7,11 @@ d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 (c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
 transverse coupling).  step_propagator builds a step from them on a model's
-spectrum; sweep, cooling and the checks take every step from it, and none
-builds the 4N register.  trotter_propagator forms the split on the whole
-register, one dense matrix_power of two linalg.propagator factors, as the
-oracle the per-level split is checked against.
+spectrum, which maps overlaps to overlaps and never leaves the eigenbasis;
+cooling and the checks take every step from it, and none builds the 4N
+register.  trotter_propagator forms the split on the whole register, one
+dense matrix_power of two linalg.propagator factors, as the oracle the
+per-level split is checked against.
 """
 from __future__ import annotations
 
@@ -111,19 +112,19 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
 def step_propagator(
     spectrum: EigenSystem, epsilon0, coupling, tau, trotter_steps: int = 0
 ) -> Callable:
-    """One step on H_S's spectrum, phi -> (p_excited, ground, excited); 0 Trotter steps is exact.
+    """One step on H_S's spectrum, d -> (p_excited, d c_0, d c_1); 0 Trotter steps is exact.
 
     The levels' (c_j0, c_j1) come once, here: from block_amplitudes, or
-    trotter_amplitudes at trotter_steps slices.  A step takes d = V^dag phi
-    (spectrum.overlaps); p_excited = sum_j |d_j c_j1|^2, capped at 1, is the
-    probe-excited weight, and ground = V (d c_0) and excited = V (d c_1)
-    (spectrum.combine) are the unnormalized |00> and |11> system slices.  It
-    takes block_amplitudes' arguments, any c >= 0 and tau >= 0.  phi must be
-    normalized and N-dim; the evolved state must stay normalized, a
-    unitarity check that names any Trotter step count.
+    trotter_amplitudes at trotter_steps slices.  A step takes a state's
+    overlaps d = V^dag phi in block order (spectrum.overlaps) and returns
+    p_excited = sum_j |d_j c_j1|^2, capped at 1, the probe-excited weight,
+    with d c_0 and d c_1, the overlaps of the unnormalized |00> and |11>
+    system slices; spectrum.combine takes them back to states.  It takes
+    block_amplitudes' arguments, any c >= 0 and tau >= 0.  The evolved pair
+    must stay normalized, which checks d and the step's unitarity at once
+    and names any Trotter step count.
     """
     energies = spectrum.energies
-    n_dim = energies.size
     drift = ""
     if trotter_steps == 0:
         require_finite_block_phase(energies, epsilon0, coupling, tau)
@@ -133,14 +134,9 @@ def step_propagator(
         drift = f" at {trotter_steps} Trotter steps, whose rounding grows with their count"
     amplitudes = np.stack(amplitudes, axis=1)
 
-    def step(phi) -> tuple[float, np.ndarray, np.ndarray]:
-        vec = require_normalized(phi)
-        if vec.size != n_dim:
-            raise DimensionMismatch(f"state is {vec.size}-dim, step is {n_dim}-dim")
-        _, d = spectrum.overlaps(vec)
-        evolved = require_normalized(d[:, None] * amplitudes, drift).reshape(n_dim, 2)
+    def step(d: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+        evolved = require_normalized(d[:, None] * amplitudes, drift).reshape(-1, 2)
         p_excited = min(float(np.sum(np.abs(evolved[:, 1]) ** 2)), 1.0)
-        ground, excited = spectrum.combine(evolved).T
-        return p_excited, ground, excited
+        return p_excited, evolved[:, 0], evolved[:, 1]
 
     return step

@@ -2,8 +2,8 @@
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
 up to a few thousand.  The run path reads one EigenSystem of H_S per model:
-overlaps(x) takes a state into its eigenbasis and combine(d) back out, so a
-cooling step is a product of N amplitudes between the two.  propagator forms
+overlaps(x) takes a state into its eigenbasis and combine(d) back out, and a
+cooling run multiplies the overlaps by N amplitudes per step in between.  propagator forms
 exp(-iht) from one eigh of the whole matrix and serves the dense register
 oracle only.  Matrices are row-major ndarrays and states are flat complex
 vectors.  as_matrix holds the one dtype rule: a matrix whose imaginary part
@@ -117,7 +117,9 @@ class EigenSystem:
         return np.sort(self.energies)
 
     def overlaps(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(energies, V^dag x): every eigenvector's energy and overlap with x, in block order."""
+        """(energies, V^dag x) in block order; x must hold one entry per eigenvector."""
+        if x.size != self.energies.size:
+            raise DimensionMismatch(f"state is {x.size}-dim, spectrum is {self.energies.size}-dim")
         d = [
             _times(v.conj().swapaxes(1, 2), x[rows[:, :, None]]).ravel()
             for rows, _, v in self.blocks

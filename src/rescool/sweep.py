@@ -17,7 +17,7 @@ import numpy as np
 
 from .evolution import block_amplitudes, require_finite_block_phase
 from .hamiltonian import SystemModel
-from .linalg import DimensionMismatch, require_normalized
+from .linalg import require_normalized
 
 FLAT_CURVE_FLOOR = 1e-12
 # Grid points per broadcast: at most 2^16 amplitudes, 1 MiB of complex, per array.
@@ -82,10 +82,7 @@ def _exact_curve(model: SystemModel, grid: np.ndarray, c: float, tau: float, phi
     grid points, so memory stays bounded for any grid size.  phi0 must be
     normalized and N-dim.
     """
-    vec = require_normalized(phi0)
-    if vec.size != model.dimension:
-        raise DimensionMismatch(f"state is {vec.size}-dim, step is {model.dimension}-dim")
-    energies, d = model.spectrum.overlaps(vec)
+    energies, d = model.spectrum.overlaps(require_normalized(phi0))
     require_finite_block_phase(energies, float(np.abs(grid).max()), c, tau)
     curve = np.empty(grid.size)
     chunk = max(CHUNK_AMPLITUDES // energies.size, 1)

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rescool import cooling
 from rescool.cooling import (
     DivergentTail,
     RestartCapExceeded,
@@ -12,11 +15,11 @@ from rescool.cooling import (
     measure_first_ancilla,
     render_report,
     run_algorithm,
-    run_iteration,
     success_probability_bound,
 )
 from rescool.evolution import block_amplitudes, step_propagator
 from rescool.hamiltonian import AlgorithmConfig
+from rescool.linalg import DimensionMismatch, EigenSystem
 from rescool.models import build_aklt, build_diagonal, ground_truth
 
 
@@ -39,6 +42,17 @@ def config_step(model, cfg):
     return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
 
 
+def apply_step(model, step, phi):
+    # phi in through the spectrum's overlaps, the two slices out through combine
+    p_exc, ground, excited = step(model.spectrum.overlaps(phi)[1])
+    return (p_exc, *model.spectrum.combine(np.stack([ground, excited], axis=1)).T)
+
+
+def first_record(model, cfg, phi, rng):
+    # the first iteration of a one-excited-outcome run from phi
+    return run_algorithm(model, replace(cfg, max_iterations=1), phi, rng=rng).records[0]
+
+
 def test_prepare_register_state_is_h_r_eigenstate(chain):
     # |0>|chi_1> sits at eigenvalue eps0 of the two-ancilla register part
     model, e1, chi1, _ = chain
@@ -51,25 +65,31 @@ def test_prepare_register_state_is_h_r_eigenstate(chain):
     assert np.linalg.norm(h_r_full @ reg - eps0 * reg) < 1e-9
 
 
-def test_measurement_of_unevolved_state_has_no_excited_branch(chain):
+def test_measurement_of_unevolved_state_has_no_excited_branch(chain, monkeypatch):
     model, e1, chi1, _ = chain
     # with no coupling and no time the step leaves |00>|v> where it is
     identity = step_propagator(model.spectrum, e1 + 1.0, 0.0, 0.0)
-    p_exc, ground, excited = identity(chi1)
+    p_exc, ground, excited = apply_step(model, identity, chi1)
     assert p_exc == 0.0
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
-    rec = run_iteration(chi1, "stochastic", np.random.default_rng(0), step=identity, target=chi1)
+    # the run's first step leaves |00>|chi_1> alone; its restart then takes the resonant step
+    resonant = config_step(model, resonant_config(e1))
+    steps = iter([identity, resonant])
+    monkeypatch.setattr(cooling, "step_propagator", lambda *args: lambda d: next(steps)(d))
+    cfg = resonant_config(e1, mode="stochastic")
+    rec = first_record(model, cfg, chi1, np.random.default_rng(0))
     assert rec.outcome == "ground"
     assert np.allclose(rec.system_state, chi1, atol=1e-12)
+    monkeypatch.setattr(cooling, "step_propagator", lambda *args: identity)
     with pytest.raises(ZeroBranch):
-        run_iteration(chi1, "post-selected", np.random.default_rng(0), step=identity, target=chi1)
+        first_record(model, resonant_config(e1), chi1, np.random.default_rng(0))
 
 
 def test_measurement_after_resonant_step_is_certain(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1)
     step = config_step(model, cfg)
-    p_exc, ground, excited = step(chi1)
+    p_exc, ground, excited = apply_step(model, step, chi1)
     assert p_exc == pytest.approx(1.0, abs=1e-9)
     assert measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
     assert np.linalg.norm(excited) == pytest.approx(1.0, abs=1e-9)
@@ -94,10 +114,10 @@ def test_first_iteration_excitation_probability(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="post-selected")
     step = config_step(model, cfg)
-    rec = run_iteration(phi0, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
+    rec = first_record(model, cfg, phi0, np.random.default_rng(0))
     assert rec.outcome == "excited"
     assert rec.excitation_probability == pytest.approx(1.0 / 12.0, abs=0.01)
-    _, _, excited = step(phi0)
+    _, _, excited = apply_step(model, step, phi0)
     assert np.linalg.norm(excited) ** 2 == pytest.approx(rec.excitation_probability, abs=1e-12)
     assert np.allclose(rec.system_state, excited / np.linalg.norm(excited), atol=1e-12)
     assert np.linalg.norm(rec.system_state) == pytest.approx(1.0, abs=1e-10)
@@ -106,8 +126,7 @@ def test_first_iteration_excitation_probability(chain):
 def test_ground_state_is_a_fixed_point(chain):
     model, e1, chi1, _ = chain
     cfg = resonant_config(e1, mode="post-selected")
-    step = config_step(model, cfg)
-    rec = run_iteration(chi1, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
+    rec = first_record(model, cfg, chi1, np.random.default_rng(0))
     assert rec.excitation_probability == pytest.approx(1.0, abs=1e-9)
     assert rec.fidelity_to_target == pytest.approx(1.0, abs=1e-8)
 
@@ -121,7 +140,7 @@ def test_excited_branch_coefficients_match_closed_form():
     z = rng.normal(size=4) + 1j * rng.normal(size=4)
     z /= np.linalg.norm(z)
     step = config_step(model, cfg)
-    _, _, excited = step(z)
+    _, _, excited = apply_step(model, step, z)
     energies, vecs = np.linalg.eigh(model.h_s)
     d = vecs.conj().T @ z
     _, c_j1 = block_amplitudes(energies, cfg.epsilon0, cfg.coupling, cfg.tau)
@@ -134,9 +153,9 @@ def test_stochastic_ground_outcome_renormalizes_the_complement(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="stochastic")
     step = config_step(model, cfg)
-    rec = run_iteration(phi0, cfg.mode, np.random.default_rng(0), step=step, target=chi1)
+    rec = first_record(model, cfg, phi0, np.random.default_rng(0))
     assert rec.outcome == "ground"
-    _, ground, _ = step(phi0)
+    _, ground, _ = apply_step(model, step, phi0)
     p_ground = 1.0 - rec.excitation_probability
     assert np.linalg.norm(ground) ** 2 == pytest.approx(p_ground, abs=1e-12)
     assert np.allclose(rec.system_state, ground / np.linalg.norm(ground), atol=1e-12)
@@ -201,6 +220,29 @@ def test_stochastic_runs_repeat_for_the_same_seed(chain, seed, state_seed, itera
     assert np.array_equal(rep_a.final_state, rep_b.final_state)
 
 
+def test_a_run_takes_its_states_out_of_the_eigenbasis_once(chain, monkeypatch):
+    # the run keeps the overlaps d alone; one combine at its end makes every record's state
+    model, e1, chi1, phi0 = chain
+    shapes = []
+    combine = EigenSystem.combine
+
+    def counted(self, d):
+        shapes.append(np.shape(d))
+        return combine(self, d)
+
+    monkeypatch.setattr(EigenSystem, "combine", counted)
+    run_algorithm(model, resonant_config(e1, max_iterations=3, mode="post-selected"), phi0)
+    assert shapes == [(16, 3)]
+    shapes.clear()
+    cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=7)
+    report = run_algorithm(model, cfg, phi0)
+    assert report.restarts > 0
+    assert shapes == [(16, len(report.records))]
+    shapes.clear()
+    run_algorithm(model, resonant_config(e1, max_iterations=0), phi0)
+    assert shapes == []
+
+
 def test_stochastic_restarts_rebuild_the_streak(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=1, restart_cap=2000)
@@ -228,15 +270,15 @@ def test_restart_cap_aborts_the_run(chain):
 def test_stochastic_outcome_frequency_matches_the_probability(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, mode="stochastic")
-    step = config_step(model, cfg)
     rng = np.random.default_rng(7)
     runs = 2000
-    hits = 0
-    p = None
-    for _ in range(runs):
-        rec = run_iteration(phi0, cfg.mode, rng, step=step, target=chi1)
-        p = rec.excitation_probability
-        hits += rec.outcome == "excited"
+    # every attempt starts from phi0 and draws once, so the runs' records are
+    # 2000 independent outcomes, drawn as one-iteration runs would draw them
+    records = []
+    while len(records) < runs:
+        records += run_algorithm(model, cfg, phi0, rng=rng).records
+    p = records[0].excitation_probability
+    hits = sum(rec.outcome == "excited" for rec in records[:runs])
     sigma = np.sqrt(p * (1.0 - p) / runs)
     assert abs(hits / runs - p) <= 3.0 * sigma
 
@@ -300,6 +342,14 @@ def test_compute_a0_survives_a_coupling_whose_square_underflows(c):
     a0 = compute_a0(model, z, c)
     assert 0.0 < a0 < np.inf
     assert a0 == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi", [np.full(4, 0.5), np.eye(32)[12]], ids=["4", "32"])
+def test_compute_a0_refuses_a_state_of_the_wrong_dimension(chain, phi):
+    # the chain's phi0 padded to 32 entries must not pass on its first 16
+    model = chain[0]
+    with pytest.raises(DimensionMismatch, match=rf"^state is {phi.size}-dim, spectrum is 16-dim$"):
+        compute_a0(model, phi, 0.05)
 
 
 def test_compute_a0_rejects_non_positive_coupling(chain):

@@ -43,6 +43,12 @@ def config_step(model, cfg):
     return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
 
 
+def apply_step(spectrum, step, phi):
+    # phi in through the spectrum's overlaps, the two slices out through combine
+    p_exc, ground, excited = step(spectrum.overlaps(phi)[1])
+    return (p_exc, *spectrum.combine(np.stack([ground, excited], axis=1)).T)
+
+
 def block_matrix(e1, ej, c):
     return np.array([[e1 + 0.5, c], [c, 0.5 + ej]], dtype=complex)
 
@@ -203,9 +209,9 @@ def test_trotter_success_probability_tracks_exact():
         assert abs(p_trot / p_exact - 1.0) <= envelope
 
 
-def branch_columns(step, n_dim):
+def branch_columns(spectrum, step, n_dim):
     # the |00> and |11> slices of the step applied to every |00>|k> basis state
-    branches = [step(col) for col in np.eye(n_dim, dtype=complex)]
+    branches = [apply_step(spectrum, step, col) for col in np.eye(n_dim, dtype=complex)]
     return tuple(np.column_stack([b[i] for b in branches]) for i in (1, 2))
 
 
@@ -213,11 +219,11 @@ def test_step_propagator_selects_exact_or_trotter():
     model = build_diagonal([0.0, 2.0])
     cfg_exact = resonant_config(0.0, 0.05)
     cfg_trot = resonant_config(0.0, 0.05, trotter_steps=32)
-    ground_exact, excited_exact = branch_columns(config_step(model, cfg_exact), 2)
+    ground_exact, excited_exact = branch_columns(model.spectrum, config_step(model, cfg_exact), 2)
     u_exact = exact_step(model, cfg_exact)
     assert np.allclose(ground_exact, u_exact[:2, :2])
     assert np.allclose(excited_exact, u_exact[6:, :2])
-    ground_trot, excited_trot = branch_columns(config_step(model, cfg_trot), 2)
+    ground_trot, excited_trot = branch_columns(model.spectrum, config_step(model, cfg_trot), 2)
     u_trot = trotter_propagator(*config_parts(model, cfg_trot), cfg_trot.tau, 32)
     assert np.allclose(ground_trot, u_trot[:2, :2])
     assert np.allclose(excited_trot, u_trot[6:, :2])
@@ -245,7 +251,9 @@ def test_step_branches_match_the_dense_oracle(
     h_s = (a + a.conj().T) / 2.0
     phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     phi /= np.linalg.norm(phi)
-    p, ground, excited = step_propagator(hermitian_eig(h_s), epsilon0, c, tau, trotter_steps)(phi)
+    spectrum = hermitian_eig(h_s)
+    step = step_propagator(spectrum, epsilon0, c, tau, trotter_steps)
+    p, ground, excited = apply_step(spectrum, step, phi)
     if trotter_steps:
         u = trotter_propagator(*split_parts(h_s, epsilon0, c), tau, trotter_steps)
     else:
@@ -258,7 +266,8 @@ def test_step_branches_match_the_dense_oracle(
 
 def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
     phi = np.array([0.6, 0.8], dtype=complex)
-    p_exc, ground, excited = step_propagator(hermitian_eig(np.diag([0.0, 1.0])), 1.0, 0.0, 0.0)(phi)
+    spectrum = hermitian_eig(np.diag([0.0, 1.0]))
+    p_exc, ground, excited = apply_step(spectrum, step_propagator(spectrum, 1.0, 0.0, 0.0), phi)
     assert p_exc == 0.0
     assert np.array_equal(ground, phi)
     assert np.all(excited == 0)
@@ -268,10 +277,12 @@ def test_step_rejects_bad_inputs(monkeypatch):
     spectrum = hermitian_eig(np.diag([0.0, 1.0]))
     step = step_propagator(spectrum, 1.0, 0.05, 10.0)
     with pytest.raises(NotNormalized):
-        step(np.array([1.0, 1.0]))
+        apply_step(spectrum, step, np.array([1.0, 1.0]))
     for phi in (np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])):
-        with pytest.raises(DimensionMismatch, match=rf"^state is {phi.size}-dim, step is 2-dim$"):
-            step(phi)
+        with pytest.raises(
+            DimensionMismatch, match=rf"^state is {phi.size}-dim, spectrum is 2-dim$"
+        ):
+            apply_step(spectrum, step, phi)
     # a non-unitary Trotter step fails the norm check on the evolved state
     formed = evolution.trotter_amplitudes
     monkeypatch.setattr(
@@ -279,7 +290,7 @@ def test_step_rejects_bad_inputs(monkeypatch):
     )
     doubled = step_propagator(spectrum, 1.0, 0.05, 10.0, 4)
     with pytest.raises(NotNormalized, match=r"exceeds 1\.0e-10 at 4 Trotter steps"):
-        doubled(np.array([1.0, 0.0]))
+        apply_step(spectrum, doubled, np.array([1.0, 0.0]))
 
 
 def refuse_register(monkeypatch):
@@ -305,7 +316,8 @@ def test_trotter_step_reads_only_the_00_columns(monkeypatch):
     u = trotter_propagator(*split_parts(h_s, 1.0, 0.05), tau, 8)
     want = u[:, :16] @ phi
     refuse_register(monkeypatch)
-    got = step_propagator(hermitian_eig(h_s), 1.0, 0.05, tau, 8)(phi)
+    spectrum = hermitian_eig(h_s)
+    got = apply_step(spectrum, step_propagator(spectrum, 1.0, 0.05, tau, 8), phi)
     assert abs(got[0] - float(np.sum(np.abs(want[32:]) ** 2))) <= 1e-14
     assert np.max(np.abs(got[1] - want[:16])) <= 1e-14
     assert np.max(np.abs(got[2] - want[48:])) <= 1e-14
@@ -332,7 +344,7 @@ def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
     assert sum(solved) == n_dim
     phi = np.zeros(n_dim, dtype=complex)
     phi[1] = 1.0
-    step(phi)
+    apply_step(model.spectrum, step, phi)
     assert sum(solved) == n_dim
 
 
@@ -354,13 +366,14 @@ def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
     tau = np.pi / (2.0 * 0.05)
     phi = np.eye(64, dtype=complex)[0b011001]
     for steps in (8, 64):
-        step_propagator(model.spectrum, 1.0, 0.05, tau, steps)(phi)
+        apply_step(model.spectrum, step_propagator(model.spectrum, 1.0, 0.05, tau, steps), phi)
     assert seen == [(64, 64)]
 
 
 def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
-    # one step per cooling run and per fixed-point check; a sweep takes none,
-    # since its whole curve is one broadcast of block_amplitudes
+    # one step per cooling run; the fixed-point check builds one for its
+    # branches and its run another.  A sweep takes none, since its whole
+    # curve is one broadcast of block_amplitudes
     calls = []
 
     def counted(*args):
@@ -381,20 +394,19 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
         assert len(calls) == built
     calls.clear()
     passed, _ = acceptance.check_resonance_fixed_point(1.0)
-    assert passed and len(calls) == 1
+    assert passed and len(calls) == 2
 
 
 def test_no_run_path_forms_a_propagator(monkeypatch):
-    # only the oracles build the register or form a propagator.  The
-    # eigenvectors a run copies out of their blocks are ground_truth's, one
-    # column per ground level, never all N.
+    # only the oracles build the register or form a propagator, and no run
+    # copies an eigenvector out of its blocks: ground_truth is never read,
+    # since a run's fidelities are weights of its overlaps.
     refuse_register(monkeypatch)
     read = []
 
     def recorded(model):
-        e1, chi1, gaps = ground_truth(model)
-        read.append(chi1.reshape(gaps.size, -1).shape)
-        return e1, chi1, gaps
+        read.append(model.label)
+        return ground_truth(model)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "rescool" and getattr(module, "ground_truth", None) is ground_truth:
@@ -407,7 +419,7 @@ def test_no_run_path_forms_a_propagator(monkeypatch):
     for trotter_steps in (0, 4):
         cfg = resonant_config(0.0, 0.05, max_iterations=2, trotter_steps=trotter_steps)
         assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
-    assert read and all(k < dim for dim, k in read)
+    assert read == []
 
 
 @pytest.mark.parametrize(

@@ -51,7 +51,6 @@ INTERNAL = [
     ("hamiltonian", "split_parts"),
     ("evolution", "step_propagator"),
     ("evolution", "trotter_propagator"),
-    ("cooling", "run_iteration"),
     ("cooling", "measure_first_ancilla"),
     ("linalg", "align_global_phase"),
     ("evolution", "trotter_amplitudes"),

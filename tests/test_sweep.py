@@ -147,12 +147,12 @@ def test_scan_zero_coupling_is_flat():
 
 
 def test_scan_refuses_a_bad_initial_state(chain):
-    # the step checks phi0 at every grid point, so scan makes no check of its own
+    # the curve checks phi0's norm once, and the spectrum's overlaps its size
     model = chain[0]
     cfg = SweepConfig(eps_min=0.8, eps_max=1.2, points=3)
     with pytest.raises(NotNormalized):
         scan(model, cfg, np.ones(16))
-    with pytest.raises(DimensionMismatch, match="^state is 4-dim, step is 16-dim$"):
+    with pytest.raises(DimensionMismatch, match="^state is 4-dim, spectrum is 16-dim$"):
         scan(model, cfg, np.full(4, 0.5))
 
 
