@@ -31,7 +31,6 @@ import numpy as np
 from .cooling import (
     RestartCapExceeded,
     compute_a0,
-    ground_overlap,
     run_algorithm,
     success_probability_bound,
 )
@@ -214,7 +213,7 @@ def check_analytic_oracle(scale: float) -> tuple[bool, str]:
 def check_success_bound(scale: float) -> tuple[bool, str]:
     model, phi0, _, _, d, c_j1 = _chain_context()
     coupling = 0.05
-    d1_sq = ground_overlap(valence_bond_state(1), phi0)
+    d1_sq = float(abs(d[0]) ** 2)
     a0 = compute_a0(model, phi0, coupling)
     _, lower_bound = success_probability_bound(d1_sq, a0, coupling, 2)
     # Each excited outcome keeps |c_j1|^2 of level j's weight.

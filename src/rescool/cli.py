@@ -17,7 +17,7 @@ import numpy as np
 
 from .cooling import RestartCapExceeded, render_report, run_algorithm
 from .hamiltonian import AlgorithmConfig, SystemModel, write_atomic
-from .models import from_registry, ground_truth
+from .models import from_registry
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
 
@@ -152,8 +152,7 @@ def cmd_cool(args) -> int:
         if not _effective(args, "auto_epsilon", _as_bool, False):
             print("error: give --epsilon0 or --auto-epsilon", file=sys.stderr)
             return 2
-        e1, _, _ = ground_truth(model)
-        epsilon0 = e1 + 1.0
+        epsilon0 = float(model.spectrum.eigenvalues[0]) + 1.0
     config = AlgorithmConfig(
         epsilon0=float(epsilon0),
         coupling=float(_effective(args, "c", float, 0.05)),

@@ -101,6 +101,22 @@ def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _level_facts(energies: np.ndarray, d: np.ndarray, c: float):
+    """(ground mask, d1_sq, a0 as compute_a0 defines it, lowest excitation gap) of overlaps d."""
+    tau = pi / (2.0 * c)
+    require_finite_phase(energies, tau)
+    e1 = float(energies.min())
+    ground = energies - e1 <= DEGENERACY_ATOL
+    delta_min = float(np.min(energies[~ground], initial=inf)) - e1
+    d1_sq = float(np.sum(np.abs(d[ground]) ** 2))
+    if d1_sq < 1e-30:
+        return ground, d1_sq, inf, delta_min
+    _, c_j1 = block_amplitudes(energies[~ground], e1 + 1.0, c, tau)
+    # math.hypot scales its arguments: the squares of |d_j c_j1| ~ c underflow
+    # below c ~ 1e-154, and dividing by c first underflows them at c ~ 1e300
+    return ground, d1_sq, hypot(*np.abs(d[~ground] * c_j1)) / c / sqrt(d1_sq), delta_min
+
+
 def compute_a0(model: SystemModel, phi0, c: float) -> float:
     """a0 = sqrt(sum_{j>1} |d_j c_j1|^2) / (|d_1| c) from the spectral overlaps.
 
@@ -108,23 +124,14 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     the closed-form amplitude of one resonant step (eps0 = E_1 + 1,
     tau = pi/(2c)).  Degenerate ground levels pool into |d_1|^2.  A state
     with no ground-space weight gets a0 = inf: such a run can never purify,
-    but it is still a legal thing to simulate.  A phase E_j tau that is not
-    finite raises ValueError before any amplitude is formed.
+    but it is still a legal thing to simulate.  It raises for c <= 0 first,
+    then for a state of the wrong size, then for a phase E_j tau that is not
+    finite; run_algorithm takes the same a0 from its own overlaps.
     """
     if not c > 0:
         raise ValueError(f"coupling must be positive, got {c}")
-    vec = require_normalized(phi0)
-    energies, d = model.spectrum.overlaps(vec)
-    require_finite_phase(energies, pi / (2.0 * c))
-    e1 = float(energies.min())
-    excited = energies - e1 > DEGENERACY_ATOL
-    d1_sq = float(np.sum(np.abs(d[~excited]) ** 2))
-    if d1_sq < 1e-30:
-        return float("inf")
-    _, c_j1 = block_amplitudes(energies[excited], e1 + 1.0, c, pi / (2.0 * c))
-    # math.hypot scales its arguments: the squares of |d_j c_j1| ~ c underflow
-    # below c ~ 1e-154, and dividing by c first underflows them at c ~ 1e300
-    return hypot(*np.abs(d[excited] * c_j1)) / c / sqrt(d1_sq)
+    energies, d = model.spectrum.overlaps(require_normalized(phi0))
+    return _level_facts(energies, d, c)[2]
 
 
 def success_probability_bound(
@@ -163,16 +170,13 @@ def run_algorithm(
     aborts once restarts pass config.restart_cap.  max_iterations = 0 yields
     a report with no iterations (initial bookkeeping only).  A fidelity is the
     weight of d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
+    phi0 enters the eigenbasis once; d1_sq, a0 and the flags share its overlaps.
     """
     phi0 = require_normalized(phi0)
     if rng is None:
         rng = np.random.default_rng(config.seed)
     energies, d0 = model.spectrum.overlaps(phi0)
-    e1 = float(energies.min())
-    ground = energies - e1 <= DEGENERACY_ATOL
-    delta_min = float(np.min(energies[~ground], initial=inf)) - e1
-    d1_sq = float(np.sum(np.abs(d0[ground]) ** 2))
-    a0 = compute_a0(model, phi0, config.coupling)
+    ground, d1_sq, a0, delta_min = _level_facts(energies, d0, config.coupling)
     m_tail = max(config.max_iterations - 1, 0)
     if a0 * config.coupling < 1.0:
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)

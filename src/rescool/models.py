@@ -95,21 +95,18 @@ def build_diagonal(levels) -> SystemModel:
 def ground_truth(model: SystemModel) -> tuple[float, np.ndarray, np.ndarray]:
     """Lowest eigenvalue, its eigenvector, and every gap E_j - E_1, from model.spectrum.
 
-    The ground levels are every E_j - E_1 <= DEGENERACY_ATOL, each copied out
-    of its block.  A degenerate ground space comes back as an N x g column
-    basis, in block order, instead of a flat vector; callers can spot that
-    case by ndim.
+    The ground levels are every E_j - E_1 <= DEGENERACY_ATOL, taken out of
+    the eigenbasis by spectrum.combine as complex128 vectors.  A degenerate
+    ground space comes back as an N x g column basis, in block order,
+    instead of a flat vector; callers can spot that case by ndim.
     """
     es = model.spectrum
     e1 = float(es.eigenvalues[0])
-    ground = []  # chi_j for every E_j - E_1 <= DEGENERACY_ATOL, in block order
-    for rows, energies, vecs in es.blocks:
-        for b, j in zip(*np.nonzero(energies - e1 <= DEGENERACY_ATOL)):
-            chi = np.zeros(len(es.eigenvalues), dtype=vecs.dtype)
-            chi[rows[b]] = vecs[b, :, j]
-            ground.append(chi)
-    gaps = np.asarray(es.eigenvalues, dtype=float) - e1
-    return e1, (np.stack(ground, axis=1) if len(ground) > 1 else ground[0]), gaps
+    ground = np.flatnonzero(es.energies - e1 <= DEGENERACY_ATOL)
+    one_hot = np.zeros((es.energies.size, ground.size))
+    one_hot[ground, np.arange(ground.size)] = 1.0
+    basis = es.combine(one_hot)
+    return e1, (basis if ground.size > 1 else basis[:, 0]), es.eigenvalues - e1
 
 
 def from_registry(name: str) -> SystemModel:

@@ -243,6 +243,29 @@ def test_a_run_takes_its_states_out_of_the_eigenbasis_once(chain, monkeypatch):
     assert shapes == []
 
 
+def test_a_run_takes_phi0_into_the_eigenbasis_once(chain, monkeypatch):
+    # d1_sq, a0 and the report's flags come from the overlaps the loop starts from
+    model, e1, chi1, phi0 = chain
+    calls = []
+    overlaps = EigenSystem.overlaps
+
+    def counted(self, x):
+        calls.append(np.shape(x))
+        return overlaps(self, x)
+
+    monkeypatch.setattr(EigenSystem, "overlaps", counted)
+    run_algorithm(model, resonant_config(e1, max_iterations=3, mode="post-selected"), phi0)
+    assert calls == [(16,)]
+    calls.clear()
+    cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=7)
+    report = run_algorithm(model, cfg, phi0)
+    assert report.restarts > 0
+    assert calls == [(16,)]
+    calls.clear()
+    run_algorithm(model, resonant_config(e1, max_iterations=0), phi0)
+    assert calls == [(16,)]
+
+
 def test_stochastic_restarts_rebuild_the_streak(chain):
     model, e1, chi1, phi0 = chain
     cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=1, restart_cap=2000)
@@ -353,10 +376,48 @@ def test_compute_a0_refuses_a_state_of_the_wrong_dimension(chain, phi):
 
 
 def test_compute_a0_rejects_non_positive_coupling(chain):
+    # the coupling is checked first, before the state's size
     model, e1, chi1, phi0 = chain
-    for c in (0.0, -0.05):
-        with pytest.raises(ValueError):
-            compute_a0(model, phi0, c)
+    for phi in (phi0, np.eye(32)[12]):
+        for c in (0.0, -0.05):
+            with pytest.raises(ValueError, match=r"^coupling must be positive"):
+                compute_a0(model, phi, c)
+
+
+def bookkeeping_cases():
+    # (model, phi0): the chains, and seeded diagonal models with a unique, a
+    # degenerate and an unreachable ground level
+    rng = np.random.default_rng(20240901)
+
+    def random_state(n):
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        return z / np.linalg.norm(z)
+
+    cases = [(build_aklt(n), random_state(2 ** (2 * n + 2))) for n in (1, 2, 3)]
+    unique = np.concatenate([[rng.normal()], rng.normal() + 0.3 + 3.0 * rng.random(7)])
+    degenerate = np.concatenate([[-0.4, -0.4], -0.4 + 0.2 + 2.0 * rng.random(6)])
+    cases += [(build_diagonal(levels), random_state(8)) for levels in (unique, degenerate)]
+    excited_only = random_state(8)
+    excited_only[np.argmin(unique)] = 0.0
+    cases.append((build_diagonal(unique), excited_only / np.linalg.norm(excited_only)))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "case", range(6), ids=["aklt1", "aklt2", "aklt3", "diag", "degenerate", "no-ground"]
+)
+@pytest.mark.parametrize("c", [0.05, 0.2])
+def test_compute_a0_is_the_run_bookkeeping_bit_for_bit(case, c):
+    model, phi0 = bookkeeping_cases()[case]
+    energies, d = model.spectrum.overlaps(phi0)
+    ground = energies - energies.min() <= 1e-9
+    cfg = AlgorithmConfig(epsilon0=float(energies.min()) + 1.0, coupling=c, max_iterations=0)
+    report = run_algorithm(model, cfg, phi0)
+    a0 = compute_a0(model, phi0, c)
+    assert report.a0 == a0 and type(report.a0) is type(a0) is float
+    assert report.d1_sq == float(np.sum(np.abs(d[ground]) ** 2))
+    assert report.degenerate_ground == (case == 4)
+    assert (a0 == np.inf) == (case == 5)
 
 
 def test_success_bound_values():

@@ -397,10 +397,11 @@ def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
     assert passed and len(calls) == 2
 
 
-def test_no_run_path_forms_a_propagator(monkeypatch):
+def test_no_run_path_forms_a_propagator(monkeypatch, capsys):
     # only the oracles build the register or form a propagator, and no run
-    # copies an eigenvector out of its blocks: ground_truth is never read,
-    # since a run's fidelities are weights of its overlaps.
+    # or request copies an eigenvector out of its blocks: ground_truth is
+    # never read, since a run's fidelities are weights of its overlaps and
+    # cool --auto-epsilon reads E_1 off the spectrum's eigenvalues.
     refuse_register(monkeypatch)
     read = []
 
@@ -419,6 +420,12 @@ def test_no_run_path_forms_a_propagator(monkeypatch):
     for trotter_steps in (0, 4):
         cfg = resonant_config(0.0, 0.05, max_iterations=2, trotter_steps=trotter_steps)
         assert [r.outcome for r in run_algorithm(model, cfg, phi0).records] == ["excited"] * 2
+    for argv in (
+        "sweep --model aklt1 --init 1100 --points 5",
+        "cool --model aklt1 --init 1100 --auto-epsilon --iters 2 --target-known",
+        "cool --model aklt1 --init 1100 --auto-epsilon --mode stochastic --seed 7 --iters 2",
+    ):
+        assert cli.main(argv.split()) == 0
     assert read == []
 
 

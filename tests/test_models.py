@@ -265,6 +265,24 @@ def test_degenerate_ground_space_is_reported_as_a_basis():
     assert np.allclose(chi1.conj().T @ chi1, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["aklt1", "aklt2", "diag:0,2,0,1", "diag:1,1,1,1"])
+def test_ground_vectors_are_their_block_columns_exactly(name):
+    # combine on one-hot overlaps copies each ground eigenvector out of its
+    # block with no rounding, as a complex128 state
+    model = from_registry(name)
+    es = model.spectrum
+    columns = []
+    for rows, energies, vecs in es.blocks:
+        for b, j in zip(*np.nonzero(energies - es.eigenvalues[0] <= 1e-9)):
+            chi = np.zeros(model.dimension, dtype=complex)
+            chi[rows[b]] = vecs[b, :, j]
+            columns.append(chi)
+    e1, chi1, gaps = ground_truth(model)
+    assert chi1.dtype == np.complex128
+    assert np.array_equal(chi1, np.stack(columns, axis=1) if len(columns) > 1 else columns[0])
+    assert e1 == es.eigenvalues[0] and np.array_equal(gaps, es.eigenvalues - e1)
+
+
 def test_ground_truth_against_characteristic_polynomial():
     # independent eigenvalue route: roots of det(H - x I)
     rng = np.random.default_rng(20240820)
