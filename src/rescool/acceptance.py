@@ -66,7 +66,7 @@ def _state_deviation(target: np.ndarray, state: np.ndarray) -> float:
 def _chain_context():
     """The aklt1 chain, |1100>, and H_S's levels E_j, vectors chi_j, d_j = <chi_j|1100> and c_j1.
 
-    The spectrum comes from one numpy eigh, not from the run's hermitian_eig.
+    The spectrum comes from one numpy eigh of the dense H_S, not from the run's solve.
     c_j1 is the closed-form amplitude one step of the chain runs below
     (eps0 = 1, c = 0.05, tau = pi/(2c)) moves from |00 chi_j> to |11 chi_j>;
     the chain's E_1 = 0 puts eps0 = 1 on resonance.

@@ -258,6 +258,7 @@ def render_report(report: CoolingReport) -> str:
         )
     lines.append("index,re,im")
     shown = align_global_phase(report.final_state)
-    for i, z in enumerate(shown):
-        lines.append(f"{i},{z.real:.12g},{z.imag:.12g}")
+    # Python floats format faster than numpy scalars, to the same text
+    for i, (re, im) in enumerate(zip(shown.real.tolist(), shown.imag.tolist())):
+        lines.append(f"{i},{re:.12g},{im:.12g}")
     return "\n".join(lines) + "\n"

@@ -30,7 +30,8 @@ import numpy as np
 from .linalg import DimensionMismatch, EigenSystem, hermitian_eig, require_hermitian
 
 # Largest 4N the dense register oracle may build, so N <= 1024.  A run builds
-# no register: its largest array is H_S, 8 MiB in float64 at the cap.
+# no register.  A matrix model's largest array is H_S, 8 MiB in float64 at the
+# cap; an AKLT run forms no N x N array (aklt4's eigenvector blocks take 0.16 MiB).
 REGISTER_CAP = 2**12
 
 
@@ -48,12 +49,14 @@ def require_register_fits(n_dim: int) -> None:
 class SystemModel:
     """A system is its Hamiltonian H_S, Hermitian and 2^n x 2^n with n >= 1.
 
-    dimension and n_qubits are read off h_s.  The size cap runs on its shape
-    before h_s is converted or copied, and the 2^n rule is checked here only.
-    spectrum is hermitian_eig(h_s), computed on first read and kept, so every
-    reader of one model (ground truth, a0, the step, the sweep curve) shares
-    one decomposition and building a model solves nothing.  It is the one
-    deferred solve: hermitian_eig itself solves within its call.
+    A model built from a matrix reads dimension and n_qubits off h_s.  The
+    size cap runs on its shape before h_s is converted or copied, and the
+    2^n rule is checked here only.  spectrum is computed on first read and
+    kept, so every reader of one model (ground truth, a0, the step, the
+    sweep curve) shares one decomposition and building a model solves
+    nothing; here it is hermitian_eig(h_s).  models.build_aklt's chains
+    override all three: spectrum is solved in the chain's pair basis, and
+    h_s, the dense qubit-basis matrix, is formed only when it is read.
     """
 
     h_s: np.ndarray

@@ -1,25 +1,30 @@
-"""Dense linear algebra kernel.
+"""Linear algebra kernel: block eigendecomposition, states, and the dense oracle.
 
 Hermitian eigendecomposition and unitary propagators for register dimensions
 up to a few thousand.  The run path reads one EigenSystem of H_S per model:
 overlaps(x) takes a state into its eigenbasis and combine(d) back out, and a
-cooling run multiplies the overlaps by N amplitudes per step in between.  propagator forms
-exp(-iht) from one eigh of the whole matrix and serves the dense register
-oracle only.  Matrices are row-major ndarrays and states are flat complex
-vectors.  as_matrix holds the one dtype rule: a matrix whose imaginary part
-is exactly zero (no tolerance; -0.0 is zero) is float64, any other is
-complex128, so a real matrix is never cast up to complex.  The
-eigendecomposition works on the blocks the matrix's exact zeros leave, at
-every size: the connected components of m != 0, all checked for
-Hermiticity and then each block size diagonalized in one batch, within
-the call.  Each block keeps its eigenvectors, in their only form, next to
-its own energies, and no run path forms the dense n x n eigenvector
-matrix.  All functions are pure and never mutate their arguments.
+cooling run multiplies the overlaps by N amplitudes per step in between.
+propagator forms exp(-iht) from one eigh of the whole matrix and serves the
+dense register oracle only.  Matrices are row-major ndarrays and states are
+flat complex vectors.  as_matrix holds the one dtype rule: a matrix whose
+imaginary part is exactly zero (no tolerance; -0.0 is zero) is float64, any
+other is complex128, so a real matrix is never cast up to complex.  Every
+eigendecomposition is one solve_entries call on a matrix's entries, listed
+as index pairs: hermitian_eig lists a dense matrix's exact nonzeros, and a
+model may list its entries in a basis of its own without forming the
+matrix (models.build_aklt's pair basis), then hand the EigenSystem that
+basis as a rotation.  The blocks are the connected components of the
+listed positions, at every size; each block size is gathered into one
+stack, checked for Hermiticity and diagonalized in one batch, within the
+call.  Each block keeps its eigenvectors, in their only form, next to its
+own energies, and no run path forms the dense n x n eigenvector matrix.
+All functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
 
 from functools import cached_property
 from math import isfinite
+from typing import Callable
 
 import numpy as np
 
@@ -96,17 +101,22 @@ class EigenSystem:
     """Eigenvalues ascending, and the eigenvectors in the blocks they live on.
 
     blocks is one (rows, energies, vecs) triple per block size s, as
-    hermitian_eig solved it: rows and energies are k x s arrays and vecs is
+    solve_entries solved it: rows and energies are k x s arrays and vecs is
     the k x s x s stack eigh returned, with the matrix's dtype.  Block b
     spans matrix indices rows[b], listed ascending; its eigenvector
     vecs[b][:, j] has energy energies[b, j] and is exactly zero off rows[b].
     Blocks of one size come in the order of their smallest index.  energies
     is every eigenvector's energy in block order, the order overlaps and
-    combine use, and eigenvalues the same sorted.
+    combine use, and eigenvalues the same sorted.  rotation, when given, is
+    the basis the blocks were solved in: a real orthogonal Q with Q = Q^T =
+    Q^-1, applied as a function along the first axis of a copy.  The
+    eigenvectors are then Q's image of the block columns; overlaps applies Q
+    first and combine applies it last.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, rotation: Callable[[np.ndarray], np.ndarray] | None = None):
         self.blocks: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...] = tuple(blocks)
+        self.rotation = rotation
 
     @cached_property
     def energies(self) -> np.ndarray:
@@ -120,6 +130,8 @@ class EigenSystem:
         """(energies, V^dag x) in block order; x must hold one entry per eigenvector."""
         if x.size != self.energies.size:
             raise DimensionMismatch(f"state is {x.size}-dim, spectrum is {self.energies.size}-dim")
+        if self.rotation is not None:
+            x = self.rotation(x)
         d = [
             _times(v.conj().swapaxes(1, 2), x[rows[:, :, None]]).ravel()
             for rows, _, v in self.blocks
@@ -137,7 +149,7 @@ class EigenSystem:
             part = d[start : start + rows.size].reshape(*rows.shape, -1)
             out[rows] = _times(v, part).reshape(*rows.shape, *d.shape[1:])
             start += rows.size
-        return out
+        return out if self.rotation is None else self.rotation(out)
 
 
 def _times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -145,16 +157,6 @@ def _times(stack: np.ndarray, b: np.ndarray) -> np.ndarray:
     if stack.dtype.kind != "c" and b.dtype.kind == "c":
         return (stack @ b.view(float)).view(complex)
     return stack @ b
-
-
-def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """Connected components of m != 0 (read both ways), as _components lists them.
-
-    The first hook, each row's first nonzero, settles a dense matrix at once.
-    """
-    linked = m != 0
-    np.fill_diagonal(linked, True)
-    return _components(linked.argmax(axis=1), *np.divmod(np.flatnonzero(linked), m.shape[0]))
 
 
 def _components(label: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
@@ -188,29 +190,57 @@ def _components(label: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[
     ]
 
 
+def solve_entries(label, rows, cols, values, rotation=None) -> EigenSystem:
+    """EigenSystem of the Hermitian matrix whose entries are values at (rows, cols).
+
+    The matrix is label.size square, and label is a first hook for
+    _components (label[i] <= i; np.arange(n) when none is known).  Entries at
+    one position add up, in order; a position no entry names is zero.  The
+    blocks are the components of the listed positions, and each block size
+    is gathered into one stack by a single bincount into a flat buffer,
+    checked for Hermiticity and solved by one batched eigh.  values' dtype
+    is the stacks' dtype.  rotation is passed on to the EigenSystem.
+    """
+    groups = _components(label, rows, cols)
+    head = np.empty(label.size, dtype=np.intp)  # flat offset of each index's row
+    place = np.empty(label.size, dtype=np.intp)  # each index's column within its block
+    spans, start = [], 0
+    for idx in groups:
+        k, s = idx.shape
+        head[idx] = start + s * np.arange(k * s).reshape(k, s)
+        place[idx] = np.arange(s)
+        spans.append((start, idx.shape))
+        start += k * s * s
+    flat = head[rows] + place[cols]
+    buffer = np.bincount(flat, weights=values.real, minlength=start)
+    if np.iscomplexobj(values):
+        buffer = buffer + 1j * np.bincount(flat, weights=values.imag, minlength=start)
+    stacks = [buffer[at : at + k * s * s].reshape(k, s, s) for at, (k, s) in spans]
+    _check_hermitian(stacks)
+    return EigenSystem(((idx, *np.linalg.eigh(s)) for idx, s in zip(groups, stacks)), rotation)
+
+
 def hermitian_eig(h) -> EigenSystem:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
     as_matrix's dtype rule sends a matrix whose imaginary part is exactly
     zero to the real-symmetric solver, which gives real eigenvectors; any
-    other keeps the complex solver.  The matrix is split into the connected
-    components of its exact nonzeros (no tolerance), at every size, so an
-    exact zero weight reads as zero whatever the dimension; the components
-    are gathered into one stack per block size, each solved here by one
-    batched eigh, and the EigenSystem keeps each block's energies and
-    eigenvectors as eigh returned them.  Nothing is scattered into a dense
-    n x n matrix.  The Hermiticity check runs on every block before any
-    eigh, and is as strict as require_hermitian on the whole matrix: NaN
-    and inf are nonzeros, so they fall inside a block, and every entry
-    between blocks is exactly zero on both sides of the diagonal.  An
-    irreducible matrix is one block holding eigh's own output.
+    other keeps the complex solver.  The matrix's exact nonzeros (no
+    tolerance) and its diagonal go to solve_entries, so it is split into
+    their connected components at every size, and an exact zero weight
+    reads as zero whatever the dimension.  The first hook, each row's first
+    nonzero, settles a dense matrix at once.  The Hermiticity check runs on
+    every block before any eigh, and is as strict as require_hermitian on
+    the whole matrix: NaN and inf are nonzeros, so they fall inside a block,
+    and every entry between blocks is exactly zero on both sides of the
+    diagonal.  Nothing is scattered into a dense n x n matrix.
     """
     m = _square(h)
-    groups = _blocks(m)
-    whole = len(groups) == 1 and groups[0].shape[0] == 1
-    stacks = [m[None]] if whole else [m[idx[:, :, None], idx[:, None, :]] for idx in groups]
-    _check_hermitian(stacks)
-    return EigenSystem((rows, *np.linalg.eigh(s)) for rows, s in zip(groups, stacks))
+    linked = m != 0
+    np.fill_diagonal(linked, True)
+    flat = np.flatnonzero(linked)
+    rows, cols = np.divmod(flat, m.shape[0])
+    return solve_entries(linked.argmax(axis=1), rows, cols, m.ravel()[flat])
 
 
 def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:

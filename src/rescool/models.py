@@ -1,18 +1,29 @@
 """Built-in system Hamiltonians, the exact-diagonalization ground truth, and
 the AKLT valence-bond ground state, which needs no diagonalization.
 
-The AKLT chain puts each spin-1 site on two qubits via S = s_a + s_b; every
-term commutes with the in-pair swap, so the antisymmetric (singlet) sector
-decouples and the triplet sector carries the spin-1 physics.  Qubit order is
-[left spin-1/2, pair 1, ..., pair n_bulk, right spin-1/2] with the left
-spin most significant.  The chain is SU(2)-invariant, so it is built from
+The AKLT chain puts each spin-1 site on two qubits via S = s_a + s_b.  Qubit
+order is [left spin-1/2, pair 1, ..., pair n_bulk, right spin-1/2] with the
+left spin most significant.  The chain is SU(2)-invariant, so its terms are
 qubit swaps alone: s_i.s_j = P_ij/2 - 1/4, where P_ij permutes basis states.
+Its spectrum is solved in the pair basis {00, T0, S, 11} of every spin-1
+site (T0, S = (01 +- 10)/sqrt 2).  Every term commutes with each in-pair
+swap, and s_a + s_b annihilates the singlet S, so H_S splits along exact
+zeros into 3^(n+1) blocks: which pairs hold a singlet, and S_z.  The three
+local terms (two boundaries on 8 states, one bulk bond on 16) are taken
+into that basis once, at import, in integer arithmetic, and placed on the
+chain by index arithmetic; linalg.solve_entries solves the blocks and
+carries the per-pair rotation.  The dense qubit-basis H_S is formed only
+when model.h_s is read: it is the oracle the checks compare with.
 """
 from __future__ import annotations
+
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
+from .linalg import EigenSystem, solve_entries
 
 DEGENERACY_ATOL = 1e-9
 
@@ -29,6 +40,116 @@ def _swap(n_qubits: int, i: int, j: int) -> np.ndarray:
     return x ^ (flip << shift_i) ^ (flip << shift_j)
 
 
+def _swap_matrix(n_qubits: int, i: int, j: int) -> np.ndarray:
+    """The swap of qubits i and j as an integer matrix."""
+    return np.eye(2**n_qubits, dtype=np.int64)[_swap(n_qubits, i, j)]
+
+
+def _term(twelve_h: np.ndarray, basis: np.ndarray) -> tuple:
+    """(width, rows, cols, values): a local term 12 h in a basis, as COO.
+
+    basis holds the basis vectors as integer columns B, unnormalized, so
+    B^T (12 h) B is exact and so are its zeros; each entry is then divided
+    by the two column norms sqrt(n_i n_j), n = diag(B^T B).
+    """
+    term = basis.T @ twelve_h @ basis
+    norms = np.diag(basis.T @ basis)
+    rows, cols = np.nonzero(term)
+    return term.shape[0], rows, cols, term[rows, cols] / np.sqrt(norms[rows] * norms[cols])
+
+
+# 12 H_S's three local terms, on (end, pair), (pair, end) and (pair, pair):
+# 4 (1 + P_e,a + P_e,b) and 2 C + C^2, C the sum of the four cross-pair swaps
+_CROSS = sum(_swap_matrix(4, a, b) for a in (0, 1) for b in (2, 3))
+_TWELVE_H = (
+    4 * (np.eye(8, dtype=np.int64) + _swap_matrix(3, 0, 1) + _swap_matrix(3, 0, 2)),
+    4 * (np.eye(8, dtype=np.int64) + _swap_matrix(3, 2, 0) + _swap_matrix(3, 2, 1)),
+    2 * _CROSS + _CROSS @ _CROSS,
+)
+# (00, 01 + 10, 01 - 10, 11) on a spin-1 pair, unnormalized: the triplet
+# 00, T0, 11 and the singlet S, which s_a + s_b annihilates
+_PAIR = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]])
+_EYE2 = np.eye(2, dtype=np.int64)
+_PAIR_BASES = (np.kron(_EYE2, _PAIR), np.kron(_PAIR, _EYE2), np.kron(_PAIR, _PAIR))
+_QUBIT_TERMS = [_term(t, np.eye(t.shape[0], dtype=np.int64)) for t in _TWELVE_H]
+_PAIR_TERMS = [_term(t, basis) for t, basis in zip(_TWELVE_H, _PAIR_BASES)]
+_HALF = np.sqrt(0.5)
+
+
+def _place(n_bulk: int, terms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """COO entries of 12 H_S from its local terms (left, right, bulk), by index arithmetic.
+
+    An index reads (e_L, p_1, ..., p_n, e_R) in mixed radix (2, 4, ..., 4, 2),
+    left end most significant, in the qubit basis and the pair basis alike.
+    A term of width w whose sites have dimension hi to their left and lo to
+    their right puts local entry (i, j) at ((h w + i) lo + l, (h w + j) lo + l)
+    for every h < hi and l < lo.
+    """
+    dim = 4 ** (n_bulk + 1)
+    left, right, bulk = terms
+    placed = [(left, 1), (right, 2 * 4 ** (n_bulk - 1))]
+    placed += [(bulk, 2 * 4 ** (k - 1)) for k in range(1, n_bulk)]
+    rows, cols, values = [], [], []
+    for (width, i, j, v), hi in placed:
+        lo = dim // (hi * width)
+        outer = np.arange(hi)[:, None, None] * width
+        rows.append(((outer + i[:, None]) * lo + np.arange(lo)).ravel())
+        cols.append(((outer + j[:, None]) * lo + np.arange(lo)).ravel())
+        values.append(np.broadcast_to(v[:, None], (hi, v.size, lo)).ravel())
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(values)
+
+
+def _pair_rotation(n_bulk: int) -> Callable[[np.ndarray], np.ndarray]:
+    """Q = I (x) q (x) ... (x) q (x) I along the first axis of a copy; q takes 01, 10 to T0, S.
+
+    q is real, symmetric and its own inverse, so the one function takes
+    states into the pair basis and back: per pair, from the left,
+    (x_01, x_10) -> (x_01 + x_10, x_01 - x_10) / sqrt 2.
+    """
+
+    def rotate(x: np.ndarray) -> np.ndarray:
+        y = np.array(x, dtype=complex)
+        for k in range(n_bulk):
+            pairs = y.reshape(2 * 4**k, 4, -1)
+            t0, singlet = pairs[:, 1], pairs[:, 2]
+            total = t0 + singlet
+            np.subtract(t0, singlet, out=singlet)
+            np.multiply(total, _HALF, out=t0)
+            singlet *= _HALF
+        return y
+
+    return rotate
+
+
+def _dense_aklt(n_bulk: int) -> np.ndarray:
+    """The chain's H_S in the qubit basis: integer weights summed exactly, divided by 12 once."""
+    dim = 4 ** (n_bulk + 1)
+    rows, cols, twelve = _place(n_bulk, _QUBIT_TERMS)
+    return np.bincount(rows * dim + cols, weights=twelve, minlength=dim * dim).reshape(dim, dim) / 12
+
+
+class _Chain(SystemModel):
+    """build_aklt's model: its spectrum is solved in the pair basis, h_s formed only when read."""
+
+    def __init__(self, n_bulk: int):
+        object.__setattr__(self, "label", f"aklt{n_bulk}")
+        object.__setattr__(self, "n_bulk", n_bulk)
+
+    @cached_property
+    def h_s(self) -> np.ndarray:
+        return _dense_aklt(self.n_bulk)
+
+    @cached_property
+    def spectrum(self) -> EigenSystem:
+        rows, cols, twelve = _place(self.n_bulk, _PAIR_TERMS)
+        label = np.arange(self.dimension)
+        return solve_entries(label, rows, cols, twelve / 12, _pair_rotation(self.n_bulk))
+
+    @property
+    def dimension(self) -> int:
+        return 4 ** (self.n_bulk + 1)
+
+
 def build_aklt(n_bulk: int) -> SystemModel:
     """Open AKLT chain: n_bulk spin-1 sites between two spin-1/2 ends.
 
@@ -39,28 +160,12 @@ def build_aklt(n_bulk: int) -> SystemModel:
     exactly zero.  With s_i.s_j = P_ij/2 - 1/4, a boundary on end qubit e
     and pair (a1, a2) is (1 + P_e,a1 + P_e,a2)/3, and a bulk bond is
     (2 sum_p P_p + sum_p,q P_p P_q)/12 over its four cross-pair swaps p, q.
-    The integer weights 4, 2 and 1 are summed exactly in float64 and divided
-    by 12 once, so every entry of H_S is the float nearest its exact value.
+    Nothing N x N is formed until h_s is read.
     """
     if n_bulk < 1:
         raise ValueError(f"need at least one spin-1 site, got {n_bulk}")
-    n_qubits = 2 * n_bulk + 2
-    dim = 2**n_qubits
-    require_register_fits(dim)
-    last = n_qubits - 1
-    rows = np.arange(dim)
-    terms = []  # (weight, permutation): H_S = sum of weight * P / 12
-    for end, pair in ((0, (1, 2)), (last, (last - 2, last - 1))):
-        terms += [(4, rows)] + [(4, _swap(n_qubits, end, a)) for a in pair]
-    for k in range(1, n_bulk):
-        swaps = [_swap(n_qubits, a, b) for a in (2 * k - 1, 2 * k) for b in (2 * k + 1, 2 * k + 2)]
-        terms += [(2, p) for p in swaps]
-        terms += [(1, p[q]) for p in swaps for q in swaps]
-    h = np.zeros((dim, dim))
-    for weight, perm in terms:
-        h[rows, perm] += weight
-    h /= 12
-    return SystemModel(h, label=f"aklt{n_bulk}")
+    require_register_fits(4 ** (n_bulk + 1))
+    return _Chain(n_bulk)
 
 
 def valence_bond_state(n_bulk: int) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rescool import acceptance, cli, evolution
+from rescool import acceptance, cli, evolution, models
 from rescool.cooling import run_algorithm
 from rescool.evolution import (
     block_amplitudes,
@@ -21,6 +21,7 @@ from rescool.linalg import (
     NotNormalized,
     hermitian_eig,
     propagator,
+    solve_entries,
 )
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import SweepConfig, scan
@@ -348,26 +349,32 @@ def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
     assert sum(solved) == n_dim
 
 
-def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
-    # one hermitian_eig, of the 64-row aklt2 H_S, read through model.spectrum;
-    # the split parts of the 256-row register are never formed or solved
+def count_solves(monkeypatch):
+    # every binding of solve_entries, the one block solve hermitian_eig and the
+    # pair-basis chain share, records the dimension of each matrix it solves
     seen = []
-    formed = hermitian_eig
 
-    def counted(h):
-        seen.append(np.shape(h))
-        return formed(h)
+    def counted(label, *args):
+        seen.append(label.size)
+        return solve_entries(label, *args)
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "rescool" and getattr(module, "hermitian_eig", None):
-            monkeypatch.setattr(module, "hermitian_eig", counted)
+        if module_name.split(".")[0] == "rescool" and getattr(module, "solve_entries", None):
+            monkeypatch.setattr(module, "solve_entries", counted)
+    return seen
+
+
+def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
+    # one solve, of the 64-row aklt2 H_S, read through model.spectrum; the
+    # split parts of the 256-row register are never formed or solved
+    seen = count_solves(monkeypatch)
     refuse_register(monkeypatch)
     model = build_aklt(2)
     tau = np.pi / (2.0 * 0.05)
     phi = np.eye(64, dtype=complex)[0b011001]
     for steps in (8, 64):
         apply_step(model.spectrum, step_propagator(model.spectrum, 1.0, 0.05, tau, steps), phi)
-    assert seen == [(64, 64)]
+    assert seen == [64]
 
 
 def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
@@ -401,7 +408,9 @@ def test_no_run_path_forms_a_propagator(monkeypatch, capsys):
     # only the oracles build the register or form a propagator, and no run
     # or request copies an eigenvector out of its blocks: ground_truth is
     # never read, since a run's fidelities are weights of its overlaps and
-    # cool --auto-epsilon reads E_1 off the spectrum's eigenvalues.
+    # cool --auto-epsilon reads E_1 off the spectrum's eigenvalues.  Nor
+    # does any run form the dense AKLT H_S: a chain's runs read only its
+    # pair-basis spectrum.
     refuse_register(monkeypatch)
     read = []
 
@@ -409,9 +418,13 @@ def test_no_run_path_forms_a_propagator(monkeypatch, capsys):
         read.append(model.label)
         return ground_truth(model)
 
+    def refuse_dense(n_bulk):
+        raise AssertionError("the run path formed the dense AKLT H_S")
+
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "rescool" and getattr(module, "ground_truth", None) is ground_truth:
             monkeypatch.setattr(module, "ground_truth", recorded)
+    monkeypatch.setattr(models, "_dense_aklt", refuse_dense)
     model = build_aklt(1)
     phi0 = np.zeros(16, dtype=complex)
     phi0[12] = 1.0
@@ -424,6 +437,10 @@ def test_no_run_path_forms_a_propagator(monkeypatch, capsys):
         "sweep --model aklt1 --init 1100 --points 5",
         "cool --model aklt1 --init 1100 --auto-epsilon --iters 2 --target-known",
         "cool --model aklt1 --init 1100 --auto-epsilon --mode stochastic --seed 7 --iters 2",
+        "sweep --model aklt3 --init 01100110 --points 5",
+        "cool --model aklt3 --init 01100110 --auto-epsilon --iters 2 --target-known",
+        "cool --model aklt3 --init 01100110 --auto-epsilon --mode stochastic --seed 7 --iters 2",
+        "cool --model aklt3 --init 01100110 --auto-epsilon --trotter-steps 16 --iters 2",
     ):
         assert cli.main(argv.split()) == 0
     assert read == []
@@ -442,19 +459,10 @@ def test_no_run_path_forms_a_propagator(monkeypatch, capsys):
 def test_a_request_makes_one_decomposition_of_h_s(monkeypatch, capsys, argv):
     # ground truth, a0, the auto-epsilon resonance, the step and the sweep
     # curve all read model.spectrum; nothing assembles or splits the register
-    seen = []
-    formed = hermitian_eig
-
-    def counted(h):
-        seen.append(np.shape(h))
-        return formed(h)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "rescool" and getattr(module, "hermitian_eig", None):
-            monkeypatch.setattr(module, "hermitian_eig", counted)
+    seen = count_solves(monkeypatch)
     refuse_register(monkeypatch)
     assert cli.main(argv.split()) == 0
-    assert seen == [(64, 64)]
+    assert seen == [64]
 
 
 def test_exact_aklt3_run_keeps_its_eigenvectors_in_blocks():

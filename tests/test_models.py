@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rescool import models
 from rescool.hamiltonian import SizeCap, save_matrix_file
 from rescool.linalg import DimensionMismatch, hermitian_eig
 from rescool.models import (
@@ -130,6 +131,54 @@ def test_neel_init_carries_the_valence_bond_weight(n_bulk):
     assert len(init) == 2 * n_bulk + 2
     weight = abs(valence_bond_state(n_bulk)[int(init, 2)]) ** 2
     assert abs(weight - 0.5 * (2.0 / 3.0) ** n_bulk) <= 1e-12
+
+
+# the rotation of one spin-1 pair from (00, 01, 10, 11) to (00, T0, S, 11)
+PAIR_Q = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 1, -1, 0], [0, 0, 0, 1]]) * np.array(
+    [1, np.sqrt(0.5), np.sqrt(0.5), 1]
+)
+
+
+def refuse_dense(n_bulk):
+    raise AssertionError("the dense AKLT H_S was formed")
+
+
+@pytest.mark.parametrize("n_bulk", [1, 2, 3, 4])
+def test_pair_basis_solve_matches_the_dense_oracle(n_bulk):
+    model = build_aklt(n_bulk)
+    es = model.spectrum
+    h = model.h_s
+    assert np.max(np.abs(es.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-13
+    # every eigenvector combine returns, in block order, solves the dense H_S
+    vecs = es.combine(np.eye(model.dimension))
+    assert np.max(np.linalg.norm(h @ vecs - vecs * es.energies, axis=0)) <= 1e-12
+    rng = np.random.default_rng(n_bulk)
+    x = rng.normal(size=model.dimension) + 1j * rng.normal(size=model.dimension)
+    assert np.max(np.abs(es.combine(es.overlaps(x)[1]) - x)) <= 1e-14
+    # the rotation is I (x) q (x) ... (x) q (x) I
+    q = kron_all(np.eye(2), *[PAIR_Q] * n_bulk, np.eye(2))
+    assert np.max(np.abs(es.rotation(np.eye(model.dimension)) - q)) <= 1e-16
+
+
+@pytest.mark.parametrize("n_bulk, largest", [(1, 4), (2, 10), (3, 26), (4, 70)])
+def test_pair_basis_blocks_are_the_singlet_and_s_z_sectors(monkeypatch, n_bulk, largest):
+    # which pairs hold a singlet (2^n), and S_z: 3^(n+1) blocks in all; none
+    # of it, nor dimension or n_qubits, forms the dense H_S
+    monkeypatch.setattr(models, "_dense_aklt", refuse_dense)
+    model = build_aklt(n_bulk)
+    assert model.dimension == 4 ** (n_bulk + 1) and model.n_qubits == 2 * n_bulk + 2
+    es = model.spectrum
+    sizes = [rows.shape[1] for rows, _, _ in es.blocks for _ in rows]
+    assert len(sizes) == 3 ** (n_bulk + 1)
+    assert max(sizes) == largest
+    assert sum(sizes) == model.dimension
+    # a Neel-type init is a pair-basis state, so its overlaps fill one block
+    phi = np.zeros(model.dimension, dtype=complex)
+    phi[int(neel_init(n_bulk), 2)] = 1.0
+    _, d = es.overlaps(phi)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    assert np.unique(block[np.flatnonzero(d)]).size == 1
+    assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_three_spin_chain_singlet_sector():
@@ -268,15 +317,17 @@ def test_degenerate_ground_space_is_reported_as_a_basis():
 @pytest.mark.parametrize("name", ["aklt1", "aklt2", "diag:0,2,0,1", "diag:1,1,1,1"])
 def test_ground_vectors_are_their_block_columns_exactly(name):
     # combine on one-hot overlaps copies each ground eigenvector out of its
-    # block with no rounding, as a complex128 state
+    # block with no rounding, as a complex128 state; a chain's block columns
+    # are in the pair basis, and its rotation takes them to the qubit basis
     model = from_registry(name)
     es = model.spectrum
+    assert (es.rotation is None) == name.startswith("diag:")
     columns = []
     for rows, energies, vecs in es.blocks:
         for b, j in zip(*np.nonzero(energies - es.eigenvalues[0] <= 1e-9)):
             chi = np.zeros(model.dimension, dtype=complex)
             chi[rows[b]] = vecs[b, :, j]
-            columns.append(chi)
+            columns.append(chi if es.rotation is None else es.rotation(chi))
     e1, chi1, gaps = ground_truth(model)
     assert chi1.dtype == np.complex128
     assert np.array_equal(chi1, np.stack(columns, axis=1) if len(columns) > 1 else columns[0])
