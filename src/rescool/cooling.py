@@ -6,8 +6,8 @@ ground component into the |11> sector intact while every excited component is
 suppressed by its detuning, so conditioning on "excited" purifies the system
 toward the ground state.  A ground outcome in stochastic mode discards the
 streak and restarts from the original state.  An iteration multiplies each
-overlap d_j = <chi_j|phi> by c_j0 or c_j1, so a run keeps only d and crosses
-the eigenbasis twice: in for phi0, out once for every record's state.
+overlap d_j = <chi_j|phi> by c_j0 or c_j1, so a run keeps d, on the levels
+phi0 touches, and crosses the eigenbasis twice: in for phi0, out for all records.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from math import hypot, inf, pi, sqrt
 
 import numpy as np
 
-from .evolution import block_amplitudes, step_propagator
+from .evolution import block_amplitudes, require_finite_block_phase, step_propagator
 from .hamiltonian import AlgorithmConfig, SystemModel
 from .linalg import (
     DimensionMismatch,
@@ -111,10 +111,11 @@ def _level_facts(energies: np.ndarray, d: np.ndarray, c: float):
     d1_sq = float(np.sum(np.abs(d[ground]) ** 2))
     if d1_sq < 1e-30:
         return ground, d1_sq, inf, delta_min
-    _, c_j1 = block_amplitudes(energies[~ground], e1 + 1.0, c, tau)
+    excited = ~ground & (d != 0)
+    _, c_j1 = block_amplitudes(energies[excited], e1 + 1.0, c, tau)
     # math.hypot scales its arguments: the squares of |d_j c_j1| ~ c underflow
     # below c ~ 1e-154, and dividing by c first underflows them at c ~ 1e300
-    return ground, d1_sq, hypot(*np.abs(d[~ground] * c_j1)) / c / sqrt(d1_sq), delta_min
+    return ground, d1_sq, hypot(*np.abs(d[excited] * c_j1)) / c / sqrt(d1_sq), delta_min
 
 
 def compute_a0(model: SystemModel, phi0, c: float) -> float:
@@ -134,9 +135,7 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     return _level_facts(energies, d, c)[2]
 
 
-def success_probability_bound(
-    d1_sq: float, a0: float, c: float, m: int
-) -> tuple[float, float]:
+def success_probability_bound(d1_sq: float, a0: float, c: float, m: int) -> tuple[float, float]:
     """Probability estimates for m+1 consecutive excited outcomes: product and bound.
 
     product = d1_sq * prod_{k=1..m} 1/(1 + (a0 c)^{2k}) is the paper's
@@ -153,16 +152,10 @@ def success_probability_bound(
     product = d1_sq
     for k in range(1, m + 1):
         product /= 1.0 + x ** (2 * k)
-    lower = d1_sq * (1.0 - x * x) ** m
-    return product, lower
+    return product, d1_sq * (1.0 - x * x) ** m
 
 
-def run_algorithm(
-    model: SystemModel,
-    config: AlgorithmConfig,
-    phi0,
-    rng=None,
-) -> CoolingReport:
+def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -> CoolingReport:
     """Run until max_iterations consecutive excited outcomes, restarting on failure.
 
     Post-selected mode forces every outcome and never restarts.  Stochastic
@@ -170,7 +163,8 @@ def run_algorithm(
     aborts once restarts pass config.restart_cap.  max_iterations = 0 yields
     a report with no iterations (initial bookkeeping only).  A fidelity is the
     weight of d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
-    phi0 enters the eigenbasis once; d1_sq, a0 and the flags share its overlaps.
+    phi0 enters the eigenbasis once; d1_sq, a0 and the flags share its overlaps
+    d0, and the streak steps only their support S, once every phase is refused.
     """
     phi0 = require_normalized(phi0)
     if rng is None:
@@ -182,12 +176,15 @@ def run_algorithm(
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
-    step_args = (model.spectrum, config.epsilon0, config.coupling, config.tau)
+    if config.max_iterations:  # every level's phase over one slice, before any amplitude on S
+        slices = max(min(config.trotter_steps, 1e308), 1)  # a count the split refuses fails there
+        require_finite_block_phase(energies, config.epsilon0, config.coupling, config.tau / slices)
+    support = np.flatnonzero(d0)
+    step_args = (energies[support], config.epsilon0, config.coupling, config.tau)
     step = step_propagator(*step_args, config.trotter_steps) if config.max_iterations else None
-    rows: list[tuple[int, str, float, np.ndarray]] = []  # k, outcome, p_excited, d
-    streak = 0
-    restarts = 0
-    d = d0
+    rows: list[tuple[int, str, float, np.ndarray]] = []  # k, outcome, p_excited, d on S
+    streak = restarts = 0
+    d = start = d0[support]
     while streak < config.max_iterations:
         p_exc, d_ground, d_excited = step(d)
         if measure_first_ancilla(p_exc, config.mode, rng):
@@ -208,12 +205,14 @@ def run_algorithm(
                     f"before {config.max_iterations} consecutive excited outcomes"
                 )
             streak = 0
-            d = d0
+            d = start
     states = [phi0]
     if rows:
-        states = model.spectrum.combine(np.stack([row[3] for row in rows], axis=1)).T
+        overlaps = np.zeros((d0.size, len(rows)), dtype=complex)
+        overlaps[support] = np.stack([row[3] for row in rows], axis=1)
+        states = model.spectrum.combine(overlaps).T
     records = [
-        IterationRecord(k, outcome, p_exc, state, float(np.sum(np.abs(d[ground]) ** 2)))
+        IterationRecord(k, outcome, p_exc, state, float(np.sum(np.abs(d[ground[support]]) ** 2)))
         for (k, outcome, p_exc, d), state in zip(rows, states)
     ]
     return CoolingReport(

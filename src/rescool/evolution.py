@@ -6,8 +6,8 @@ evolving |00>|phi> for tau moves each overlap d_j = <chi_j|phi> into
 d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 (c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
-transverse coupling).  step_propagator builds a step from them on a model's
-spectrum, which maps overlaps to overlaps and never leaves the eigenbasis;
+transverse coupling).  step_propagator builds a step from them on the levels
+it is given, which maps overlaps to overlaps and never leaves the eigenbasis;
 cooling and the checks take every step from it, and none builds the 4N
 register.  trotter_propagator forms the split on the whole register, one
 dense matrix_power of two linalg.propagator factors, as the oracle the
@@ -21,7 +21,6 @@ import numpy as np
 
 from .linalg import (
     DimensionMismatch,
-    EigenSystem,
     NotNormalized,
     propagator,
     require_finite_phase,
@@ -40,6 +39,13 @@ def require_finite_block_phase(energies, epsilon0, coupling, t) -> None:
     require_finite_phase(bound, t)
 
 
+def _block_sine(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """block_amplitudes' h, Omega tau/pi and s = tau sinc(Omega tau/pi); |c_j1| = c |s|."""
+    h = (epsilon0 - 1.0 - np.asarray(energies, dtype=float)) / 2.0
+    turns = np.hypot(c, h) * tau / np.pi
+    return h, turns, tau * np.sinc(turns)
+
+
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
     """First column (c_j0, c_j1) of exp(-i H_j tau) for every level E_j at once.
 
@@ -54,12 +60,8 @@ def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray
     roundings of the angle alone differ by about 1e-8.
     The arguments broadcast against each other like numpy operands.
     """
-    e = np.asarray(energies, dtype=float)
-    mu = (epsilon0 + e) / 2.0
-    h = (epsilon0 - 1.0 - e) / 2.0
-    omega = np.hypot(c, h)
-    turns = omega * tau / np.pi
-    s = tau * np.sinc(turns)
+    h, turns, s = _block_sine(energies, epsilon0, c, tau)
+    mu = (epsilon0 + np.asarray(energies, dtype=float)) / 2.0
     phase = np.exp(-1j * mu * tau)
     return phase * (np.cos(np.pi * turns) - 1j * h * s), -1j * c * s * phase
 
@@ -109,22 +111,18 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
     return out
 
 
-def step_propagator(
-    spectrum: EigenSystem, epsilon0, coupling, tau, trotter_steps: int = 0
-) -> Callable:
-    """One step on H_S's spectrum, d -> (p_excited, d c_0, d c_1); 0 Trotter steps is exact.
+def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0) -> Callable:
+    """One step on 1-D level energies, d -> (p_excited, d c_0, d c_1); 0 Trotter steps is exact.
 
     The levels' (c_j0, c_j1) come once, here: from block_amplitudes, or
-    trotter_amplitudes at trotter_steps slices.  A step takes a state's
-    overlaps d = V^dag phi in block order (spectrum.overlaps) and returns
-    p_excited = sum_j |d_j c_j1|^2, capped at 1, the probe-excited weight,
+    trotter_amplitudes at trotter_steps slices.  A step takes one overlap d_j
+    per level (a run passes the levels phi0 touches, and refuses the others'
+    phases itself) and returns p_excited = sum_j |d_j c_j1|^2, capped at 1,
     with d c_0 and d c_1, the overlaps of the unnormalized |00> and |11>
-    system slices; spectrum.combine takes them back to states.  It takes
-    block_amplitudes' arguments, any c >= 0 and tau >= 0.  The evolved pair
-    must stay normalized, which checks d and the step's unitarity at once
-    and names any Trotter step count.
+    system slices.  It takes block_amplitudes' arguments, any c >= 0 and
+    tau >= 0.  The evolved pair must stay normalized, which checks d and the
+    step's unitarity at once and names any Trotter step count.
     """
-    energies = spectrum.energies
     drift = ""
     if trotter_steps == 0:
         require_finite_block_phase(energies, epsilon0, coupling, tau)

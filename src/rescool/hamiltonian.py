@@ -45,7 +45,7 @@ def require_register_fits(n_dim: int) -> None:
         raise SizeCap(f"register dimension {4 * n_dim} exceeds the cap {REGISTER_CAP}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemModel:
     """A system is its Hamiltonian H_S, Hermitian and 2^n x 2^n with n >= 1.
 
@@ -53,10 +53,10 @@ class SystemModel:
     size cap runs on its shape before h_s is converted or copied, and the
     2^n rule is checked here only.  spectrum is computed on first read and
     kept, so every reader of one model (ground truth, a0, the step, the
-    sweep curve) shares one decomposition and building a model solves
-    nothing; here it is hermitian_eig(h_s).  models.build_aklt's chains
-    override all three: spectrum is solved in the chain's pair basis, and
-    h_s, the dense qubit-basis matrix, is formed only when it is read.
+    sweep curve) shares one decomposition, and building one solves nothing;
+    here it is hermitian_eig(h_s).  models.build_aklt's chains override all
+    three: spectrum is solved in the pair basis, and the dense h_s is formed
+    only when read, never by == or hash, which go by identity.
     """
 
     h_s: np.ndarray

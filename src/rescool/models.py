@@ -149,6 +149,9 @@ class _Chain(SystemModel):
     def dimension(self) -> int:
         return 4 ** (self.n_bulk + 1)
 
+    def __repr__(self) -> str:  # the dataclass repr would form h_s to print it
+        return f"_Chain({self.label!r})"
+
 
 def build_aklt(n_bulk: int) -> SystemModel:
     """Open AKLT chain: n_bulk spin-1 sites between two spin-1/2 ends.

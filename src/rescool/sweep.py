@@ -3,10 +3,9 @@
 The probe excitation probability after one step peaks when eps0 sits on the
 resonance eps0 = E_1 + 1, so a grid scan over eps0 followed by an argmax
 reads off the ground energy as peak - 1.  On the model's spectrum that
-probability is sum_j |d_j c_j1(eps0)|^2, d = V^dag phi0, so the whole grid
-is one broadcast of block_amplitudes.  Probabilities are exact when shots =
-0 and binomial estimates otherwise, with one RNG stream per grid point
-derived from (seed, point index).
+probability is sum_j |d_j|^2 |c_j1(eps0)|^2, d = V^dag phi0, one real sum
+over the levels phi0 touches.  Probabilities are exact when shots = 0 and
+binomial estimates otherwise, one RNG stream per (seed, point index).
 """
 from __future__ import annotations
 
@@ -15,12 +14,12 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .evolution import block_amplitudes, require_finite_block_phase
+from .evolution import _block_sine, require_finite_block_phase
 from .hamiltonian import SystemModel
 from .linalg import require_normalized
 
 FLAT_CURVE_FLOOR = 1e-12
-# Grid points per broadcast: at most 2^16 amplitudes, 1 MiB of complex, per array.
+# Grid points per broadcast: at most 2^16 amplitudes, 512 KiB of float, per array.
 CHUNK_AMPLITUDES = 2**16
 
 
@@ -78,17 +77,18 @@ class SweepResult:
 def _exact_curve(model: SystemModel, grid: np.ndarray, c: float, tau: float, phi0) -> np.ndarray:
     """sum_j |d_j c_j1(eps0)|^2, capped at 1, at every eps0 of the grid, d = V^dag phi0.
 
-    One broadcast of block_amplitudes over the model's spectrum per chunk of
-    grid points, so memory stays bounded for any grid size.  phi0 must be
-    normalized and N-dim.
+    Per chunk of grid points, (c s_j)^2 @ |d_S|^2 over the support S of d,
+    so memory stays bounded for any grid size; the phase is refused on all N
+    levels first.  phi0 must be normalized and N-dim.
     """
     energies, d = model.spectrum.overlaps(require_normalized(phi0))
     require_finite_block_phase(energies, float(np.abs(grid).max()), c, tau)
+    support = np.flatnonzero(d)
     curve = np.empty(grid.size)
-    chunk = max(CHUNK_AMPLITUDES // energies.size, 1)
+    chunk = max(CHUNK_AMPLITUDES // support.size, 1)
     for lo in range(0, grid.size, chunk):
-        _, c_j1 = block_amplitudes(energies, grid[lo : lo + chunk, None], c, tau)
-        curve[lo : lo + chunk] = np.sum(np.abs(d * c_j1) ** 2, axis=1)
+        _, _, s = _block_sine(energies[support], grid[lo : lo + chunk, None], c, tau)
+        curve[lo : lo + chunk] = (c * s) ** 2 @ np.abs(d[support]) ** 2
     return np.minimum(curve, 1.0)
 
 

@@ -463,6 +463,11 @@ def test_verify_exit_code_tracks_failures(capsys):
         "sweep --model aklt1 --init 1100 --range 1e308:1.7e308 --points 3",
         "cool --model diag:0,1e308 --epsilon0 1 --init 0 --iters 0",
         "cool --model diag:0,1e308 --epsilon0 1 --init 0 --iters 1",
+        # a non-finite phase on a level the init does not touch
+        "cool --model diag:1e308,2 --epsilon0 3 --init 1 --iters 1",
+        "cool --model diag:1e308,2 --epsilon0 3 --init 1 --iters 1 --trotter-steps 4",
+        "sweep --model diag:1e308,2 --init 1 --range 2.5:3.5 --points 11",
+        "cool --model diag:1e306,2 --epsilon0 3 --init 1 --iters 1 --tau 1000",
     ],
 )
 def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, argv):

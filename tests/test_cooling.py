@@ -39,7 +39,8 @@ def resonant_config(e1, **kwargs):
 
 def config_step(model, cfg):
     # the step run_algorithm builds for this model and configuration
-    return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    args = (cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    return step_propagator(model.spectrum.energies, *args)
 
 
 def apply_step(model, step, phi):
@@ -68,19 +69,26 @@ def test_prepare_register_state_is_h_r_eigenstate(chain):
 def test_measurement_of_unevolved_state_has_no_excited_branch(chain, monkeypatch):
     model, e1, chi1, _ = chain
     # with no coupling and no time the step leaves |00>|v> where it is
-    identity = step_propagator(model.spectrum, e1 + 1.0, 0.0, 0.0)
+    identity = step_propagator(model.spectrum.energies, e1 + 1.0, 0.0, 0.0)
     p_exc, ground, excited = apply_step(model, identity, chi1)
     assert p_exc == 0.0
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
+
+    # the patched steps act on the energies the run passes, the levels chi_1 touches
+    def unevolved(energies, *args):
+        return step_propagator(energies, e1 + 1.0, 0.0, 0.0)
+
+    def unevolved_then_resonant(energies, *args):
+        steps = iter([unevolved(energies), step_propagator(energies, *args)])
+        return lambda d: next(steps)(d)
+
     # the run's first step leaves |00>|chi_1> alone; its restart then takes the resonant step
-    resonant = config_step(model, resonant_config(e1))
-    steps = iter([identity, resonant])
-    monkeypatch.setattr(cooling, "step_propagator", lambda *args: lambda d: next(steps)(d))
+    monkeypatch.setattr(cooling, "step_propagator", unevolved_then_resonant)
     cfg = resonant_config(e1, mode="stochastic")
     rec = first_record(model, cfg, chi1, np.random.default_rng(0))
     assert rec.outcome == "ground"
     assert np.allclose(rec.system_state, chi1, atol=1e-12)
-    monkeypatch.setattr(cooling, "step_propagator", lambda *args: identity)
+    monkeypatch.setattr(cooling, "step_propagator", unevolved)
     with pytest.raises(ZeroBranch):
         first_record(model, resonant_config(e1), chi1, np.random.default_rng(0))
 

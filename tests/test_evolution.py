@@ -41,7 +41,8 @@ def config_parts(model, cfg):
 
 
 def config_step(model, cfg):
-    return step_propagator(model.spectrum, cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    args = (cfg.epsilon0, cfg.coupling, cfg.tau, cfg.trotter_steps)
+    return step_propagator(model.spectrum.energies, *args)
 
 
 def apply_step(spectrum, step, phi):
@@ -253,7 +254,7 @@ def test_step_branches_match_the_dense_oracle(
     phi = rng.normal(size=n_dim) + 1j * rng.normal(size=n_dim)
     phi /= np.linalg.norm(phi)
     spectrum = hermitian_eig(h_s)
-    step = step_propagator(spectrum, epsilon0, c, tau, trotter_steps)
+    step = step_propagator(spectrum.energies, epsilon0, c, tau, trotter_steps)
     p, ground, excited = apply_step(spectrum, step, phi)
     if trotter_steps:
         u = trotter_propagator(*split_parts(h_s, epsilon0, c), tau, trotter_steps)
@@ -268,7 +269,8 @@ def test_step_branches_match_the_dense_oracle(
 def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
     phi = np.array([0.6, 0.8], dtype=complex)
     spectrum = hermitian_eig(np.diag([0.0, 1.0]))
-    p_exc, ground, excited = apply_step(spectrum, step_propagator(spectrum, 1.0, 0.0, 0.0), phi)
+    step = step_propagator(spectrum.energies, 1.0, 0.0, 0.0)
+    p_exc, ground, excited = apply_step(spectrum, step, phi)
     assert p_exc == 0.0
     assert np.array_equal(ground, phi)
     assert np.all(excited == 0)
@@ -276,7 +278,7 @@ def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
 
 def test_step_rejects_bad_inputs(monkeypatch):
     spectrum = hermitian_eig(np.diag([0.0, 1.0]))
-    step = step_propagator(spectrum, 1.0, 0.05, 10.0)
+    step = step_propagator(spectrum.energies, 1.0, 0.05, 10.0)
     with pytest.raises(NotNormalized):
         apply_step(spectrum, step, np.array([1.0, 1.0]))
     for phi in (np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])):
@@ -289,7 +291,7 @@ def test_step_rejects_bad_inputs(monkeypatch):
     monkeypatch.setattr(
         evolution, "trotter_amplitudes", lambda *args: tuple(2.0 * a for a in formed(*args))
     )
-    doubled = step_propagator(spectrum, 1.0, 0.05, 10.0, 4)
+    doubled = step_propagator(spectrum.energies, 1.0, 0.05, 10.0, 4)
     with pytest.raises(NotNormalized, match=r"exceeds 1\.0e-10 at 4 Trotter steps"):
         apply_step(spectrum, doubled, np.array([1.0, 0.0]))
 
@@ -318,7 +320,7 @@ def test_trotter_step_reads_only_the_00_columns(monkeypatch):
     want = u[:, :16] @ phi
     refuse_register(monkeypatch)
     spectrum = hermitian_eig(h_s)
-    got = apply_step(spectrum, step_propagator(spectrum, 1.0, 0.05, tau, 8), phi)
+    got = apply_step(spectrum, step_propagator(spectrum.energies, 1.0, 0.05, tau, 8), phi)
     assert abs(got[0] - float(np.sum(np.abs(want[32:]) ** 2))) <= 1e-14
     assert np.max(np.abs(got[1] - want[:16])) <= 1e-14
     assert np.max(np.abs(got[2] - want[48:])) <= 1e-14
@@ -341,7 +343,7 @@ def test_exact_step_solves_only_the_00_11_half(monkeypatch, n_qubits):
 
     monkeypatch.setattr(np.linalg, "eigh", recorded)
     refuse_register(monkeypatch)
-    step = step_propagator(model.spectrum, 1.0, 0.05, 10.0)
+    step = step_propagator(model.spectrum.energies, 1.0, 0.05, 10.0)
     assert sum(solved) == n_dim
     phi = np.zeros(n_dim, dtype=complex)
     phi[1] = 1.0
@@ -373,14 +375,15 @@ def test_trotter_step_keeps_the_pinned_decompositions(monkeypatch):
     tau = np.pi / (2.0 * 0.05)
     phi = np.eye(64, dtype=complex)[0b011001]
     for steps in (8, 64):
-        apply_step(model.spectrum, step_propagator(model.spectrum, 1.0, 0.05, tau, steps), phi)
+        step = step_propagator(model.spectrum.energies, 1.0, 0.05, tau, steps)
+        apply_step(model.spectrum, step, phi)
     assert seen == [64]
 
 
 def test_every_path_takes_its_step_from_step_propagator(monkeypatch):
     # one step per cooling run; the fixed-point check builds one for its
     # branches and its run another.  A sweep takes none, since its whole
-    # curve is one broadcast of block_amplitudes
+    # curve is one real weighted sum of the levels' sine factors
     calls = []
 
     def counted(*args):

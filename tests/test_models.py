@@ -181,6 +181,18 @@ def test_pair_basis_blocks_are_the_singlet_and_s_z_sectors(monkeypatch, n_bulk, 
     assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-14)
 
 
+def test_comparing_hashing_or_printing_a_chain_forms_no_dense_h_s(monkeypatch):
+    # a model compares and hashes by identity, and a chain's repr names its label
+    monkeypatch.setattr(models, "_dense_aklt", refuse_dense)
+    model = build_aklt(2)
+    assert repr(model) == "_Chain('aklt2')"
+    assert model == model and model != build_aklt(2)
+    assert len({model, model, build_aklt(2)}) == 2
+    assert "h_s" not in vars(model)
+    diag = build_diagonal([0.0, 1.0])
+    assert diag == diag and diag != build_diagonal([0.0, 1.0]) and hash(diag) == hash(diag)
+
+
 def test_three_spin_chain_singlet_sector():
     # a singlet on the middle pair scores 4/3 regardless of the edge qubits
     model = build_aklt(1)

@@ -189,8 +189,9 @@ def test_peak_rss_holds_an_invocation_to_its_bound(bound_mb, code):
 
 # A handful of the reference invocations, one of each kind: the sweep, an exact
 # and a Trotter cooling run, a stochastic run, exact zeros in a blocked file
-# model, and a refused model.  Each reruns in-process and must match the
-# output committed under tools/reference/ within compare_outputs' tolerance.
+# model, a refused model, and a phase refused on a level the init does not
+# touch.  Each reruns in-process and must match the output committed under
+# tools/reference/ within compare_outputs' tolerance.
 REFERENCE_SAMPLE = [
     "sweep --model aklt1 --init 1100 --range 0.8:1.2 --points 100",
     "cool --model aklt1 --init 1100 --epsilon0 1.0 --mode stochastic --seed 7 --iters 2",
@@ -199,6 +200,7 @@ REFERENCE_SAMPLE = [
     "cool --model diag:0,0,0.5,0.5,1,1,1.5,1.5,2,2,2.5,2.5,3,3,3.5,3.5 --init 0000 --auto-epsilon"
     " --iters 2 --target-known",
     "cool --model file:h3.txt --epsilon0 1",
+    "cool --model diag:1e306,2 --epsilon0 3 --init 1 --iters 1 --tau 1000",
 ]
 
 

@@ -147,6 +147,16 @@ RUN_STATE = [
     " --iters 2 --target-known",
 ]
 
+# a phase that is not finite on a level the init does not touch: a run steps only the levels
+# it touches, yet refuses every level's phase; the last case passes the a0 phase and fails
+# only the step's own, at a tau past the half period
+UNTOUCHED_LEVELS = [
+    "cool --model diag:1e308,2 --epsilon0 3 --init 1 --iters 1",
+    "cool --model diag:1e308,2 --epsilon0 3 --init 1 --iters 1 --trotter-steps 4",
+    "sweep --model diag:1e308,2 --init 1 --range 2.5:3.5 --points 11",
+    "cool --model diag:1e306,2 --epsilon0 3 --init 1 --iters 1 --tau 1000",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -156,6 +166,7 @@ ARGVS = (
     + SHAPES
     + REGISTER_BLOCKS
     + RUN_STATE
+    + UNTOUCHED_LEVELS
 )
 
 
