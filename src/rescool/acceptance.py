@@ -22,7 +22,7 @@ grid, not tolerances, and stay fixed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from math import inf, pi, sqrt
 
@@ -262,14 +262,7 @@ def check_trotter_scaling(scale: float) -> tuple[bool, str]:
     ratios = [errors[0] / errors[1], errors[1] / errors[2]]
     ratio_lo, ratio_hi = 2.0 - 0.4 * scale, 2.0 + 0.4 * scale
     level_tol = 1e-10 * scale
-    config_512 = AlgorithmConfig(
-        epsilon0=1.0,
-        coupling=0.05,
-        trotter_steps=512,
-        mode="post-selected",
-        max_iterations=1,
-    )
-    report = run_algorithm(model, config_512, phi0)
+    report = run_algorithm(model, replace(config, trotter_steps=512), phi0)
     fid = report.records[-1].fidelity_to_target
     target_fid = 1.0 / (1.0 + (report.a0 * config.coupling) ** 2)
     fid_dev = abs(fid - target_fid)

@@ -6,22 +6,23 @@ evolving |00>|phi> for tau moves each overlap d_j = <chi_j|phi> into
 d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 (c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
-transverse coupling).  step_propagator builds a step from them on the levels
-it is given, which maps overlaps to overlaps and never leaves the eigenbasis;
-cooling and the checks take every step from it, and none builds the 4N
-register.  trotter_propagator forms the split on the whole register, one
-dense matrix_power of two linalg.propagator factors, as the oracle the
-per-level split is checked against.
+transverse coupling), both as one closed-form SU(2) rotation per level.
+step_propagator builds a step from them on the levels it is given, which
+maps overlaps to overlaps and never leaves the eigenbasis; cooling and the
+checks take every step from it, and none builds the 4N register.
+trotter_propagator forms the split on the whole register, one dense
+matrix_power of two linalg.propagator factors, as the oracle the per-level
+split is checked against.
 """
 from __future__ import annotations
 
+from operator import index
 from typing import Callable
 
 import numpy as np
 
 from .linalg import (
     DimensionMismatch,
-    NotNormalized,
     propagator,
     require_finite_phase,
     require_normalized,
@@ -46,6 +47,17 @@ def _block_sine(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray, np.
     return h, turns, tau * np.sinc(turns)
 
 
+def _column(angle, cos, z, x) -> tuple[np.ndarray, np.ndarray]:
+    """e^{-i angle} (cos - i z, -i x): the first column (c_j0, c_j1) of a level's rotation."""
+    phase = np.exp(-1j * angle)
+    return phase * (cos - 1j * z), -1j * x * phase
+
+
+def _times(angle, l):
+    """l * angle, less a multiple of 2 pi, for |angle| < 2 pi: finite for every l <= 1e308."""
+    return 4.0 * np.fmod(angle * (l / 4.0), np.pi / 2.0)
+
+
 def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray]:
     """First column (c_j0, c_j1) of exp(-i H_j tau) for every level E_j at once.
 
@@ -62,32 +74,31 @@ def block_amplitudes(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray
     """
     h, turns, s = _block_sine(energies, epsilon0, c, tau)
     mu = (epsilon0 + np.asarray(energies, dtype=float)) / 2.0
-    phase = np.exp(-1j * mu * tau)
-    return phase * (np.cos(np.pi * turns) - 1j * h * s), -1j * c * s * phase
+    return _column(mu * tau, np.cos(np.pi * turns), h * s, c * s)
 
 
 def trotter_amplitudes(energies, epsilon0, c, tau, l: int) -> tuple[np.ndarray, np.ndarray]:
     """First column (c_j0, c_j1) of each level's split step, the Trotter block_amplitudes.
 
-    On {|00 chi_j>, |11 chi_j>} the energy terms act as
-    diag(eps0 - 1/2, 1/2 + E_j) and the coupling as c X, so with dt = tau/l a
-    level's slice is the 2x2 diag(e^{-i(eps0-1/2)dt}, e^{-i(1/2+E_j)dt})
-    exp(-i c X dt), and [slice]^l is the split step restricted to its block.
-    All levels take one batched matrix_power.  An overflowing power raises
-    NotNormalized.
+    With dt = tau/l, d = (eps0 - 1 - E_j) dt/2, g = c dt and mu = (eps0 + E_j)/2, a
+    level's slice diag(e^{-i(eps0-1/2)dt}, e^{-i(1/2+E_j)dt}) exp(-i c X dt) is
+    e^{-i mu dt} V, V in SU(2) with trace 2 cos(phi), so [slice]^l = e^{-i mu tau}
+    (cos(l phi) I + sin(l phi)/sin(phi) (V - cos(phi) I)).  sin(phi) = hypot(sin d,
+    sin g cos d) keeps its precision at V = -I, and _times reduces l phi and l mu dt,
+    so the column is normalized to rounding for every whole l.
     """
-    if not 1 <= l <= 1e308:  # tau / l takes l as a float
+    if not 1 <= index(l) <= 1e308:  # a whole count, which tau / l takes as a float
         raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
     e = np.asarray(energies, dtype=float).reshape(-1)
     dt = tau / l
     require_finite_block_phase(e, epsilon0, c, dt)
-    cos, sin = np.cos(c * dt), -1j * np.sin(c * dt)
-    phases = np.exp(-1j * dt * np.stack(np.broadcast_arrays(epsilon0 - 0.5, e + 0.5), axis=1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = np.linalg.matrix_power(phases[:, :, None] * np.array([[cos, sin], [sin, cos]]), l)
-    if not np.isfinite(power).all():
-        raise NotNormalized(f"the split step overflows at {l} Trotter steps; use fewer")
-    return power[:, 0, 0], power[:, 1, 0]
+    d = (epsilon0 - 1.0 - e) * dt / 2.0
+    sin_d, cos_d, sin_g, cos_g = np.sin(d), np.cos(d), np.sin(c * dt), np.cos(c * dt)
+    sin_phi = np.hypot(sin_d, sin_g * cos_d)
+    l_phi = _times(np.arctan2(sin_phi, cos_d * cos_g), l)
+    r = np.divide(np.sin(l_phi), sin_phi, out=np.full_like(sin_phi, float(l)), where=sin_phi > 0)
+    angle = _times(np.fmod((epsilon0 + e) / 2.0 * dt, 2.0 * np.pi), l)
+    return _column(angle, np.cos(l_phi), r * sin_d * cos_g, r * sin_g * np.exp(1j * d))
 
 
 def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
@@ -95,7 +106,7 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
 
     No run path calls it.  Each factor is linalg.propagator, one numpy eigh
     of the whole part, so the oracle shares no code with trotter_amplitudes
-    and the run path it checks.  An overflowing power raises NotNormalized.
+    and the run path it checks.
     """
     if not 1 <= l <= 1e308:  # tau / l takes l as a float
         raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
@@ -104,11 +115,7 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
             f"split parts differ in shape: {np.shape(part_a)} vs {np.shape(part_b)}"
         )
     factor = propagator(part_a, tau / l) @ propagator(part_b, tau / l)
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.linalg.matrix_power(factor, l)
-    if not np.isfinite(out).all():
-        raise NotNormalized(f"the split step overflows at {l} Trotter steps; use fewer")
-    return out
+    return np.linalg.matrix_power(factor, l)
 
 
 def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0) -> Callable:
@@ -121,19 +128,17 @@ def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0) -
     with d c_0 and d c_1, the overlaps of the unnormalized |00> and |11>
     system slices.  It takes block_amplitudes' arguments, any c >= 0 and
     tau >= 0.  The evolved pair must stay normalized, which checks d and the
-    step's unitarity at once and names any Trotter step count.
+    step's unitarity at once.
     """
-    drift = ""
     if trotter_steps == 0:
         require_finite_block_phase(energies, epsilon0, coupling, tau)
         amplitudes = block_amplitudes(energies, epsilon0, coupling, tau)
     else:
         amplitudes = trotter_amplitudes(energies, epsilon0, coupling, tau, trotter_steps)
-        drift = f" at {trotter_steps} Trotter steps, whose rounding grows with their count"
     amplitudes = np.stack(amplitudes, axis=1)
 
     def step(d: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        evolved = require_normalized(d[:, None] * amplitudes, drift).reshape(-1, 2)
+        evolved = require_normalized(d[:, None] * amplitudes).reshape(-1, 2)
         p_excited = min(float(np.sum(np.abs(evolved[:, 1]) ** 2)), 1.0)
         return p_excited, evolved[:, 0], evolved[:, 1]
 

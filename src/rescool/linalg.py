@@ -89,11 +89,12 @@ def require_hermitian(h) -> np.ndarray:
     return m
 
 
-def require_normalized(v, context: str = "") -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
+    """v as a 1-D complex state; NotNormalized unless its norm is 1 within NORM_ATOL."""
     vec = as_state(v)
     dev = abs(float(np.linalg.norm(vec)) - 1.0)
     if not dev <= NORM_ATOL:
-        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {NORM_ATOL:.1e}{context}")
+        raise NotNormalized(f"|norm - 1| = {dev:.3e} exceeds {NORM_ATOL:.1e}")
     return vec
 
 

@@ -112,12 +112,13 @@ def scan(model: SystemModel, sweep_config: SweepConfig, phi0) -> SweepResult:
     grid = np.linspace(sweep_config.eps_min, sweep_config.eps_max, sweep_config.points)
     probs = _exact_curve(model, grid, sweep_config.coupling, sweep_config.tau, phi0)
     errs = np.zeros(sweep_config.points)
+    noise = FLAT_CURVE_FLOOR  # an exact curve's stderr is all zero
     if sweep_config.shots:
         for i, p_exact in enumerate(probs.tolist()):
             seeds = np.random.SeedSequence(sweep_config.seed, spawn_key=(i,))
             probs[i], errs[i] = _estimate(p_exact, sweep_config.shots, np.random.default_rng(seeds))
+        noise = max(2.0 * float(np.median(errs)), noise)
     spread = float(probs.max() - probs.min())
-    noise = max(2.0 * float(np.median(errs)), FLAT_CURVE_FLOOR)
     if spread < noise:
         raise FlatCurve(f"probability range {spread:.3e} is below the noise floor {noise:.3e}")
     peak_index = int(np.argmax(probs))

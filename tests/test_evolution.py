@@ -292,7 +292,7 @@ def test_step_rejects_bad_inputs(monkeypatch):
         evolution, "trotter_amplitudes", lambda *args: tuple(2.0 * a for a in formed(*args))
     )
     doubled = step_propagator(spectrum.energies, 1.0, 0.05, 10.0, 4)
-    with pytest.raises(NotNormalized, match=r"exceeds 1\.0e-10 at 4 Trotter steps"):
+    with pytest.raises(NotNormalized, match=r"^\|norm - 1\| = 1\.000e\+00 exceeds 1\.0e-10$"):
         apply_step(spectrum, doubled, np.array([1.0, 0.0]))
 
 
@@ -592,3 +592,103 @@ def test_trotter_amplitudes_refuse_a_count_with_no_float_step():
     for l in (0, 10**309):
         with pytest.raises(ValueError, match="the split takes 1 to 1e308 Trotter steps"):
             trotter_amplitudes(np.zeros(2), 1.0, 0.05, 1.0, l)
+    # the closed form would take any real l; a count must be whole, as numpy ints are
+    for l in (2.5, 4.0):
+        with pytest.raises(TypeError):
+            trotter_amplitudes(np.zeros(2), 1.0, 0.05, 1.0, l)
+    assert np.array_equal(
+        trotter_amplitudes(np.zeros(2), 1.0, 0.05, 1.0, np.int64(4)),
+        trotter_amplitudes(np.zeros(2), 1.0, 0.05, 1.0, 4),
+    )
+
+
+def seeded_complex_hermitian(n_dim=16, seed=20240806):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n_dim, n_dim)) + 1j * rng.normal(size=(n_dim, n_dim))
+    return (a + a.conj().T) / 2.0
+
+
+@pytest.mark.parametrize(
+    "h_s",
+    [build_aklt(1).h_s, build_aklt(2).h_s, build_aklt(3).h_s, seeded_complex_hermitian()],
+    ids=["aklt1", "aklt2", "aklt3", "complex16"],
+)
+def test_the_closed_form_split_matches_the_dense_split_at_every_count(h_s):
+    # trotter_propagator's dense split against the closed-form rotation, level
+    # by level.  The slice dt is fixed and tau = l dt, so every count is a
+    # power of the one-slice split, the product of its two propagator factors
+    # (1024 rows on aklt3), taken by the squarings matrix_power would make.
+    n_dim = h_s.shape[0]
+    energies, vecs = np.linalg.eigh(h_s)
+    epsilon0, c, dt = float(energies[0]) + 1.0, 0.05, np.pi / (2.0 * 0.05) / 64
+    factor = trotter_propagator(*split_parts(h_s, epsilon0, c), dt, 1)
+    powers = {1: factor, 2: factor @ factor}
+    powers[3] = powers[2] @ factor
+    for l in (8, 64, 512):
+        powers[l] = np.linalg.matrix_power(powers[l // 8], 8)
+    for l, power in powers.items():
+        c_j0, c_j1 = trotter_amplitudes(energies, epsilon0, c, l * dt, l)
+        evolved = power[:, :n_dim] @ vecs
+        assert np.max(np.abs(evolved[:n_dim] - vecs * c_j0)) < 1e-12
+        assert np.max(np.abs(evolved[3 * n_dim :] - vecs * c_j1)) < 1e-12
+        assert np.max(np.abs(evolved[n_dim : 3 * n_dim])) < 1e-12
+
+
+def slice_power(energy, epsilon0, c, tau, l):
+    # the first column of [diag(e^{-i(eps0-1/2)dt}, e^{-i(1/2+E)dt}) exp(-i c X dt)]^l, multiplied out
+    dt = tau / l
+    phases = np.diag(np.exp(-1j * dt * np.array([epsilon0 - 0.5, energy + 0.5])))
+    rotation = np.array([[np.cos(c * dt), -1j * np.sin(c * dt)], [-1j * np.sin(c * dt), np.cos(c * dt)]])
+    column = np.array([1.0, 0.0], dtype=complex)
+    for _ in range(l):
+        column = phases @ (rotation @ column)
+    return column
+
+
+@pytest.mark.parametrize(
+    "energy, epsilon0, c, tau, l",
+    [
+        (0.0, 1.0, 1.0, np.pi, 1),  # c tau = pi on resonance: the slice is -I to rounding
+        (0.0, 1.0, 1.0, np.pi - 1e-9, 1),
+        (0.0, 1.0 + 1e-7, 1.0, np.pi + 1e-9, 1),
+        (0.0, 1.0, 0.5, 2.0 * np.pi, 2),  # c dt = pi on every slice
+        (0.0, 1.0 + 2.0 * np.pi, 1e-9, 3.0, 3),  # detuning d = pi on every slice
+        (0.0, 1.0 + 2.0 * np.pi - 1e-8, 1e-3, 3.0, 3),
+        (-1.0, 2.0 * np.pi, 2e-3, 7.0, 7),
+    ],
+)
+def test_slices_near_minus_identity_keep_their_precision(energy, epsilon0, c, tau, l):
+    # near V = -I, sin(phi) ~ 0 and phi ~ pi: r = sin(l phi)/sin(phi) must
+    # not lose the digits that the direct product of 2x2 slices keeps
+    c_j0, c_j1 = trotter_amplitudes(np.array([energy]), epsilon0, c, tau, l)
+    want = slice_power(energy, epsilon0, c, tau, l)
+    assert abs(c_j0[0] - want[0]) < 1e-13
+    assert abs(c_j1[0] - want[1]) < 1e-13
+
+
+@pytest.mark.parametrize(
+    "tau, l",
+    [(np.pi / 0.1, 10**k) for k in (0, 1, 4, 8, 12, 20, 100, 308)] + [(1e308, 10**308)],
+    ids=[f"1e{k}" for k in (0, 1, 4, 8, 12, 20, 100, 308)] + ["1e308-unit-slices"],
+)
+def test_the_split_stays_unitary_at_every_count(tau, l):
+    # the rotation's column is normalized to rounding however many slices it
+    # takes: l phi and l mu dt are reduced mod 2 pi before any sine, so even
+    # 1e308 slices of a unit step stay finite
+    energies = build_aklt(2).spectrum.energies
+    c_j0, c_j1 = trotter_amplitudes(energies, 1.0, 0.05, tau, l)
+    assert np.max(np.abs(np.abs(c_j0) ** 2 + np.abs(c_j1) ** 2 - 1.0)) < 1e-14
+
+
+def test_the_split_converges_to_the_exact_step_as_one_over_l():
+    energies = build_aklt(2).spectrum.energies
+    tau = np.pi / 0.1
+    exact = np.stack(block_amplitudes(energies, 1.0, 0.05, tau))
+
+    def distance(l):
+        return float(np.max(np.abs(np.stack(trotter_amplitudes(energies, 1.0, 0.05, tau, l)) - exact)))
+
+    errors = [distance(10**k) for k in range(4, 9)]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 9.0 < coarse / fine < 11.0
+    assert distance(10**20) < 1e-13

@@ -89,7 +89,7 @@ PATHS = [
     "cool --model aklt1 --init 1100 --auto-epsilon --c 1e300",
 ]
 
-# the split step at many slices, stochastically, and at a count whose rounding overflows
+# the split step at many slices, stochastically, and at 1e20 slices, where it meets the exact step
 TROTTER = [
     "cool --model aklt3 --init 01100110 --auto-epsilon --trotter-steps 300 --iters 3 --target-known",
     "cool --model aklt2 --init 011001 --auto-epsilon --trotter-steps 64 --mode stochastic --seed 5"
@@ -157,6 +157,16 @@ UNTOUCHED_LEVELS = [
     "cool --model diag:1e306,2 --epsilon0 3 --init 1 --iters 1 --tau 1000",
 ]
 
+# the two codes no other invocation exits with: a flat exact curve exits 3 and a stochastic run
+# with no restarts left exits 4; and 1e12 slices of the split, which meet the exact step
+EXIT_CODES = [
+    "sweep --model aklt1 --init 1100 --c 0 --points 11",
+    "cool --model aklt1 --init 1100 --auto-epsilon --mode stochastic --seed 1 --iters 3"
+    " --restart-cap 0",
+    "cool --model aklt2 --init 011001 --auto-epsilon --trotter-steps 1000000000000 --iters 2"
+    " --target-known",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -167,6 +177,7 @@ ARGVS = (
     + REGISTER_BLOCKS
     + RUN_STATE
     + UNTOUCHED_LEVELS
+    + EXIT_CODES
 )
 
 
