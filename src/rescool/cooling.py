@@ -6,8 +6,10 @@ ground component into the |11> sector intact while every excited component is
 suppressed by its detuning, so conditioning on "excited" purifies the system
 toward the ground state.  A ground outcome in stochastic mode discards the
 streak and restarts from the original state.  An iteration multiplies each
-overlap d_j = <chi_j|phi> by c_j0 or c_j1, so a run keeps d, on the levels
-phi0 touches, and crosses the eigenbasis twice: in for phi0, out for all records.
+overlap d_j = <chi_j|phi> by c_j0 or c_j1, so every attempt walks one streak,
+d0 c_1^k at position k; a run forms each position's step and drawn branch
+once, on the levels phi0 touches, and crosses the eigenbasis twice: in for
+phi0, out for the at most 2m distinct states its records share.
 """
 from __future__ import annotations
 
@@ -164,7 +166,8 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
     a report with no iterations (initial bookkeeping only).  A fidelity is the
     weight of d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
     phi0 enters the eigenbasis once; d1_sq, a0 and the flags share its overlaps
-    d0, and the streak steps only their support S, once every phase is refused.
+    d0.  The streak steps only their support S, once every phase is refused, and
+    each position once: a restart walks the same table again from position 0.
     """
     phi0 = require_normalized(phi0)
     if rng is None:
@@ -176,25 +179,28 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
         _, succ_bound = success_probability_bound(d1_sq, a0, config.coupling, m_tail)
     else:
         succ_bound = 0.0
+    support = np.flatnonzero(d0)
     if config.max_iterations:  # every level's phase over one slice, before any amplitude on S
         slices = max(min(config.trotter_steps, 1e308), 1)  # a count the split refuses fails there
-        require_finite_block_phase(energies, config.epsilon0, config.coupling, config.tau / slices)
-    support = np.flatnonzero(d0)
-    step_args = (energies[support], config.epsilon0, config.coupling, config.tau)
-    step = step_propagator(*step_args, config.trotter_steps) if config.max_iterations else None
-    rows: list[tuple[int, str, float, np.ndarray]] = []  # k, outcome, p_excited, d on S
+        args = (config.epsilon0, config.coupling)
+        require_finite_block_phase(energies, *args, config.tau / slices)
+        step = step_propagator(energies[support], *args, config.tau, config.trotter_steps)
+    table = []  # the k-th step's (p_excited, d c_0, d c_1), formed when the walk first reaches it
+    branches = {}  # (k, outcome) -> normalized d after the k-th outcome, formed when first drawn
+    rows = []  # (k, outcome) of every record
     streak = restarts = 0
-    d = start = d0[support]
     while streak < config.max_iterations:
-        p_exc, d_ground, d_excited = step(d)
-        if measure_first_ancilla(p_exc, config.mode, rng):
-            outcome, branch, d = "excited", p_exc, d_excited
-        else:
-            outcome, branch, d = "ground", 1.0 - p_exc, d_ground
-        if branch < ZERO_BRANCH_ATOL:
-            raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
-        d = d / np.linalg.norm(d)
-        rows.append((streak + 1, outcome, p_exc, d))
+        if streak == len(table):  # first reach: from d0, or through the streak-th excited outcome
+            table.append(step(branches[streak, "excited"] if streak else d0[support]))
+        p_exc, d_ground, d_excited = table[streak]
+        outcome = "excited" if measure_first_ancilla(p_exc, config.mode, rng) else "ground"
+        key = (streak + 1, outcome)
+        if key not in branches:
+            branch, d = (p_exc, d_excited) if outcome == "excited" else (1.0 - p_exc, d_ground)
+            if branch < ZERO_BRANCH_ATOL:
+                raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
+            branches[key] = d / np.linalg.norm(d)
+        rows.append(key)
         if outcome == "excited":
             streak += 1
         else:
@@ -205,18 +211,17 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
                     f"before {config.max_iterations} consecutive excited outcomes"
                 )
             streak = 0
-            d = start
     states = [phi0]
-    if rows:
-        overlaps = np.zeros((d0.size, len(rows)), dtype=complex)
-        overlaps[support] = np.stack([row[3] for row in rows], axis=1)
+    if rows:  # the last branch formed is the run's last record, the m-th excited outcome
+        overlaps = np.zeros((d0.size, len(branches)), dtype=complex)
+        overlaps[support] = np.stack(list(branches.values()), axis=1)
         states = model.spectrum.combine(overlaps).T
-    records = [
-        IterationRecord(k, outcome, p_exc, state, float(np.sum(np.abs(d[ground[support]]) ** 2)))
-        for (k, outcome, p_exc, d), state in zip(rows, states)
-    ]
+    shared = {}  # one record per branch, which every draw of that branch refers to
+    for ((k, outcome), d), state in zip(branches.items(), states):
+        fid = float(np.sum(np.abs(d[ground[support]]) ** 2))
+        shared[k, outcome] = IterationRecord(k, outcome, table[k - 1][0], state, fid)
     return CoolingReport(
-        records=records,
+        records=[shared[key] for key in rows],
         restarts=restarts,
         final_state=states[-1],
         d1_sq=d1_sq,
@@ -251,13 +256,10 @@ def render_report(report: CoolingReport) -> str:
         "k,outcome,probability,fidelity",
     ]
     for rec in report.records:
-        lines.append(
-            f"{rec.k},{rec.outcome},{rec.excitation_probability:.12g},"
-            f"{rec.fidelity_to_target:.12g}"
-        )
-    lines.append("index,re,im")
+        p_exc, fid = rec.excitation_probability, rec.fidelity_to_target
+        lines.append(f"{rec.k},{rec.outcome},{p_exc:.12g},{fid:.12g}")
+    lines.append("index,re,im\n")
     shown = align_global_phase(report.final_state)
-    # Python floats format faster than numpy scalars, to the same text
-    for i, (re, im) in enumerate(zip(shown.real.tolist(), shown.imag.tolist())):
-        lines.append(f"{i},{re:.12g},{im:.12g}")
-    return "\n".join(lines) + "\n"
+    # one %-format over Python floats, the text f"{x:.12g}" gives, for every row at once
+    cells = np.stack([np.arange(shown.size), shown.real, shown.imag], axis=1).ravel().tolist()
+    return "\n".join(lines) + "%d,%.12g,%.12g\n" * shown.size % tuple(cells)

@@ -72,23 +72,18 @@ def test_measurement_of_unevolved_state_has_no_excited_branch(chain, monkeypatch
     identity = step_propagator(model.spectrum.energies, e1 + 1.0, 0.0, 0.0)
     p_exc, ground, excited = apply_step(model, identity, chi1)
     assert p_exc == 0.0
+    assert np.allclose(ground, chi1, atol=1e-12)
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
 
-    # the patched steps act on the energies the run passes, the levels chi_1 touches
+    # the patched step acts on the energies the run passes, the levels chi_1 touches
     def unevolved(energies, *args):
         return step_propagator(energies, e1 + 1.0, 0.0, 0.0)
 
-    def unevolved_then_resonant(energies, *args):
-        steps = iter([unevolved(energies), step_propagator(energies, *args)])
-        return lambda d: next(steps)(d)
-
-    # the run's first step leaves |00>|chi_1> alone; its restart then takes the resonant step
-    monkeypatch.setattr(cooling, "step_propagator", unevolved_then_resonant)
-    cfg = resonant_config(e1, mode="stochastic")
-    rec = first_record(model, cfg, chi1, np.random.default_rng(0))
-    assert rec.outcome == "ground"
-    assert np.allclose(rec.system_state, chi1, atol=1e-12)
+    # every attempt reads ground at the streak's first position, until the cap stops the run
     monkeypatch.setattr(cooling, "step_propagator", unevolved)
+    cfg = resonant_config(e1, mode="stochastic", restart_cap=5)
+    with pytest.raises(RestartCapExceeded, match="^6 restarts exceed cap 5 before 1 "):
+        run_algorithm(model, cfg, chi1, rng=np.random.default_rng(0))
     with pytest.raises(ZeroBranch):
         first_record(model, resonant_config(e1), chi1, np.random.default_rng(0))
 
@@ -229,26 +224,55 @@ def test_stochastic_runs_repeat_for_the_same_seed(chain, seed, state_seed, itera
 
 
 def test_a_run_takes_its_states_out_of_the_eigenbasis_once(chain, monkeypatch):
-    # the run keeps the overlaps d alone; one combine at its end makes every record's state
+    # the run keeps the overlaps d alone; one combine at its end makes every record's state,
+    # one column per distinct (k, outcome), at most 2m however many restarts
     model, e1, chi1, phi0 = chain
-    shapes = []
+    calls = []
     combine = EigenSystem.combine
 
     def counted(self, d):
-        shapes.append(np.shape(d))
-        return combine(self, d)
+        calls.append(combine(self, d))
+        return calls[-1]
 
     monkeypatch.setattr(EigenSystem, "combine", counted)
     run_algorithm(model, resonant_config(e1, max_iterations=3, mode="post-selected"), phi0)
-    assert shapes == [(16, 3)]
-    shapes.clear()
+    assert [out.shape for out in calls] == [(16, 3)]
+    calls.clear()
     cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=7)
     report = run_algorithm(model, cfg, phi0)
     assert report.restarts > 0
-    assert shapes == [(16, len(report.records))]
-    shapes.clear()
+    distinct = list(dict.fromkeys((rec.k, rec.outcome) for rec in report.records))
+    assert len(calls) == 1 and calls[0].shape == (16, len(distinct)) and len(distinct) <= 4
+    for rec in report.records:
+        column = calls[0][:, distinct.index((rec.k, rec.outcome))]
+        assert np.shares_memory(rec.system_state, calls[0])
+        assert np.array_equal(rec.system_state, column)
+    calls.clear()
     run_algorithm(model, resonant_config(e1, max_iterations=0), phi0)
-    assert shapes == []
+    assert calls == []
+
+
+def test_a_restarting_run_steps_each_streak_position_once(chain, monkeypatch):
+    # every attempt walks the same streak, so a finished run forms the k-th step once
+    model, e1, chi1, phi0 = chain
+    calls = []
+
+    def counted(*args):
+        step = step_propagator(*args)
+
+        def counted_step(d):
+            calls.append(d.size)
+            return step(d)
+
+        return counted_step
+
+    monkeypatch.setattr(cooling, "step_propagator", counted)
+    for iterations, seed in ((2, 7), (3, 1)):
+        cfg = resonant_config(e1, max_iterations=iterations, mode="stochastic", seed=seed)
+        report = run_algorithm(model, replace(cfg, restart_cap=2000), phi0)
+        assert report.restarts > 0
+        assert len(calls) == iterations
+        calls.clear()
 
 
 def test_a_run_takes_phi0_into_the_eigenbasis_once(chain, monkeypatch):

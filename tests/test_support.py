@@ -111,6 +111,72 @@ def test_run_records_on_the_support_match_every_level(models, name, state, trott
         assert np.max(np.abs(record.system_state - state_vec)) <= 1e-14
 
 
+def restepping_run(model, config, phi0):
+    # the loop the streak table replaces: every attempt steps again from d0 on the support S.
+    # (k, outcome, p_excited, fidelity, state) per record, and the restarts
+    energies, d0 = model.spectrum.overlaps(phi0)
+    support = np.flatnonzero(d0)
+    ground = (energies - energies.min() <= DEGENERACY_ATOL)[support]
+    args = (config.epsilon0, config.coupling, config.tau, config.trotter_steps)
+    step = step_propagator(energies[support], *args)
+    rng = np.random.default_rng(config.seed)
+    rows, restarts, streak, d = [], 0, 0, d0[support]
+    while streak < config.max_iterations:
+        p_exc, d_ground, d_excited = step(d)
+        excited = rng.random() < p_exc
+        d = d_excited if excited else d_ground
+        d = d / np.linalg.norm(d)
+        state = np.zeros(d0.size, dtype=complex)
+        state[support] = d
+        fid = float(np.sum(np.abs(d[ground]) ** 2))
+        outcome = "excited" if excited else "ground"
+        rows.append((streak + 1, outcome, p_exc, fid, model.spectrum.combine(state)))
+        streak = streak + 1 if excited else 0
+        if not excited:
+            restarts += 1
+            d = d0[support]
+    return rows, restarts
+
+
+# (model, state, Trotter steps, seed): each run restarts 1 to 61 times
+RESTARTING = [
+    ("degenerate-diag", "mix", 0, 1),
+    ("degenerate-diag", "mix", 4, 4),
+    ("degenerate-diag", "dense", 0, 5),
+    ("degenerate-diag", "dense", 4, 0),
+    ("aklt2", "dense", 0, 1),
+    ("aklt2", "dense", 4, 1),
+    ("aklt2", "middle", 4, 1),
+]
+
+
+@pytest.mark.parametrize("name, state, trotter_steps, seed", RESTARTING)
+def test_a_restarting_run_matches_restepping_every_attempt(
+    models, name, state, trotter_steps, seed
+):
+    model = models[name]
+    phi0 = states(model.dimension, 11)[state]
+    e1 = float(model.spectrum.eigenvalues[0])
+    config = AlgorithmConfig(
+        epsilon0=e1 + 1.0,
+        coupling=COUPLING,
+        trotter_steps=trotter_steps,
+        max_iterations=3,
+        mode="stochastic",
+        seed=seed,
+    )
+    want, restarts = restepping_run(model, config, phi0)
+    report = run_algorithm(model, config, phi0)
+    assert report.restarts == restarts > 0
+    assert len(report.records) == len(want)
+    for record, (k, outcome, p_exc, fid, state_vec) in zip(report.records, want):
+        assert (record.k, record.outcome) == (k, outcome)
+        assert record.excitation_probability == p_exc
+        assert record.fidelity_to_target == fid
+        assert np.max(np.abs(record.system_state - state_vec)) <= 1e-14
+    assert np.array_equal(report.final_state, report.records[-1].system_state)
+
+
 def test_amplitudes_are_formed_on_the_touched_levels_only(monkeypatch):
     # aklt3 from its Neel-type init touches one pair-basis block: 26 of 256 levels,
     # one of them the ground level.  The step and the curve take those 26, and a0

@@ -167,6 +167,12 @@ EXIT_CODES = [
     " --target-known",
 ]
 
+# a stochastic run that restarts 31 times, so its attempts revisit the same streak positions
+MANY_RESTARTS = [
+    "cool --model aklt2 --init 010011 --auto-epsilon --mode stochastic --seed 5 --iters 2"
+    " --target-known",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -178,6 +184,7 @@ ARGVS = (
     + RUN_STATE
     + UNTOUCHED_LEVELS
     + EXIT_CODES
+    + MANY_RESTARTS
 )
 
 
