@@ -317,10 +317,10 @@ def check_resonance_fixed_point(scale: float) -> tuple[bool, str]:
     n_dim = model.dimension
     chi1 = valence_bond_state(1)
     tau = pi / (2.0 * 0.05)
-    step = step_propagator(model.spectrum.energies, 1.0, 0.05, tau)
+    c_0, c_1 = step_propagator(model.spectrum.energies, 1.0, 0.05, tau)
     # the run step's branches on |00 chi_1> against the dense register's exp(-iH tau)
-    _, *slices = step(model.spectrum.overlaps(chi1)[1])
-    ground, excited = model.spectrum.combine(np.stack(slices, axis=1)).T
+    d = model.spectrum.overlaps(chi1)[1]
+    ground, excited = model.spectrum.combine(np.stack([d * c_0, d * c_1], axis=1)).T
     want = propagator(assemble_hamiltonian(model.h_s, 1.0, 0.05), tau)[:, :n_dim] @ chi1
     branch_dev = max(
         float(np.max(np.abs(ground - want[:n_dim]))),

@@ -148,8 +148,10 @@ def cmd_sweep(args) -> int:
 def cmd_cool(args) -> int:
     model, phi0 = _resolve_model(args)
     epsilon0 = _effective(args, "epsilon0", float, None)
+    auto_epsilon = _effective(args, "auto_epsilon", _as_bool, False)
+    target_known = _effective(args, "target_known", _as_bool, False)  # read before the run
     if epsilon0 is None:
-        if not _effective(args, "auto_epsilon", _as_bool, False):
+        if not auto_epsilon:
             print("error: give --epsilon0 or --auto-epsilon", file=sys.stderr)
             return 2
         epsilon0 = float(model.spectrum.eigenvalues[0]) + 1.0
@@ -165,7 +167,7 @@ def cmd_cool(args) -> int:
     )
     report = run_algorithm(model, config, phi0)
     _write_text(_effective(args, "out", str, None), render_report(report))
-    if _effective(args, "target_known", _as_bool, False):
+    if target_known:
         if report.records:
             final_fid = report.records[-1].fidelity_to_target
         else:

@@ -66,7 +66,8 @@ class CoolingReport:
     outcomes (0.0 when a0*c >= 1 leaves no convergent bound).  a0 and
     succ_bound describe the resonant half-period step (eps0 = E_1 + 1,
     tau = pi/(2c)) whatever config.epsilon0 and config.tau say; off that
-    step succ_bound does not bound the run.
+    step succ_bound does not bound the run.  seed is config.seed, even when
+    a caller's rng, not one seeded from it, drove the run.
     """
 
     records: list[IterationRecord]
@@ -184,14 +185,17 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
         slices = max(min(config.trotter_steps, 1e308), 1)  # a count the split refuses fails there
         args = (config.epsilon0, config.coupling)
         require_finite_block_phase(energies, *args, config.tau / slices)
-        step = step_propagator(energies[support], *args, config.tau, config.trotter_steps)
+        c_0, c_1 = step_propagator(energies[support], *args, config.tau, config.trotter_steps)
+        require_normalized(d0)  # the eigenbasis crossing, once the step's refusals have run
     table = []  # the k-th step's (p_excited, d c_0, d c_1), formed when the walk first reaches it
     branches = {}  # (k, outcome) -> normalized d after the k-th outcome, formed when first drawn
     rows = []  # (k, outcome) of every record
     streak = restarts = 0
     while streak < config.max_iterations:
         if streak == len(table):  # first reach: from d0, or through the streak-th excited outcome
-            table.append(step(branches[streak, "excited"] if streak else d0[support]))
+            d = branches[streak, "excited"] if streak else d0[support]
+            d_excited = d * c_1
+            table.append((min(float(np.sum(np.abs(d_excited) ** 2)), 1.0), d * c_0, d_excited))
         p_exc, d_ground, d_excited = table[streak]
         outcome = "excited" if measure_first_ancilla(p_exc, config.mode, rng) else "ground"
         key = (streak + 1, outcome)

@@ -7,9 +7,10 @@ d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 (c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
 transverse coupling), both as one closed-form SU(2) rotation per level.
-step_propagator builds a step from them on the levels it is given, which
-maps overlaps to overlaps and never leaves the eigenbasis; cooling and the
-checks take every step from it, and none builds the 4N register.
+step_propagator returns a step as that pair on the levels it is given, once
+every level is checked to conserve its weight; the step maps overlaps to
+overlaps and never leaves the eigenbasis.  Cooling and the checks take every
+step from it, and none builds the 4N register.
 trotter_propagator forms the split on the whole register, one dense
 matrix_power of two linalg.propagator factors, as the oracle the per-level
 split is checked against.
@@ -17,16 +18,10 @@ split is checked against.
 from __future__ import annotations
 
 from operator import index
-from typing import Callable
 
 import numpy as np
 
-from .linalg import (
-    DimensionMismatch,
-    propagator,
-    require_finite_phase,
-    require_normalized,
-)
+from .linalg import NORM_ATOL, DimensionMismatch, NotNormalized, propagator, require_finite_phase
 
 
 def require_finite_block_phase(energies, epsilon0, coupling, t) -> None:
@@ -53,7 +48,7 @@ def _column(angle, cos, z, x) -> tuple[np.ndarray, np.ndarray]:
     return phase * (cos - 1j * z), -1j * x * phase
 
 
-def _times(angle, l):
+def _reduced_times(angle, l):
     """l * angle, less a multiple of 2 pi, for |angle| < 2 pi: finite for every l <= 1e308."""
     return 4.0 * np.fmod(angle * (l / 4.0), np.pi / 2.0)
 
@@ -84,8 +79,8 @@ def trotter_amplitudes(energies, epsilon0, c, tau, l: int) -> tuple[np.ndarray, 
     level's slice diag(e^{-i(eps0-1/2)dt}, e^{-i(1/2+E_j)dt}) exp(-i c X dt) is
     e^{-i mu dt} V, V in SU(2) with trace 2 cos(phi), so [slice]^l = e^{-i mu tau}
     (cos(l phi) I + sin(l phi)/sin(phi) (V - cos(phi) I)).  sin(phi) = hypot(sin d,
-    sin g cos d) keeps its precision at V = -I, and _times reduces l phi and l mu dt,
-    so the column is normalized to rounding for every whole l.
+    sin g cos d) keeps its precision at V = -I, and _reduced_times reduces l phi and
+    l mu dt, so the column is normalized to rounding for every whole l.
     """
     if not 1 <= index(l) <= 1e308:  # a whole count, which tau / l takes as a float
         raise ValueError(f"the split takes 1 to 1e308 Trotter steps, got {l}")
@@ -95,9 +90,9 @@ def trotter_amplitudes(energies, epsilon0, c, tau, l: int) -> tuple[np.ndarray, 
     d = (epsilon0 - 1.0 - e) * dt / 2.0
     sin_d, cos_d, sin_g, cos_g = np.sin(d), np.cos(d), np.sin(c * dt), np.cos(c * dt)
     sin_phi = np.hypot(sin_d, sin_g * cos_d)
-    l_phi = _times(np.arctan2(sin_phi, cos_d * cos_g), l)
+    l_phi = _reduced_times(np.arctan2(sin_phi, cos_d * cos_g), l)
     r = np.divide(np.sin(l_phi), sin_phi, out=np.full_like(sin_phi, float(l)), where=sin_phi > 0)
-    angle = _times(np.fmod((epsilon0 + e) / 2.0 * dt, 2.0 * np.pi), l)
+    angle = _reduced_times(np.fmod((epsilon0 + e) / 2.0 * dt, 2.0 * np.pi), l)
     return _column(angle, np.cos(l_phi), r * sin_d * cos_g, r * sin_g * np.exp(1j * d))
 
 
@@ -118,28 +113,23 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
     return np.linalg.matrix_power(factor, l)
 
 
-def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0) -> Callable:
-    """One step on 1-D level energies, d -> (p_excited, d c_0, d c_1); 0 Trotter steps is exact.
+def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0):
+    """One step's first columns (c_0, c_1) on 1-D level energies; 0 Trotter steps is exact.
 
-    The levels' (c_j0, c_j1) come once, here: from block_amplitudes, or
-    trotter_amplitudes at trotter_steps slices.  A step takes one overlap d_j
-    per level (a run passes the levels phi0 touches, and refuses the others'
-    phases itself) and returns p_excited = sum_j |d_j c_j1|^2, capped at 1,
-    with d c_0 and d c_1, the overlaps of the unnormalized |00> and |11>
-    system slices.  It takes block_amplitudes' arguments, any c >= 0 and
-    tau >= 0.  The evolved pair must stay normalized, which checks d and the
-    step's unitarity at once.
+    One complex entry per level: from block_amplitudes, or trotter_amplitudes
+    at trotter_steps slices.  A step multiplies each overlap d_j by c_j0 onto
+    |00 chi_j> and by c_j1 onto |11 chi_j> (a run passes the levels phi0
+    touches, and refuses the others' phases itself).  It takes
+    block_amplitudes' arguments, any c >= 0 and tau >= 0.  NotNormalized
+    unless every level keeps |c_j0|^2 + |c_j1|^2 = 1 within NORM_ATOL, so a
+    gain on one level cannot hide behind a loss on another.
     """
     if trotter_steps == 0:
         require_finite_block_phase(energies, epsilon0, coupling, tau)
-        amplitudes = block_amplitudes(energies, epsilon0, coupling, tau)
+        c_0, c_1 = block_amplitudes(energies, epsilon0, coupling, tau)
     else:
-        amplitudes = trotter_amplitudes(energies, epsilon0, coupling, tau, trotter_steps)
-    amplitudes = np.stack(amplitudes, axis=1)
-
-    def step(d: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        evolved = require_normalized(d[:, None] * amplitudes).reshape(-1, 2)
-        p_excited = min(float(np.sum(np.abs(evolved[:, 1]) ** 2)), 1.0)
-        return p_excited, evolved[:, 0], evolved[:, 1]
-
-    return step
+        c_0, c_1 = trotter_amplitudes(energies, epsilon0, coupling, tau, trotter_steps)
+    dev = float(np.max(np.abs(1.0 - np.abs(c_0) ** 2 - np.abs(c_1) ** 2), initial=0.0))
+    if not dev <= NORM_ATOL:  # written so that a NaN deviation fails the check
+        raise NotNormalized(f"max_j |1 - |c_j0|^2 - |c_j1|^2| = {dev:.3e} exceeds {NORM_ATOL:.1e}")
+    return c_0, c_1

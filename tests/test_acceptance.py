@@ -9,6 +9,7 @@ last tests feed it a mutated construction or a faulty ground_truth and
 expect it to fail.
 """
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,9 +21,11 @@ from rescool.acceptance import (
     _chain_context,
     _state_deviation,
     check_aklt_ground_truth,
+    check_monotone_convergence,
     render_results,
     run_checks,
 )
+from rescool.cooling import run_algorithm
 from rescool.models import ground_truth
 
 
@@ -57,6 +60,29 @@ def test_run_checks_reports_every_criterion():
     assert len(lines) == 2
     assert lines[0].startswith("PASS initial-fidelity:")
     assert lines[1] == "1/1 checks passed"
+
+
+def test_a_check_that_raises_is_reported_as_failed(monkeypatch):
+    def crashed(scale):
+        raise RuntimeError("no spectrum")
+
+    monkeypatch.setattr(acceptance, "CHECKS", [("crashed", crashed), *CHECKS[1:2]])
+    results = run_checks()
+    assert [(r.name, r.passed) for r in results] == [("crashed", False), ("initial-fidelity", True)]
+    assert results[0].detail == "raised RuntimeError: no spectrum"
+    assert render_results(results).splitlines()[-1] == "1/2 checks passed"
+
+
+def test_monotone_convergence_fails_on_a_fidelity_that_drops(monkeypatch):
+    # each run's first record is made to fall 1e-3 below the initial fidelity
+    def dropping(model, config, phi0):
+        report = run_algorithm(model, config, phi0)
+        first = replace(report.records[0], fidelity_to_target=report.initial_fidelity - 1e-3)
+        return replace(report, records=[first, *report.records[1:]])
+
+    monkeypatch.setattr(acceptance, "run_algorithm", dropping)
+    passed, detail = check_monotone_convergence(1.0)
+    assert not passed and detail.startswith("monotone=False, ")
 
 
 def test_tolerance_scale_must_be_positive():

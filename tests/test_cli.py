@@ -217,6 +217,19 @@ def test_init_from_amplitude_file(tmp_path, capsys):
     assert "d1_sq=0.36" in out
 
 
+def test_init_file_skips_blank_lines_and_names_a_malformed_one(tmp_path, capsys):
+    path = tmp_path / "init.txt"
+    path.write_text("\n3,0\n  \n0,0\n0,0\n4,0\n\n")
+    argv = ["cool", "--model", "diag:0,1,2,3", "--init", f"file:{path}", "--epsilon0", "1.0"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "d1_sq=0.36" in out
+    path.write_text("3,0\n0\n0,0\n4,0\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: bad amplitude line '0'\n"
+
+
 def test_init_file_with_wrong_length_fails_without_output(tmp_path, capsys):
     init = tmp_path / "init.txt"
     init.write_text("1,0\n0,0\n")
@@ -373,15 +386,48 @@ def test_config_file_on_off_keys_match_the_flags(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv, line",
-    [(["cool"], "auto_epsilon=maybe"), (["sweep"], "points=abc")],
+    [
+        (["cool"], "auto_epsilon=maybe"),
+        (["sweep"], "points=abc"),
+        (["cool", "--auto-epsilon"], "target_known=maybe"),
+        (["cool", "--epsilon0", "1"], "auto_epsilon=maybe"),
+    ],
 )
 def test_config_file_rejects_bad_values(tmp_path, capsys, argv, line):
+    # every setting is read before the run, so a bad one prints and writes no report
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"model=aklt1\ninit=1100\n{line}\n")
-    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    for to_file in ([], ["--out", str(tmp_path / "report.txt")]):
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg), *to_file)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
+
+def test_config_file_refuses_a_line_without_an_equals_sign(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a comment, then a blank line\n\nmodel aklt1\n")
+    code, out, err = run_cli(capsys, "cool", "--config", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: {cfg}: expected key=value, got 'model aklt1'\n"
+
+
+def test_config_file_off_turns_a_switch_off(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model=aklt1\ninit=1100\nepsilon0=1\nauto_epsilon=no\ntarget_known=off\n")
+    by_config = run_cli(capsys, "cool", "--config", str(cfg))
+    by_flags = run_cli(capsys, "cool", "--model", "aklt1", "--init", "1100", "--epsilon0", "1")
+    assert by_config[0] == 0 and by_config[2] == ""
+    assert by_config == by_flags
+
+
+def test_cool_with_no_iterations_reports_the_initial_fidelity(capsys):
+    argv = "cool --model aklt1 --init 1100 --auto-epsilon --iters 0 --target-known".split()
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert "k,outcome,probability,fidelity\nindex,re,im\n" in out
+    assert err == "final fidelity=0.0833333333333\n"
 
 
 def test_sweep_window_below_zero(capsys):

@@ -44,9 +44,11 @@ def config_step(model, cfg):
 
 
 def apply_step(model, step, phi):
-    # phi in through the spectrum's overlaps, the two slices out through combine
-    p_exc, ground, excited = step(model.spectrum.overlaps(phi)[1])
-    return (p_exc, *model.spectrum.combine(np.stack([ground, excited], axis=1)).T)
+    # phi in through the spectrum's overlaps, its two slices d c_0 and d c_1 out through combine
+    c_0, c_1 = step
+    d = model.spectrum.overlaps(phi)[1]
+    p_exc = min(float(np.sum(np.abs(d * c_1) ** 2)), 1.0)
+    return (p_exc, *model.spectrum.combine(np.stack([d * c_0, d * c_1], axis=1)).T)
 
 
 def first_record(model, cfg, phi, rng):
@@ -253,25 +255,26 @@ def test_a_run_takes_its_states_out_of_the_eigenbasis_once(chain, monkeypatch):
 
 
 def test_a_restarting_run_steps_each_streak_position_once(chain, monkeypatch):
-    # every attempt walks the same streak, so a finished run forms the k-th step once
+    # every attempt walks the same streak, so a finished run multiplies each of the
+    # step's amplitude arrays into the k-th overlaps once
     model, e1, chi1, phi0 = chain
     calls = []
 
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.multiply:
+                calls.append(ufunc)
+            return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
     def counted(*args):
-        step = step_propagator(*args)
-
-        def counted_step(d):
-            calls.append(d.size)
-            return step(d)
-
-        return counted_step
+        return tuple(c.view(Counted) for c in step_propagator(*args))
 
     monkeypatch.setattr(cooling, "step_propagator", counted)
     for iterations, seed in ((2, 7), (3, 1)):
         cfg = resonant_config(e1, max_iterations=iterations, mode="stochastic", seed=seed)
         report = run_algorithm(model, replace(cfg, restart_cap=2000), phi0)
         assert report.restarts > 0
-        assert len(calls) == iterations
+        assert len(calls) == 2 * iterations
         calls.clear()
 
 
@@ -549,3 +552,18 @@ def test_render_report_layout(chain):
     assert ground_overlap(chi1, amps) == pytest.approx(
         report.records[-1].fidelity_to_target, abs=1e-9
     )
+
+
+def test_the_overlap_with_a_degenerate_ground_basis_is_the_ground_weight():
+    # diag:0,0,1,2 has a two-level ground space, which ground_truth returns as a 4 x 2 basis
+    model = build_diagonal([0.0, 0.0, 1.0, 2.0])
+    _, basis, _ = ground_truth(model)
+    assert basis.shape == (4, 2)
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=4) + 1j * rng.normal(size=4)
+    z /= np.linalg.norm(z)
+    report = run_algorithm(model, resonant_config(0.0, max_iterations=0), z)
+    assert ground_overlap(basis, z) == pytest.approx(report.d1_sq, abs=1e-15)
+    assert report.d1_sq == pytest.approx(abs(z[0]) ** 2 + abs(z[1]) ** 2, abs=1e-15)
+    with pytest.raises(DimensionMismatch, match="^ground basis is 4-dim, state is 2-dim$"):
+        ground_overlap(basis, np.array([1.0, 0.0]))

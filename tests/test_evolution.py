@@ -46,9 +46,11 @@ def config_step(model, cfg):
 
 
 def apply_step(spectrum, step, phi):
-    # phi in through the spectrum's overlaps, the two slices out through combine
-    p_exc, ground, excited = step(spectrum.overlaps(phi)[1])
-    return (p_exc, *spectrum.combine(np.stack([ground, excited], axis=1)).T)
+    # phi in through the spectrum's overlaps, its two slices d c_0 and d c_1 out through combine
+    c_0, c_1 = step
+    d = spectrum.overlaps(phi)[1]
+    p_exc = min(float(np.sum(np.abs(d * c_1) ** 2)), 1.0)
+    return (p_exc, *spectrum.combine(np.stack([d * c_0, d * c_1], axis=1)).T)
 
 
 def block_matrix(e1, ej, c):
@@ -277,23 +279,42 @@ def test_step_with_no_coupling_and_no_time_leaves_phi_in_the_ground_slice():
 
 
 def test_step_rejects_bad_inputs(monkeypatch):
-    spectrum = hermitian_eig(np.diag([0.0, 1.0]))
-    step = step_propagator(spectrum.energies, 1.0, 0.05, 10.0)
+    # the step takes no state: a run refuses an unnormalized phi0 at entry, and
+    # overlaps refuses a state of the wrong size
+    model = build_diagonal([0.0, 1.0])
+    step = step_propagator(model.spectrum.energies, 1.0, 0.05, 10.0)
     with pytest.raises(NotNormalized):
-        apply_step(spectrum, step, np.array([1.0, 1.0]))
+        run_algorithm(model, AlgorithmConfig(epsilon0=1.0, coupling=0.05), np.array([1.0, 1.0]))
     for phi in (np.array([1.0]), np.array([1.0, 0.0, 0.0, 0.0])):
         with pytest.raises(
             DimensionMismatch, match=rf"^state is {phi.size}-dim, spectrum is 2-dim$"
         ):
-            apply_step(spectrum, step, phi)
-    # a non-unitary Trotter step fails the norm check on the evolved state
+            apply_step(model.spectrum, step, phi)
+    # a non-unitary Trotter step fails the per-level check when it is built
     formed = evolution.trotter_amplitudes
     monkeypatch.setattr(
         evolution, "trotter_amplitudes", lambda *args: tuple(2.0 * a for a in formed(*args))
     )
-    doubled = step_propagator(spectrum.energies, 1.0, 0.05, 10.0, 4)
-    with pytest.raises(NotNormalized, match=r"^\|norm - 1\| = 1\.000e\+00 exceeds 1\.0e-10$"):
-        apply_step(spectrum, doubled, np.array([1.0, 0.0]))
+    refused = r"^max_j \|1 - \|c_j0\|\^2 - \|c_j1\|\^2\| = 3\.000e\+00 exceeds 1\.0e-10$"
+    with pytest.raises(NotNormalized, match=refused):
+        step_propagator(model.spectrum.energies, 1.0, 0.05, 10.0, 4)
+
+
+def test_a_gain_on_one_level_is_refused_though_a_loss_on_another_cancels_it(monkeypatch):
+    # level 0's column scaled by sqrt(2) and level 1's zeroed: from d = (1, 1)/sqrt(2)
+    # the evolved pair keeps norm 1, yet neither level conserves its weight
+    formed = evolution.trotter_amplitudes
+
+    def skewed(*args):
+        scale = np.array([np.sqrt(2.0), 0.0])
+        return tuple(scale * a for a in formed(*args))
+
+    monkeypatch.setattr(evolution, "trotter_amplitudes", skewed)
+    model = build_diagonal([0.0, 1.0])
+    config = AlgorithmConfig(epsilon0=1.0, coupling=0.05, tau=10.0, trotter_steps=4)
+    refused = r"^max_j \|1 - \|c_j0\|\^2 - \|c_j1\|\^2\| = 1\.000e\+00 exceeds 1\.0e-10$"
+    with pytest.raises(NotNormalized, match=refused):
+        run_algorithm(model, config, np.array([1.0, 1.0]) / np.sqrt(2.0))
 
 
 def refuse_register(monkeypatch):

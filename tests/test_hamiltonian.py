@@ -13,6 +13,7 @@ from rescool.hamiltonian import (
     load_matrix_file,
     save_matrix_file,
     split_parts,
+    write_atomic,
 )
 from rescool.linalg import (
     DimensionMismatch,
@@ -387,3 +388,11 @@ def test_atomic_writes_get_the_mode_open_would_give(tmp_path, capsys):
     assert code == 0
     assert oct(os.stat(matrix_path).st_mode & 0o777) == oct(0o644)
     assert oct(os.stat(report_path).st_mode & 0o777) == oct(0o644)
+
+
+def test_an_error_that_is_not_an_os_error_is_raised_unchanged(tmp_path):
+    # a body that is not ASCII fails in the write: no file, no temporary file, the same error
+    path = tmp_path / "report.txt"
+    with pytest.raises(UnicodeEncodeError):
+        write_atomic(str(path), "E_1 = √2\n")
+    assert list(tmp_path.iterdir()) == []

@@ -11,6 +11,7 @@ from rescool.linalg import (
     NotHermitian,
     NotNormalized,
     align_global_phase,
+    as_state,
     fidelity,
     hermitian_eig,
     propagator,
@@ -396,3 +397,14 @@ def test_align_global_phase_idempotent():
     v = np.exp(1j * 0.4) * np.array([0.6, 0.8], dtype=complex)
     w = align_global_phase(v)
     assert np.allclose(align_global_phase(w), w, atol=1e-14)
+
+
+def test_an_empty_state_is_refused():
+    with pytest.raises(DimensionMismatch, match="^empty state vector$"):
+        as_state(np.zeros((0, 3)))
+
+
+def test_aligning_a_zero_state_returns_a_copy():
+    zero = np.zeros(4, dtype=complex)
+    shown = align_global_phase(zero)
+    assert np.array_equal(shown, zero) and not np.shares_memory(shown, zero)

@@ -77,10 +77,11 @@ def all_levels_run(model, config, phi0):
     energies, d = model.spectrum.overlaps(phi0)
     ground = energies - energies.min() <= DEGENERACY_ATOL
     args = (config.epsilon0, config.coupling, config.tau, config.trotter_steps)
-    step = step_propagator(energies, *args)
+    _, c_1 = step_propagator(energies, *args)
     rows = []
     for _ in range(config.max_iterations):
-        p_exc, _, excited = step(d)
+        excited = d * c_1
+        p_exc = min(float(np.sum(np.abs(excited) ** 2)), 1.0)
         if p_exc < ZERO_BRANCH_ATOL:
             rows.append((p_exc, None, None))
             break
@@ -118,11 +119,12 @@ def restepping_run(model, config, phi0):
     support = np.flatnonzero(d0)
     ground = (energies - energies.min() <= DEGENERACY_ATOL)[support]
     args = (config.epsilon0, config.coupling, config.tau, config.trotter_steps)
-    step = step_propagator(energies[support], *args)
+    c_0, c_1 = step_propagator(energies[support], *args)
     rng = np.random.default_rng(config.seed)
     rows, restarts, streak, d = [], 0, 0, d0[support]
     while streak < config.max_iterations:
-        p_exc, d_ground, d_excited = step(d)
+        d_ground, d_excited = d * c_0, d * c_1
+        p_exc = min(float(np.sum(np.abs(d_excited) ** 2)), 1.0)
         excited = rng.random() < p_exc
         d = d_excited if excited else d_ground
         d = d / np.linalg.norm(d)

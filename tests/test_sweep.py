@@ -10,6 +10,7 @@ from rescool.sweep import (
     SweepResult,
     _estimate,
     _exact_curve,
+    _quadratic_vertex,
     render_csv,
     scan,
 )
@@ -210,3 +211,11 @@ def test_write_csv_failure_leaves_no_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert not missing_dir.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_flat_top_keeps_the_grid_argmax():
+    # three equal probabilities around the argmax: the parabola has no vertex
+    grid = np.linspace(0.9, 1.1, 5)
+    probs = np.array([0.1, 0.5, 0.5, 0.5, 0.1])
+    assert _quadratic_vertex(grid, probs, 2) == grid[2]
+    assert _quadratic_vertex(grid, probs + np.array([0, 0, 0, 1e-3, 0]), 3) != grid[3]

@@ -7,7 +7,7 @@ Each argv in ARGVS runs in its own subprocess, one at a time, as
 PYTHONPATH=<checkout>/src, RC_SEED unset and <outdir> as the working
 directory, so a `file:` model names the same relative path in every run.
 Invocation i leaves <i>.code, <i>.out and <i>.err in <outdir>, next to
-argvs.txt (line i is argv i) and the matrix files the `file:` cases read.
+argvs.txt (line i is argv i) and the files the `file:` and `--config` cases read.
 `diff -r` of two output directories is then the reference diff, and
 tools/compare_outputs.py the same diff with last-digit rounding allowed.
 
@@ -61,14 +61,22 @@ def three_block_matrix(n: int = 16) -> str:
     return "\n".join(rows) + "\n"
 
 
-# name -> matrix or state file text, written into <outdir>: two matrices that are not
-# 2^n x 2^n, two that are, and an equal mix of four basis states
+# name -> matrix, state or config file text, written into <outdir>: two matrices that are not
+# 2^n x 2^n, two that are, and an equal mix of four basis states; then CONFIG_FILES' inputs:
+# README_QUICKSTART[3] as key=value lines, a misspelled key, a line without "=", a boolean
+# that is neither true nor false, and an amplitude line with no imaginary part
 MATRIX_FILES = {
     "h1.txt": "dim 1\n1,0\n",
     "h3.txt": "dim 3\n1,0 0,0 0,0\n0,0 2,0 0,0\n0,0 0,0 3,0\n",
     "h4.txt": "dim 4\n0,0 1,0 0,0 0,0\n1,0 0,0 0,0 0,0\n0,0 0,0 2,0 0,1\n0,0 0,0 0,-1 3,0\n",
     "h16.txt": three_block_matrix(),
     "mix4.txt": "0.5,0\n" * 4,
+    "cool.cfg": "# the quickstart's exact run\nmodel = aklt1\ninit = 1100\nauto_epsilon = true\n"
+    "iters = 2  # excited outcomes\ntarget_known = yes\n",
+    "modle.cfg": "modle = aklt1\n",
+    "nokey.cfg": "model aklt1\n",
+    "maybe.cfg": "model = aklt1\ninit = 1100\nauto_epsilon = true\ntarget_known = maybe\n",
+    "amp0.txt": "1,0\n0\n",
 }
 
 README_QUICKSTART = [
@@ -173,6 +181,16 @@ MANY_RESTARTS = [
     " --target-known",
 ]
 
+# settings read from files: the good config prints what README_QUICKSTART[3] prints; the
+# others exit 2, the bad boolean before the run, so it prints no report
+CONFIG_FILES = [
+    "cool --config cool.cfg",
+    "cool --config modle.cfg",
+    "cool --config nokey.cfg",
+    "cool --config maybe.cfg",
+    "cool --model aklt1 --init file:amp0.txt --epsilon0 1",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -185,6 +203,7 @@ ARGVS = (
     + UNTOUCHED_LEVELS
     + EXIT_CODES
     + MANY_RESTARTS
+    + CONFIG_FILES
 )
 
 
