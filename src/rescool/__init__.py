@@ -21,13 +21,7 @@ from .cooling import (
     success_probability_bound,
 )
 from .evolution import block_amplitudes
-from .hamiltonian import (
-    AlgorithmConfig,
-    SizeCap,
-    SystemModel,
-    load_matrix_file,
-    save_matrix_file,
-)
+from .hamiltonian import AlgorithmConfig
 from .linalg import (
     DimensionMismatch,
     EigenSystem,
@@ -38,10 +32,14 @@ from .linalg import (
     propagator,
 )
 from .models import (
+    SizeCap,
+    SystemModel,
     build_aklt,
     build_diagonal,
     from_registry,
     ground_truth,
+    load_matrix_file,
+    save_matrix_file,
 )
 from .sweep import (
     FlatCurve,

@@ -16,8 +16,8 @@ from functools import cache
 import numpy as np
 
 from .cooling import RestartCapExceeded, render_report, run_algorithm
-from .hamiltonian import AlgorithmConfig, SystemModel, write_atomic
-from .models import from_registry
+from .hamiltonian import AlgorithmConfig, write_atomic
+from .models import SystemModel, from_registry
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
 

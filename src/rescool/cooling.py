@@ -19,7 +19,7 @@ from math import hypot, inf, pi, sqrt
 import numpy as np
 
 from .evolution import block_amplitudes, require_finite_block_phase, step_propagator
-from .hamiltonian import AlgorithmConfig, SystemModel
+from .hamiltonian import AlgorithmConfig
 from .linalg import (
     DimensionMismatch,
     fidelity,
@@ -27,7 +27,7 @@ from .linalg import (
     require_finite_phase,
     require_normalized,
 )
-from .models import DEGENERACY_ATOL
+from .models import DEGENERACY_ATOL, SystemModel
 
 ZERO_BRANCH_ATOL = 1e-15
 SLOW_PURIFICATION_FACTOR = 5.0

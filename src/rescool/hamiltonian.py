@@ -1,4 +1,4 @@
-"""The register layout, run configuration, file I/O.
+"""The register layout, the run configuration and the atomic writer.
 
 The register is (probe ancilla) x (tag ancilla) x (n system qubits) with the
 probe most significant: basis index a1*2^(n+1) + a2*2^n + s.  The assembled
@@ -22,67 +22,11 @@ from __future__ import annotations
 import os
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property
 from math import copysign, inf, isfinite, pi
 
 import numpy as np
 
-from .linalg import DimensionMismatch, EigenSystem, hermitian_eig, require_hermitian
-
-# Largest 4N the dense register oracle may build, so N <= 1024.  A run builds
-# no register.  A matrix model's largest array is H_S, 8 MiB in float64 at the
-# cap; an AKLT run forms no N x N array (aklt4's eigenvector blocks take 0.16 MiB).
-REGISTER_CAP = 2**12
-
-
-class SizeCap(ValueError):
-    """The 4N-dimensional register would exceed REGISTER_CAP."""
-
-
-def require_register_fits(n_dim: int) -> None:
-    """Refuse an N-dimensional system before anything of its size is allocated."""
-    if 4 * n_dim > REGISTER_CAP:
-        raise SizeCap(f"register dimension {4 * n_dim} exceeds the cap {REGISTER_CAP}")
-
-
-@dataclass(frozen=True, eq=False)
-class SystemModel:
-    """A system is its Hamiltonian H_S, Hermitian and 2^n x 2^n with n >= 1.
-
-    A model built from a matrix reads dimension and n_qubits off h_s.  The
-    size cap runs on its shape before h_s is converted or copied, and the
-    2^n rule is checked here only.  spectrum is computed on first read and
-    kept, so every reader of one model (ground truth, a0, the step, the
-    sweep curve) shares one decomposition, and building one solves nothing;
-    here it is hermitian_eig(h_s).  models.build_aklt's chains override all
-    three: spectrum is solved in the pair basis, and the dense h_s is formed
-    only when read, never by == or hash, which go by identity.
-    """
-
-    h_s: np.ndarray
-    label: str = ""
-
-    def __post_init__(self):
-        require_register_fits(max(np.shape(self.h_s), default=0))
-        h = require_hermitian(self.h_s)
-        if h.shape[0] < 2 or h.shape[0] & (h.shape[0] - 1):
-            raise DimensionMismatch(
-                f"{self.label or 'h_s'} is {h.shape[0]}-dimensional, not 2^n with n >= 1"
-            )
-        object.__setattr__(self, "h_s", h)
-
-    @cached_property
-    def spectrum(self) -> EigenSystem:
-        return hermitian_eig(self.h_s)
-
-    @property
-    def dimension(self) -> int:
-        return self.h_s.shape[0]
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dimension.bit_length() - 1
-
+from .linalg import require_hermitian
 
 @dataclass
 class AlgorithmConfig:
@@ -157,49 +101,6 @@ def split_parts(h_s: np.ndarray, epsilon0: float, coupling: float) -> tuple[np.n
     part_a collects the two commuting energy terms, part_b the transverse coupling.
     """
     return _register_parts(require_hermitian(h_s), epsilon0, coupling)
-
-
-def load_matrix_file(path: str) -> np.ndarray:
-    """Read a matrix file: header "dim N", then N rows of N "re,im" tokens.
-
-    The register cap is checked on N before any row is read.
-    """
-    with open(path, encoding="ascii") as fh:
-        rows = (ln.strip() for ln in fh if ln.strip())
-        header = next(rows, "")
-        if not header.startswith("dim "):
-            raise ValueError(f"{path}: missing 'dim N' header")
-        try:
-            n_dim = int(header.split()[1])
-        except (IndexError, ValueError) as exc:
-            raise ValueError(f"{path}: bad dimension header {header!r}") from exc
-        require_register_fits(n_dim)
-        lines = list(rows)
-    if len(lines) != n_dim:
-        raise ValueError(f"{path}: expected {n_dim} rows, found {len(lines)}")
-    out = np.zeros((n_dim, n_dim), dtype=complex)
-    for i, ln in enumerate(lines):
-        tokens = ln.split()
-        if len(tokens) != n_dim:
-            raise ValueError(f"{path}: row {i} has {len(tokens)} entries, expected {n_dim}")
-        for j, tok in enumerate(tokens):
-            try:
-                re_s, im_s = tok.split(",")
-                out[i, j] = complex(float(re_s), float(im_s))
-            except ValueError as exc:
-                raise ValueError(f"{path}: bad entry {tok!r} at row {i}, col {j}") from exc
-    return out
-
-
-def save_matrix_file(path: str, matrix: np.ndarray) -> None:
-    """Write a matrix in the load_matrix_file format."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DimensionMismatch(f"matrix file needs a square matrix, got {m.shape}")
-    rows = [f"dim {m.shape[0]}"]
-    for i in range(m.shape[0]):
-        rows.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in m[i]))
-    write_atomic(path, "\n".join(rows) + "\n")
 
 
 def write_atomic(path: str, body: str) -> None:

@@ -1,5 +1,6 @@
-"""Built-in system Hamiltonians, the exact-diagonalization ground truth, and
-the AKLT valence-bond ground state, which needs no diagonalization.
+"""The system model, its size cap and matrix-file format, the built-in
+Hamiltonians, the exact-diagonalization ground truth, and the AKLT
+valence-bond ground state, which needs no diagonalization.
 
 The AKLT chain puts each spin-1 site on two qubits via S = s_a + s_b.  Qubit
 order is [left spin-1/2, pair 1, ..., pair n_bulk, right spin-1/2] with the
@@ -22,10 +23,66 @@ from typing import Callable
 
 import numpy as np
 
-from .hamiltonian import SystemModel, load_matrix_file, require_register_fits
-from .linalg import EigenSystem, solve_entries
+from .hamiltonian import write_atomic
+from .linalg import (
+    DimensionMismatch,
+    EigenSystem,
+    hermitian_eig,
+    require_hermitian,
+    solve_entries,
+)
 
 DEGENERACY_ATOL = 1e-9
+# Largest 4N the dense register oracle may build, so N <= 1024.  A run builds
+# no register.  A matrix model's largest array is H_S, 8 MiB in float64 at the
+# cap; an AKLT run forms no N x N array (aklt4's eigenvector blocks take 0.16 MiB).
+REGISTER_CAP = 2**12
+
+
+class SizeCap(ValueError):
+    """The 4N-dimensional register would exceed REGISTER_CAP."""
+
+
+def require_register_fits(n_dim: int) -> None:
+    """Refuse an N-dimensional system before anything of its size is allocated."""
+    if 4 * n_dim > REGISTER_CAP:
+        raise SizeCap(f"register dimension {4 * n_dim} exceeds the cap {REGISTER_CAP}")
+
+
+class SystemModel:
+    """A system is its Hamiltonian H_S, Hermitian and 2^n x 2^n with n >= 1.
+
+    A model built from a matrix reads dimension off h_s.  The size cap runs
+    on its shape before h_s is converted or copied, and the 2^n rule is
+    checked here only.  spectrum is computed on first read and kept, so
+    every reader of one model (ground truth, a0, the step, the sweep curve)
+    shares one decomposition, and building one solves nothing; here it is
+    hermitian_eig(h_s).  build_aklt's chains override both: spectrum is
+    solved in the pair basis, and the dense h_s is formed only when read,
+    never by repr, == or hash, which go by label and by identity.
+    """
+
+    def __init__(self, h_s: np.ndarray, label: str = ""):
+        require_register_fits(max(np.shape(h_s), default=0))
+        h = require_hermitian(h_s)
+        if h.shape[0] < 2 or h.shape[0] & (h.shape[0] - 1):
+            raise DimensionMismatch(
+                f"{label or 'h_s'} is {h.shape[0]}-dimensional, not 2^n with n >= 1"
+            )
+        self.h_s = h
+        self.label = label
+        self.dimension = h.shape[0]
+
+    @cached_property
+    def spectrum(self) -> EigenSystem:
+        return hermitian_eig(self.h_s)
+
+    @property
+    def n_qubits(self) -> int:
+        return self.dimension.bit_length() - 1
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.label!r})"
 
 
 def _swap(n_qubits: int, i: int, j: int) -> np.ndarray:
@@ -132,8 +189,9 @@ class _Chain(SystemModel):
     """build_aklt's model: its spectrum is solved in the pair basis, h_s formed only when read."""
 
     def __init__(self, n_bulk: int):
-        object.__setattr__(self, "label", f"aklt{n_bulk}")
-        object.__setattr__(self, "n_bulk", n_bulk)
+        self.label = f"aklt{n_bulk}"
+        self.n_bulk = n_bulk
+        self.dimension = 4 ** (n_bulk + 1)
 
     @cached_property
     def h_s(self) -> np.ndarray:
@@ -144,13 +202,6 @@ class _Chain(SystemModel):
         rows, cols, twelve = _place(self.n_bulk, _PAIR_TERMS)
         label = np.arange(self.dimension)
         return solve_entries(label, rows, cols, twelve / 12, _pair_rotation(self.n_bulk))
-
-    @property
-    def dimension(self) -> int:
-        return 4 ** (self.n_bulk + 1)
-
-    def __repr__(self) -> str:  # the dataclass repr would form h_s to print it
-        return f"_Chain({self.label!r})"
 
 
 def build_aklt(n_bulk: int) -> SystemModel:
@@ -234,3 +285,46 @@ def from_registry(name: str) -> SystemModel:
     if name.startswith("file:"):
         return SystemModel(load_matrix_file(name[5:]), label=name)
     raise ValueError(f"unknown model name {name!r}")
+
+
+def load_matrix_file(path: str) -> np.ndarray:
+    """Read a matrix file: header "dim N", then N rows of N "re,im" tokens.
+
+    The register cap is checked on N before any row is read.
+    """
+    with open(path, encoding="ascii") as fh:
+        rows = (ln.strip() for ln in fh if ln.strip())
+        header = next(rows, "")
+        if not header.startswith("dim "):
+            raise ValueError(f"{path}: missing 'dim N' header")
+        try:
+            n_dim = int(header.split()[1])
+        except (IndexError, ValueError) as exc:
+            raise ValueError(f"{path}: bad dimension header {header!r}") from exc
+        require_register_fits(n_dim)
+        lines = list(rows)
+    if len(lines) != n_dim:
+        raise ValueError(f"{path}: expected {n_dim} rows, found {len(lines)}")
+    out = np.zeros((n_dim, n_dim), dtype=complex)
+    for i, ln in enumerate(lines):
+        tokens = ln.split()
+        if len(tokens) != n_dim:
+            raise ValueError(f"{path}: row {i} has {len(tokens)} entries, expected {n_dim}")
+        for j, tok in enumerate(tokens):
+            try:
+                re_s, im_s = tok.split(",")
+                out[i, j] = complex(float(re_s), float(im_s))
+            except ValueError as exc:
+                raise ValueError(f"{path}: bad entry {tok!r} at row {i}, col {j}") from exc
+    return out
+
+
+def save_matrix_file(path: str, matrix: np.ndarray) -> None:
+    """Write a matrix in the load_matrix_file format."""
+    m = np.asarray(matrix, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionMismatch(f"matrix file needs a square matrix, got {m.shape}")
+    rows = [f"dim {m.shape[0]}"]
+    for i in range(m.shape[0]):
+        rows.append(" ".join(f"{z.real:.17g},{z.imag:.17g}" for z in m[i]))
+    write_atomic(path, "\n".join(rows) + "\n")

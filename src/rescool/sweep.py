@@ -15,12 +15,17 @@ from math import inf, pi, sqrt
 import numpy as np
 
 from .evolution import _block_sine, require_finite_block_phase
-from .hamiltonian import SystemModel
 from .linalg import require_normalized
+from .models import SystemModel
 
 FLAT_CURVE_FLOOR = 1e-12
 # Grid points per broadcast: at most 2^16 amplitudes, 512 KiB of float, per array.
 CHUNK_AMPLITUDES = 2**16
+# Largest grid: a million points, an aklt1 sweep with its CSV written to a
+# file, peaked at 264 MB RSS end to end (55 MB at 1e5), mostly render_csv's
+# ~200 B per row.  Allocations succeed under overcommit until the process
+# is killed, so the count is refused before anything grid-sized exists.
+POINTS_CAP = 10**6
 
 
 class FlatCurve(RuntimeError):
@@ -47,8 +52,8 @@ class SweepConfig:
         # Each condition is written so that NaN and infinities fail it.
         if not -inf < self.eps_min < self.eps_max < inf:
             raise ValueError(f"need eps_min < eps_max, got [{self.eps_min}, {self.eps_max}]")
-        if self.points < 2:
-            raise ValueError(f"need at least 2 grid points, got {self.points}")
+        if not 2 <= self.points <= POINTS_CAP:
+            raise ValueError(f"need 2 to {POINTS_CAP} grid points, got {self.points}")
         # Generator.binomial takes an int64 trial count.
         if not 0 <= self.shots <= np.iinfo(np.int64).max:
             raise ValueError(f"shots must be in [0, 2**63 - 1], got {self.shots}")

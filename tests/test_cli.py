@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from rescool.cli import build_parser, main
 from rescool.models import from_registry, ground_truth
+from rescool.sweep import POINTS_CAP
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -560,18 +562,35 @@ def test_many_trotter_steps_run_and_approach_the_exact_step(capsys, steps):
 
 
 def test_a_request_too_large_to_allocate_is_a_usage_error(capsys, monkeypatch):
-    # numpy raises MemoryError when, say, --points asks for a terabyte grid;
-    # the stand-in raises it without allocating
+    # numpy raises MemoryError when an allocation fails outright; the
+    # stand-in raises it on an admitted grid without allocating
     def refuse(*args):
         raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
     monkeypatch.setattr("rescool.cli.scan", refuse)
     code, out, err = run_cli(
-        capsys, "sweep", "--model", "aklt1", "--init", "1100", "--points", "1000000000000"
+        capsys, "sweep", "--model", "aklt1", "--init", "1100", "--points", str(POINTS_CAP)
     )
     assert code == 2
     assert out == ""
     assert err == "error: out of memory: Unable to allocate 7.28 TiB for an array\n"
+
+
+def test_a_grid_over_the_points_cap_is_refused_before_it_is_allocated(capsys):
+    # overcommit lets each grid-sized array succeed until the process is
+    # killed, so the count is refused first
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "sweep", "--model", "aklt1", "--init", "1100", "--points", str(POINTS_CAP + 1)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need 2 to {POINTS_CAP} grid points, got {POINTS_CAP + 1}\n"
+    assert peak < 2**20
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -5,22 +5,20 @@ import numpy as np
 import pytest
 
 from rescool.cli import main
-from rescool.hamiltonian import (
-    AlgorithmConfig,
-    SizeCap,
-    SystemModel,
-    assemble_hamiltonian,
-    load_matrix_file,
-    save_matrix_file,
-    split_parts,
-    write_atomic,
-)
+from rescool.hamiltonian import AlgorithmConfig, assemble_hamiltonian, split_parts, write_atomic
 from rescool.linalg import (
     DimensionMismatch,
     NotHermitian,
     propagator,
 )
-from rescool.models import build_aklt, build_diagonal
+from rescool.models import (
+    SizeCap,
+    SystemModel,
+    build_aklt,
+    build_diagonal,
+    load_matrix_file,
+    save_matrix_file,
+)
 
 # The test's own operators, so the Kronecker reference shares no code with src/.
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]])

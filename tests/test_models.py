@@ -7,13 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rescool import models
-from rescool.hamiltonian import SizeCap, save_matrix_file
 from rescool.linalg import DimensionMismatch, hermitian_eig
 from rescool.models import (
+    SizeCap,
+    SystemModel,
     build_aklt,
     build_diagonal,
     from_registry,
     ground_truth,
+    save_matrix_file,
     valence_bond_state,
 )
 
@@ -191,6 +193,33 @@ def test_comparing_hashing_or_printing_a_chain_forms_no_dense_h_s(monkeypatch):
     assert "h_s" not in vars(model)
     diag = build_diagonal([0.0, 1.0])
     assert diag == diag and diag != build_diagonal([0.0, 1.0]) and hash(diag) == hash(diag)
+
+
+def refuse_solve(*args):
+    raise AssertionError("a spectrum was solved")
+
+
+@pytest.mark.parametrize(
+    "build, text, dimension, n_qubits",
+    [
+        (lambda: build_aklt(2), "_Chain('aklt2')", 64, 6),
+        (lambda: SystemModel(np.diag(np.arange(4.0)), "levels2"), "SystemModel('levels2')", 4, 2),
+    ],
+    ids=["chain", "matrix"],
+)
+def test_a_model_prints_by_label_and_compares_by_identity_without_solving(
+    monkeypatch, build, text, dimension, n_qubits
+):
+    # one repr, ==, hash, dimension and n_qubits serve both kinds of model
+    monkeypatch.setattr(models, "_dense_aklt", refuse_dense)
+    monkeypatch.setattr(models, "hermitian_eig", refuse_solve)
+    monkeypatch.setattr(models, "solve_entries", refuse_solve)
+    model, twin = build(), build()
+    assert repr(model) == str(model) == text
+    assert model == model and model != twin and hash(model) == hash(model)
+    assert len({model, model, twin}) == 2
+    assert (model.dimension, model.n_qubits) == (dimension, n_qubits)
+    assert "spectrum" not in vars(model)
 
 
 def test_three_spin_chain_singlet_sector():

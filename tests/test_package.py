@@ -72,6 +72,27 @@ def test_register_internals_stay_in_their_modules(module, name):
     assert callable(getattr(importlib.import_module(f"rescool.{module}"), name))
 
 
+def test_the_names_the_benchmark_reads_stay_bound():
+    # the benchmark harness drives and traces the program through these names
+    from rescool import cli, hamiltonian, linalg
+
+    assert rescool.propagator is linalg.propagator
+    assert callable(hamiltonian.split_parts)
+    assert len(rescool.success_probability_bound(0.5, 1.0, 0.05, 2)) == 2
+    for name in (
+        "from_registry",
+        "ground_truth",
+        "ground_overlap",
+        "hermitian_eig",
+        "compute_a0",
+        "run_algorithm",
+        "AlgorithmConfig",
+        "RestartCapExceeded",
+    ):
+        assert callable(getattr(rescool, name)), name
+    assert callable(cli.main)
+
+
 def test_importing_the_cli_leaves_the_verification_suite_unloaded():
     # a sweep or cool request needs nothing of the suite; verify imports it
     code = "import sys, rescool, rescool.cli; print('rescool.acceptance' in sys.modules)"

@@ -10,8 +10,14 @@ import pytest
 from rescool import cooling, evolution, sweep
 from rescool.cooling import ZERO_BRANCH_ATOL, ZeroBranch, run_algorithm
 from rescool.evolution import block_amplitudes, step_propagator
-from rescool.hamiltonian import AlgorithmConfig, save_matrix_file
-from rescool.models import DEGENERACY_ATOL, build_aklt, build_diagonal, from_registry
+from rescool.hamiltonian import AlgorithmConfig
+from rescool.models import (
+    DEGENERACY_ATOL,
+    build_aklt,
+    build_diagonal,
+    from_registry,
+    save_matrix_file,
+)
 from rescool.sweep import CHUNK_AMPLITUDES, SweepConfig, _exact_curve, scan
 
 COUPLING = 0.05

@@ -5,6 +5,7 @@ from rescool.cli import main
 from rescool.linalg import DimensionMismatch, NotNormalized
 from rescool.models import build_aklt, build_diagonal, ground_truth
 from rescool.sweep import (
+    POINTS_CAP,
     FlatCurve,
     SweepConfig,
     SweepResult,
@@ -162,6 +163,9 @@ def test_sweep_config_validation():
         SweepConfig(eps_min=1.2, eps_max=0.8, points=10)
     with pytest.raises(ValueError):
         SweepConfig(eps_min=0.8, eps_max=1.2, points=1)
+    with pytest.raises(ValueError, match=f"^need 2 to {POINTS_CAP} grid points, got"):
+        SweepConfig(eps_min=0.8, eps_max=1.2, points=POINTS_CAP + 1)
+    assert SweepConfig(eps_min=0.8, eps_max=1.2, points=POINTS_CAP).points == POINTS_CAP
     with pytest.raises(ValueError):
         SweepConfig(eps_min=0.8, eps_max=1.2, points=10, shots=-1)
     with pytest.raises(ValueError):
