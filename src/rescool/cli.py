@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or configuration
 (a request too large to allocate included), 3 flat sweep curve, 4 restart
-cap exceeded.  RC_SEED in the environment overrides --seed; a --config file
-supplies key=value defaults that explicit flags override.  Output files are
-written atomically, so a failed run never leaves a partial file behind.
+cap exceeded.  A --config file supplies key=value defaults that explicit
+flags override.  Output files are written atomically, so a failed run never
+leaves a partial file behind.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from functools import cache
 
@@ -56,16 +55,6 @@ def _as_bool(text: str) -> bool:
     if lowered in ("0", "false", "no", "off"):
         return False
     raise ValueError(f"bad boolean {text!r}")
-
-
-def _resolve_seed(args) -> int:
-    env = os.environ.get("RC_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValueError(f"RC_SEED={env!r} is not an integer") from exc
-    return int(_effective(args, "seed", int, 0))
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -133,7 +122,7 @@ def cmd_sweep(args) -> int:
         shots=int(_effective(args, "shots", int, 0)),
         coupling=float(_effective(args, "c", float, 0.05)),
         tau=_effective(args, "tau", float, None),
-        seed=_resolve_seed(args),
+        seed=int(_effective(args, "seed", int, 0)),
     )
     result = scan(model, config, phi0)
     _write_text(_effective(args, "out", str, None), render_csv(result))
@@ -161,7 +150,7 @@ def cmd_cool(args) -> int:
         tau=_effective(args, "tau", float, None),
         trotter_steps=int(_effective(args, "trotter_steps", int, 0)),
         max_iterations=int(_effective(args, "iters", int, 1)),
-        seed=_resolve_seed(args),
+        seed=int(_effective(args, "seed", int, 0)),
         mode=str(_effective(args, "mode", str, "post-selected")),
         restart_cap=int(_effective(args, "restart_cap", int, 1000)),
     )
@@ -195,7 +184,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument("--c", type=float, help="coupling strength (default 0.05)")
     sub.add_argument("--tau", type=float, help="evolution time (default pi/(2c))")
-    sub.add_argument("--seed", type=int, help="RNG seed (default 0; RC_SEED overrides)")
+    sub.add_argument("--seed", type=int, help="RNG seed (default 0)")
     sub.add_argument("--out", help="output file, written atomically (default stdout)")
     sub.add_argument(
         "--config",

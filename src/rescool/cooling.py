@@ -18,13 +18,13 @@ from math import hypot, inf, pi, sqrt
 
 import numpy as np
 
-from .evolution import block_amplitudes, require_finite_block_phase, step_propagator
+from .evolution import block_amplitudes, step_propagator
 from .hamiltonian import AlgorithmConfig
 from .linalg import (
     DimensionMismatch,
     fidelity,
     align_global_phase,
-    require_finite_phase,
+    require_finite_block_phase,
     require_normalized,
 )
 from .models import DEGENERACY_ATOL, SystemModel
@@ -107,8 +107,8 @@ def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
 def _level_facts(energies: np.ndarray, d: np.ndarray, c: float):
     """(ground mask, d1_sq, a0 as compute_a0 defines it, lowest excitation gap) of overlaps d."""
     tau = pi / (2.0 * c)
-    require_finite_phase(energies, tau)
     e1 = float(energies.min())
+    require_finite_block_phase(energies, e1 + 1.0, c, tau)
     ground = energies - e1 <= DEGENERACY_ATOL
     delta_min = float(np.min(energies[~ground], initial=inf)) - e1
     d1_sq = float(np.sum(np.abs(d[ground]) ** 2))
@@ -129,8 +129,8 @@ def compute_a0(model: SystemModel, phi0, c: float) -> float:
     tau = pi/(2c)).  Degenerate ground levels pool into |d_1|^2.  A state
     with no ground-space weight gets a0 = inf: such a run can never purify,
     but it is still a legal thing to simulate.  It raises for c <= 0 first,
-    then for a state of the wrong size, then for a phase E_j tau that is not
-    finite; run_algorithm takes the same a0 from its own overlaps.
+    then for a state of the wrong size, then for a phase of that step's blocks
+    that is not finite; run_algorithm takes the same a0 from its own overlaps.
     """
     if not c > 0:
         raise ValueError(f"coupling must be positive, got {c}")
@@ -181,11 +181,9 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
     else:
         succ_bound = 0.0
     support = np.flatnonzero(d0)
-    if config.max_iterations:  # every level's phase over one slice, before any amplitude on S
-        slices = max(min(config.trotter_steps, 1e308), 1)  # a count the split refuses fails there
-        args = (config.epsilon0, config.coupling)
-        require_finite_block_phase(energies, *args, config.tau / slices)
-        c_0, c_1 = step_propagator(energies[support], *args, config.tau, config.trotter_steps)
+    if config.max_iterations:
+        args = (config.epsilon0, config.coupling, config.tau, config.trotter_steps)
+        c_0, c_1 = step_propagator(energies, *args, support)
         require_normalized(d0)  # the eigenbasis crossing, once the step's refusals have run
     table = []  # the k-th step's (p_excited, d c_0, d c_1), formed when the walk first reaches it
     branches = {}  # (k, outcome) -> normalized d after the k-th outcome, formed when first drawn

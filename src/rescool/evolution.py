@@ -7,10 +7,10 @@ d_j c_j0 on |00 chi_j> and d_j c_j1 on |11 chi_j>.  block_amplitudes gives
 (c_j0, c_j1) exactly and trotter_amplitudes through the first-order split
 [exp(-iA tau/L) exp(-iB tau/L)]^L (A the commuting energy terms, B the
 transverse coupling), both as one closed-form SU(2) rotation per level.
-step_propagator returns a step as that pair on the levels it is given, once
-every level is checked to conserve its weight; the step maps overlaps to
-overlaps and never leaves the eigenbasis.  Cooling and the checks take every
-step from it, and none builds the 4N register.
+step_propagator returns a step as that pair on the levels it is asked for,
+once every level's phase is refused and each formed one keeps its weight;
+the step maps overlaps to overlaps and never leaves the eigenbasis.
+Cooling and the checks take every step from it; none builds the 4N register.
 trotter_propagator forms the split on the whole register, one dense
 matrix_power of two linalg.propagator factors, as the oracle the per-level
 split is checked against.
@@ -21,18 +21,13 @@ from operator import index
 
 import numpy as np
 
-from .linalg import NORM_ATOL, DimensionMismatch, NotNormalized, propagator, require_finite_phase
-
-
-def require_finite_block_phase(energies, epsilon0, coupling, t) -> None:
-    """ValueError unless every phase the levels' 2x2 blocks form in time t is finite.
-
-    Both eigenvalues of a block, and every intermediate that block_amplitudes
-    and trotter_amplitudes form, lie within |E_j| + |eps0| + c + 1 of zero.
-    """
-    # summed as Python floats, which overflow to inf without a warning
-    bound = float(np.abs(energies).max()) + float(abs(epsilon0)) + float(coupling) + 1.0
-    require_finite_phase(bound, t)
+from .linalg import (
+    NORM_ATOL,
+    DimensionMismatch,
+    NotNormalized,
+    propagator,
+    require_finite_block_phase,
+)
 
 
 def _block_sine(energies, epsilon0, c, tau) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -113,22 +108,25 @@ def trotter_propagator(part_a, part_b, tau: float, l: int) -> np.ndarray:
     return np.linalg.matrix_power(factor, l)
 
 
-def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0):
-    """One step's first columns (c_0, c_1) on 1-D level energies; 0 Trotter steps is exact.
+def step_propagator(energies, epsilon0, coupling, tau, trotter_steps: int = 0, levels=slice(None)):
+    """One step's first columns (c_0, c_1) on energies[levels]; 0 Trotter steps is exact.
 
-    One complex entry per level: from block_amplitudes, or trotter_amplitudes
-    at trotter_steps slices.  A step multiplies each overlap d_j by c_j0 onto
-    |00 chi_j> and by c_j1 onto |11 chi_j> (a run passes the levels phi0
-    touches, and refuses the others' phases itself).  It takes
+    One complex entry per level formed: from block_amplitudes, or
+    trotter_amplitudes at trotter_steps slices.  A step multiplies each
+    overlap d_j by c_j0 onto |00 chi_j> and by c_j1 onto |11 chi_j>; a run
+    forms the levels phi0 touches, once every level's phase over one slice
+    is refused (a count the split refuses fails there).  It takes
     block_amplitudes' arguments, any c >= 0 and tau >= 0.  NotNormalized
-    unless every level keeps |c_j0|^2 + |c_j1|^2 = 1 within NORM_ATOL, so a
-    gain on one level cannot hide behind a loss on another.
+    unless every level formed keeps |c_j0|^2 + |c_j1|^2 = 1 within NORM_ATOL,
+    so a gain on one level cannot hide behind a loss on another.
     """
+    one_slice = tau / max(min(trotter_steps, 1e308), 1)
+    require_finite_block_phase(energies, epsilon0, coupling, one_slice)
+    formed = np.asarray(energies)[levels]
     if trotter_steps == 0:
-        require_finite_block_phase(energies, epsilon0, coupling, tau)
-        c_0, c_1 = block_amplitudes(energies, epsilon0, coupling, tau)
+        c_0, c_1 = block_amplitudes(formed, epsilon0, coupling, tau)
     else:
-        c_0, c_1 = trotter_amplitudes(energies, epsilon0, coupling, tau, trotter_steps)
+        c_0, c_1 = trotter_amplitudes(formed, epsilon0, coupling, tau, trotter_steps)
     dev = float(np.max(np.abs(1.0 - np.abs(c_0) ** 2 - np.abs(c_1) ** 2), initial=0.0))
     if not dev <= NORM_ATOL:  # written so that a NaN deviation fails the check
         raise NotNormalized(f"max_j |1 - |c_j0|^2 - |c_j1|^2| = {dev:.3e} exceeds {NORM_ATOL:.1e}")

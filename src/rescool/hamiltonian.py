@@ -28,6 +28,11 @@ import numpy as np
 
 from .linalg import require_hermitian
 
+# Most excited outcomes a run collects, refused before any is formed: each
+# takes ~100 KB on aklt4 from a dense init, which peaked at 90 MB RSS at 500.
+ITERATIONS_CAP = 500
+
+
 @dataclass
 class AlgorithmConfig:
     """Cooling-run parameters.
@@ -60,8 +65,8 @@ class AlgorithmConfig:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
-        if self.max_iterations < 0:
-            raise ValueError("max_iterations must be >= 0")
+        if not 0 <= self.max_iterations <= ITERATIONS_CAP:
+            raise ValueError(f"need 0 to {ITERATIONS_CAP} iterations, got {self.max_iterations}")
         if self.restart_cap < 0:
             raise ValueError("restart_cap must be >= 0")
         if self.mode not in ("stochastic", "post-selected"):

@@ -14,10 +14,11 @@ as index pairs: hermitian_eig lists a dense matrix's exact nonzeros, and a
 model may list its entries in a basis of its own without forming the
 matrix (models.build_aklt's pair basis), then hand the EigenSystem that
 basis as a rotation.  The blocks are the connected components of the
-listed positions, at every size; each block size is gathered into one
-stack, checked for Hermiticity and diagonalized in one batch, within the
-call.  Each block keeps its eigenvectors, in their only form, next to its
-own energies, and no run path forms the dense n x n eigenvector matrix.
+listed positions, at every size; the entries are checked for Hermiticity
+in one pass, and each block size is gathered into one stack and
+diagonalized in one batch.  Each block keeps its eigenvectors, in their
+only form, next to its own energies; no run path forms the dense n x n
+eigenvector matrix.
 All functions are pure and never mutate their arguments.
 """
 from __future__ import annotations
@@ -68,16 +69,14 @@ def _square(h) -> np.ndarray:
     return m
 
 
-def _check_hermitian(stacks) -> None:
-    """Raise NotHermitian unless each square matrix, or stack of them, is finite and Hermitian."""
-    if not all(np.isfinite(s).all() for s in stacks):
+def _check_hermitian(entries, mirror) -> None:
+    """NotHermitian unless each entry is finite and the conjugate of its mirror entry."""
+    if not np.isfinite(entries).all():
         raise NotHermitian("matrix has non-finite entries")
-    dev = 0.0
-    for s in stacks:  # s^dag - s and its magnitude in one array; a real s is not conjugated
-        d = s.swapaxes(-1, -2)
-        d = np.conjugate(d) if np.iscomplexobj(s) else d.copy()
-        d -= s
-        dev = max(dev, float(np.abs(d, out=d).real.max()))
+    d = mirror.copy()  # C-ordered, so no step below buffers; mirror^* - entries, then its magnitude
+    np.conjugate(d, out=d)
+    d -= entries
+    dev = float(np.abs(d, out=d).real.max())
     # Written so that a NaN deviation fails the check.
     if not dev <= HERMITIAN_ATOL:
         raise NotHermitian(f"max|H - H^dag| = {dev:.3e} exceeds {HERMITIAN_ATOL:.1e}")
@@ -85,7 +84,7 @@ def _check_hermitian(stacks) -> None:
 
 def require_hermitian(h) -> np.ndarray:
     m = _square(h)
-    _check_hermitian([m])
+    _check_hermitian(m, m.T)
     return m
 
 
@@ -198,9 +197,10 @@ def solve_entries(label, rows, cols, values, rotation=None) -> EigenSystem:
     _components (label[i] <= i; np.arange(n) when none is known).  Entries at
     one position add up, in order; a position no entry names is zero.  The
     blocks are the components of the listed positions, and each block size
-    is gathered into one stack by a single bincount into a flat buffer,
-    checked for Hermiticity and solved by one batched eigh.  values' dtype
-    is the stacks' dtype.  rotation is passed on to the EigenSystem.
+    is gathered into one stack by a single bincount into a flat buffer and
+    solved by one batched eigh, once every listed entry is checked against
+    its mirror (an unlisted one is zero, the mirror of a listed one).
+    values' dtype is the stacks' dtype.  rotation goes to the EigenSystem.
     """
     groups = _components(label, rows, cols)
     head = np.empty(label.size, dtype=np.intp)  # flat offset of each index's row
@@ -216,8 +216,8 @@ def solve_entries(label, rows, cols, values, rotation=None) -> EigenSystem:
     buffer = np.bincount(flat, weights=values.real, minlength=start)
     if np.iscomplexobj(values):
         buffer = buffer + 1j * np.bincount(flat, weights=values.imag, minlength=start)
+    _check_hermitian(buffer[flat], buffer[head[cols] + place[rows]])
     stacks = [buffer[at : at + k * s * s].reshape(k, s, s) for at, (k, s) in spans]
-    _check_hermitian(stacks)
     return EigenSystem(((idx, *np.linalg.eigh(s)) for idx, s in zip(groups, stacks)), rotation)
 
 
@@ -244,11 +244,12 @@ def hermitian_eig(h) -> EigenSystem:
     return solve_entries(linked.argmax(axis=1), rows, cols, m.ravel()[flat])
 
 
-def require_finite_phase(eigenvalues: np.ndarray, t: float) -> None:
-    """ValueError unless max|E| * t is finite, E any array; Python floats cannot warn."""
-    e_max = float(np.abs(eigenvalues).max())
-    if not isfinite(e_max * t):
-        raise ValueError(f"phase max|E| * t is not finite: max|E| = {e_max:.6g}, t = {t:.6g}")
+def require_finite_block_phase(energies, epsilon0, coupling, t) -> None:
+    """ValueError unless t (max|E_j| + |eps0| + c + 1), which bounds every block phase, is finite."""
+    # summed as Python floats, which overflow to inf without a warning; propagator's c = eps0 = 0
+    bound = float(np.abs(energies).max()) + float(abs(epsilon0)) + float(coupling) + 1.0
+    if not isfinite(bound * t):
+        raise ValueError(f"phase max|E| * t is not finite: max|E| = {bound:.6g}, t = {t:.6g}")
 
 
 def propagator(h, t: float) -> np.ndarray:
@@ -258,10 +259,10 @@ def propagator(h, t: float) -> np.ndarray:
     search, so the oracle shares no code with hermitian_eig and the run path
     it checks.  The spectral form keeps the result unitary to rounding error
     and exact for any t, which the analytic amplitude checks rely on.
-    require_finite_phase runs before any phase is formed.
+    Every phase is refused, as blocks with eps0 = c = 0, before any is formed.
     """
     energies, v = np.linalg.eigh(require_hermitian(h))
-    require_finite_phase(energies, t)
+    require_finite_block_phase(energies, 0.0, 0.0, t)
     return (v * np.exp(-1j * energies * t)) @ v.conj().T
 
 

@@ -14,18 +14,20 @@ from math import inf, pi, sqrt
 
 import numpy as np
 
-from .evolution import _block_sine, require_finite_block_phase
-from .linalg import require_normalized
+from .evolution import _block_sine
+from .linalg import require_finite_block_phase, require_normalized
 from .models import SystemModel
 
 FLAT_CURVE_FLOOR = 1e-12
 # Grid points per broadcast: at most 2^16 amplitudes, 512 KiB of float, per array.
 CHUNK_AMPLITUDES = 2**16
 # Largest grid: a million points, an aklt1 sweep with its CSV written to a
-# file, peaked at 264 MB RSS end to end (55 MB at 1e5), mostly render_csv's
-# ~200 B per row.  Allocations succeed under overcommit until the process
-# is killed, so the count is refused before anything grid-sized exists.
+# file, peaked at 124 MB RSS end to end, mostly the 35 B per row of CSV text
+# held as chunks and joined.  Allocations succeed under overcommit until the
+# process is killed, so the count is refused before anything grid-sized exists.
 POINTS_CAP = 10**6
+# CSV rows per %-format, whose Python floats take ~200 B a row against 35 B of text.
+CSV_CHUNK_ROWS = 2**12
 
 
 class FlatCurve(RuntimeError):
@@ -153,7 +155,11 @@ def _quadratic_vertex(grid: np.ndarray, probs: np.ndarray, k: int) -> float:
 
 def render_csv(result: SweepResult) -> str:
     """CSV text for the curve: header row, one row per grid point."""
-    # one %-format over Python floats, the text f"{x:.12g}" gives, for every row at once
-    cells = np.stack([result.grid, result.probabilities, result.stderr], axis=1).ravel().tolist()
     row = f"%.12g,%.12g,%.12g,{result.shots}\n"
-    return "epsilon0,probability,stderr,shots\n" + row * result.grid.size % tuple(cells)
+    columns = (result.grid, result.probabilities, result.stderr)
+    parts = ["epsilon0,probability,stderr,shots\n"]
+    for lo in range(0, result.grid.size, CSV_CHUNK_ROWS):
+        # one %-format over Python floats, the text f"{x:.12g}" gives, for every row of a chunk
+        cells = np.stack([c[lo : lo + CSV_CHUNK_ROWS] for c in columns], axis=1).ravel().tolist()
+        parts.append(row * (len(cells) // 3) % tuple(cells))
+    return "".join(parts)

@@ -331,30 +331,6 @@ def test_stochastic_restart_counts_are_pinned(capsys, argv, restarts):
     assert outcomes == ["ground"] * restarts + ["excited", "excited"]
 
 
-def test_rc_seed_env_overrides_the_flag(capsys, monkeypatch):
-    args = [
-        "sweep",
-        "--model",
-        "diag:0,2",
-        "--range",
-        "0.8:1.2",
-        "--points",
-        "11",
-        "--shots",
-        "50",
-    ]
-    monkeypatch.setenv("RC_SEED", "5")
-    code, out_env, _ = run_cli(capsys, *args, "--seed", "9")
-    assert code == 0
-    monkeypatch.delenv("RC_SEED")
-    code, out_flag, _ = run_cli(capsys, *args, "--seed", "5")
-    assert code == 0
-    assert out_env == out_flag
-    monkeypatch.setenv("RC_SEED", "not-an-int")
-    code, _, err = run_cli(capsys, *args)
-    assert code == 2
-
-
 def test_config_file_supplies_defaults_but_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# sweep defaults\nmodel=diag:0,2\npoints=21\nrange=0.8:1.2\n")
@@ -529,6 +505,17 @@ def test_non_finite_or_oversized_input_fails_without_output(tmp_path, capsys, ar
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_the_a0_step_refuses_a_phase_its_own_reference_energy_overflows(tmp_path, capsys):
+    # max|E| tau = 1e308 * pi/2 is finite, but the a0 step sits at eps0 = E_1 + 1 = -1e308,
+    # so its blocks' phases reach 2e308 * pi/2
+    init = tmp_path / "init.txt"
+    init.write_text("1,0\n1,0\n")
+    argv = f"cool --model diag:-1e308,0 --init file:{init} --epsilon0 0 --c 1 --iters 1"
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert err == "error: phase max|E| * t is not finite: max|E| = inf, t = 1.5708\n"
 
 
 @pytest.mark.parametrize("steps", ["1" + "0" * 400], ids=["1e400"])

@@ -77,9 +77,9 @@ def test_measurement_of_unevolved_state_has_no_excited_branch(chain, monkeypatch
     assert np.allclose(ground, chi1, atol=1e-12)
     assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
 
-    # the patched step acts on the energies the run passes, the levels chi_1 touches
+    # the patched step forms the levels the run asks for, those chi_1 touches
     def unevolved(energies, *args):
-        return step_propagator(energies, e1 + 1.0, 0.0, 0.0)
+        return step_propagator(energies, e1 + 1.0, 0.0, 0.0, 0, args[-1])
 
     # every attempt reads ground at the streak's first position, until the cap stops the run
     monkeypatch.setattr(cooling, "step_propagator", unevolved)

@@ -287,6 +287,16 @@ def test_config_rejects_bad_parameters(kwargs):
         AlgorithmConfig(**{"epsilon0": 1.0, **kwargs})
 
 
+def test_config_refuses_more_iterations_than_the_cap():
+    # every iteration keeps a state, so the count is refused before a run exists
+    from rescool.hamiltonian import ITERATIONS_CAP
+
+    AlgorithmConfig(epsilon0=1.0, coupling=0.05, max_iterations=ITERATIONS_CAP)
+    over = ITERATIONS_CAP + 1
+    with pytest.raises(ValueError, match=f"^need 0 to {ITERATIONS_CAP} iterations, got {over}$"):
+        AlgorithmConfig(epsilon0=1.0, coupling=0.05, max_iterations=over)
+
+
 def test_system_model_validates_inputs():
     with pytest.raises(NotHermitian):
         SystemModel(np.array([[0.0, 1.0], [0.0, 0.0]]))

@@ -4,8 +4,9 @@
 
 Each argv in ARGVS runs in its own subprocess, one at a time, as
 `python -W error::RuntimeWarning -m rescool <argv>` with
-PYTHONPATH=<checkout>/src, RC_SEED unset and <outdir> as the working
-directory, so a `file:` model names the same relative path in every run.
+PYTHONPATH=<checkout>/src, RC_SEED (a seed override older checkouts read)
+unset and <outdir> as the working directory, so a `file:` model names the
+same relative path in every run.
 Invocation i leaves <i>.code, <i>.out and <i>.err in <outdir>, next to
 argvs.txt (line i is argv i) and the files the `file:` and `--config` cases read.
 `diff -r` of two output directories is then the reference diff, and
