@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 
 from .cooling import RestartCapExceeded, render_report, run_algorithm
-from .hamiltonian import AlgorithmConfig, write_atomic
+from .hamiltonian import RESTARTS_CAP, AlgorithmConfig, write_atomic
 from .models import SystemModel, from_registry
 from .sweep import FlatCurve, SweepConfig, render_csv, scan
 
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--trotter-steps", dest="trotter_steps", type=int, help="Trotter steps, 0 = exact"
     )
     cool_parser.add_argument(
-        "--restart-cap", dest="restart_cap", type=int, help="stochastic restart budget"
+        "--restart-cap", dest="restart_cap", type=int, help=f"restart budget, 0 to {RESTARTS_CAP}"
     )
     cool_parser.add_argument(
         "--target-known",

@@ -4,12 +4,12 @@ One iteration prepares |00>|phi>, evolves for tau = pi/(2c) on the resonance
 eps0 = E_1 + 1, and measures the probe ancilla.  An excited outcome swaps the
 ground component into the |11> sector intact while every excited component is
 suppressed by its detuning, so conditioning on "excited" purifies the system
-toward the ground state.  A ground outcome in stochastic mode discards the
-streak and restarts from the original state.  An iteration multiplies each
-overlap d_j = <chi_j|phi> by c_j0 or c_j1, so every attempt walks one streak,
-d0 c_1^k at position k; a run forms each position's step and drawn branch
-once, on the levels phi0 touches, and crosses the eigenbasis twice: in for
-phi0, out for the at most 2m distinct states its records share.
+toward the ground state.  A stochastic run draws each outcome and restarts
+from the original state on a ground one; a post-selected run draws none.  An
+iteration multiplies each overlap d_j = <chi_j|phi> by c_j0 or c_j1, so every
+attempt walks one streak, d0 c_1^k at position k; a run forms each position's
+step and drawn branch once, on the levels phi0 touches, and crosses the
+eigenbasis twice: in for phi0, out for the at most 2m states its records share.
 """
 from __future__ import annotations
 
@@ -95,15 +95,6 @@ def ground_overlap(target: np.ndarray, phi) -> float:
     return float(np.sum(np.abs(t.conj().T @ vec) ** 2))
 
 
-def measure_first_ancilla(p_excited: float, mode: str, rng) -> bool:
-    """Probe outcome, True for excited: forced when post-selected, else one rng draw."""
-    if mode == "post-selected":
-        return True
-    if mode == "stochastic":
-        return bool(rng.random() < p_excited)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
 def _level_facts(energies: np.ndarray, d: np.ndarray, c: float):
     """(ground mask, d1_sq, a0 as compute_a0 defines it, lowest excitation gap) of overlaps d."""
     tau = pi / (2.0 * c)
@@ -161,17 +152,18 @@ def success_probability_bound(d1_sq: float, a0: float, c: float, m: int) -> tupl
 def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -> CoolingReport:
     """Run until max_iterations consecutive excited outcomes, restarting on failure.
 
-    Post-selected mode forces every outcome and never restarts.  Stochastic
-    mode restarts from phi0 after each ground outcome; RestartCapExceeded
-    aborts once restarts pass config.restart_cap.  max_iterations = 0 yields
-    a report with no iterations (initial bookkeeping only).  A fidelity is the
-    weight of d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
+    Post-selected mode forces every outcome and builds or draws no rng.
+    Stochastic mode draws each outcome from rng, default_rng(config.seed) if
+    None, and restarts from phi0 after a ground one; RestartCapExceeded aborts
+    once restarts pass config.restart_cap.  max_iterations = 0 yields a report
+    with no iterations (initial bookkeeping only).  A fidelity is the weight of
+    d on the ground levels, every E_j - E_1 <= DEGENERACY_ATOL.
     phi0 enters the eigenbasis once; d1_sq, a0 and the flags share its overlaps
     d0.  The streak steps only their support S, once every phase is refused, and
     each position once: a restart walks the same table again from position 0.
     """
     phi0 = require_normalized(phi0)
-    if rng is None:
+    if rng is None and config.mode == "stochastic":
         rng = np.random.default_rng(config.seed)
     energies, d0 = model.spectrum.overlaps(phi0)
     ground, d1_sq, a0, delta_min = _level_facts(energies, d0, config.coupling)
@@ -195,15 +187,16 @@ def run_algorithm(model: SystemModel, config: AlgorithmConfig, phi0, rng=None) -
             d_excited = d * c_1
             table.append((min(float(np.sum(np.abs(d_excited) ** 2)), 1.0), d * c_0, d_excited))
         p_exc, d_ground, d_excited = table[streak]
-        outcome = "excited" if measure_first_ancilla(p_exc, config.mode, rng) else "ground"
+        excited = config.mode == "post-selected" or rng.random() < p_exc  # the probe's outcome
+        outcome = "excited" if excited else "ground"
         key = (streak + 1, outcome)
         if key not in branches:
-            branch, d = (p_exc, d_excited) if outcome == "excited" else (1.0 - p_exc, d_ground)
+            branch, d = (p_exc, d_excited) if excited else (1.0 - p_exc, d_ground)
             if branch < ZERO_BRANCH_ATOL:
                 raise ZeroBranch(f"{outcome} branch has probability {branch:.3e}")
             branches[key] = d / np.linalg.norm(d)
         rows.append(key)
-        if outcome == "excited":
+        if excited:
             streak += 1
         else:
             restarts += 1

@@ -1,4 +1,4 @@
-"""The register layout, the run configuration and the atomic writer.
+"""The register layout, the frozen run configuration and the atomic writer.
 
 The register is (probe ancilla) x (tag ancilla) x (n system qubits) with the
 probe most significant: basis index a1*2^(n+1) + a2*2^n + s.  The assembled
@@ -31,17 +31,20 @@ from .linalg import require_hermitian
 # Most excited outcomes a run collects, refused before any is formed: each
 # takes ~100 KB on aklt4 from a dense init, which peaked at 90 MB RSS at 500.
 ITERATIONS_CAP = 500
+# Most restarts a stochastic run may budget: every draw keeps a record until
+# the run ends, and an aklt4 run that ended after 98942 restarts peaked at 60 MB.
+RESTARTS_CAP = 10**5
 
 
-@dataclass
+@dataclass(frozen=True)
 class AlgorithmConfig:
-    """Cooling-run parameters.
+    """Cooling-run parameters, checked once at construction and immutable after.
 
     tau defaults to pi/(2*coupling), the half period of the resonant
     transfer.  trotter_steps = 0 selects the exact propagator.
-    max_iterations counts the consecutive excited outcomes the run must
-    collect; restart_cap bounds how many failed attempts a stochastic run
-    may discard before giving up.
+    max_iterations (up to ITERATIONS_CAP) counts the consecutive excited
+    outcomes the run must collect; restart_cap (up to RESTARTS_CAP) bounds
+    how many failed attempts a stochastic run may discard before giving up.
     """
 
     epsilon0: float
@@ -60,15 +63,15 @@ class AlgorithmConfig:
         if not 0 < self.coupling < inf:
             raise ValueError(f"coupling must be positive and finite, got {self.coupling}")
         if self.tau is None:
-            self.tau = pi / (2.0 * self.coupling)
+            object.__setattr__(self, "tau", pi / (2.0 * self.coupling))
         if not 0 < self.tau < inf:
             raise ValueError(f"tau must be positive and finite, got {self.tau}")
         if self.trotter_steps < 0:
             raise ValueError("trotter_steps must be >= 0")
         if not 0 <= self.max_iterations <= ITERATIONS_CAP:
             raise ValueError(f"need 0 to {ITERATIONS_CAP} iterations, got {self.max_iterations}")
-        if self.restart_cap < 0:
-            raise ValueError("restart_cap must be >= 0")
+        if not 0 <= self.restart_cap <= RESTARTS_CAP:
+            raise ValueError(f"need 0 to {RESTARTS_CAP} restarts, got {self.restart_cap}")
         if self.mode not in ("stochastic", "post-selected"):
             raise ValueError(f"unknown mode {self.mode!r}")
 

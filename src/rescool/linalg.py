@@ -70,10 +70,10 @@ def _square(h) -> np.ndarray:
 
 
 def _check_hermitian(entries, mirror) -> None:
-    """NotHermitian unless each entry is finite and the conjugate of its mirror entry."""
+    """NotHermitian unless each entry is finite and the conjugate of its entry in mirror()."""
     if not np.isfinite(entries).all():
         raise NotHermitian("matrix has non-finite entries")
-    d = mirror.copy()  # C-ordered, so no step below buffers; mirror^* - entries, then its magnitude
+    d = mirror()  # the caller's own and C-ordered, formed once the mask is freed: overwritten
     np.conjugate(d, out=d)
     d -= entries
     dev = float(np.abs(d, out=d).real.max())
@@ -84,7 +84,7 @@ def _check_hermitian(entries, mirror) -> None:
 
 def require_hermitian(h) -> np.ndarray:
     m = _square(h)
-    _check_hermitian(m, m.T)
+    _check_hermitian(m, m.T.copy)
     return m
 
 
@@ -216,7 +216,7 @@ def solve_entries(label, rows, cols, values, rotation=None) -> EigenSystem:
     buffer = np.bincount(flat, weights=values.real, minlength=start)
     if np.iscomplexobj(values):
         buffer = buffer + 1j * np.bincount(flat, weights=values.imag, minlength=start)
-    _check_hermitian(buffer[flat], buffer[head[cols] + place[rows]])
+    _check_hermitian(buffer[flat], lambda: buffer[head[cols] + place[rows]])
     stacks = [buffer[at : at + k * s * s].reshape(k, s, s) for at, (k, s) in spans]
     return EigenSystem(((idx, *np.linalg.eigh(s)) for idx, s in zip(groups, stacks)), rotation)
 

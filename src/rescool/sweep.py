@@ -5,7 +5,8 @@ resonance eps0 = E_1 + 1, so a grid scan over eps0 followed by an argmax
 reads off the ground energy as peak - 1.  On the model's spectrum that
 probability is sum_j |d_j|^2 |c_j1(eps0)|^2, d = V^dag phi0, one real sum
 over the levels phi0 touches.  Probabilities are exact when shots = 0 and
-binomial estimates otherwise, one RNG stream per (seed, point index).
+binomial estimates otherwise, one RNG stream per (seed, point index).  A
+SweepConfig is checked once, when built, and cannot change after.
 """
 from __future__ import annotations
 
@@ -34,9 +35,9 @@ class FlatCurve(RuntimeError):
     """Scan found no resolvable peak (probability range below noise)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepConfig:
-    """Grid scan parameters; coupling may be zero (the curve is then flat).
+    """Grid scan parameters, immutable once checked; coupling 0 gives a flat curve.
 
     shots = 0 evaluates exact probabilities; tau defaults to the half period
     pi/(2 coupling) when the coupling is positive.
@@ -62,7 +63,7 @@ class SweepConfig:
         if not 0 <= self.coupling < inf:
             raise ValueError(f"coupling must be >= 0 and finite, got {self.coupling}")
         if self.tau is None:
-            self.tau = pi / (2.0 * self.coupling) if self.coupling > 0 else 0.0
+            object.__setattr__(self, "tau", pi / (2.0 * self.coupling) if self.coupling else 0.0)
         if not 0 <= self.tau < inf:
             raise ValueError(f"tau must be >= 0 and finite, got {self.tau}")
 

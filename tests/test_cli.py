@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from rescool.cli import build_parser, main
+from rescool.hamiltonian import RESTARTS_CAP
 from rescool.models import from_registry, ground_truth
 from rescool.sweep import POINTS_CAP
 
@@ -578,6 +579,15 @@ def test_a_grid_over_the_points_cap_is_refused_before_it_is_allocated(capsys):
     assert out == ""
     assert err == f"error: need 2 to {POINTS_CAP} grid points, got {POINTS_CAP + 1}\n"
     assert peak < 2**20
+
+
+def test_a_restart_budget_over_the_cap_is_refused_before_the_run(capsys):
+    over = str(RESTARTS_CAP + 1)
+    argv = ["--epsilon0", "1", "--mode", "stochastic", "--restart-cap", over]
+    code, out, err = run_cli(capsys, "cool", "--model", "aklt1", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need 0 to {RESTARTS_CAP} restarts, got {over}\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -12,7 +12,6 @@ from rescool.cooling import (
     ZeroBranch,
     compute_a0,
     ground_overlap,
-    measure_first_ancilla,
     render_report,
     run_algorithm,
     success_probability_bound,
@@ -75,7 +74,6 @@ def test_measurement_of_unevolved_state_has_no_excited_branch(chain, monkeypatch
     p_exc, ground, excited = apply_step(model, identity, chi1)
     assert p_exc == 0.0
     assert np.allclose(ground, chi1, atol=1e-12)
-    assert not measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
 
     # the patched step forms the levels the run asks for, those chi_1 touches
     def unevolved(energies, *args):
@@ -96,23 +94,54 @@ def test_measurement_after_resonant_step_is_certain(chain):
     step = config_step(model, cfg)
     p_exc, ground, excited = apply_step(model, step, chi1)
     assert p_exc == pytest.approx(1.0, abs=1e-9)
-    assert measure_first_ancilla(p_exc, "stochastic", np.random.default_rng(0))
     assert np.linalg.norm(excited) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(ground) < 1e-4
+    # so a stochastic run from chi_1 draws excited at every position and never restarts
+    stochastic = resonant_config(e1, mode="stochastic", max_iterations=3)
+    report = run_algorithm(model, stochastic, chi1, rng=np.random.default_rng(0))
+    assert [rec.outcome for rec in report.records] == ["excited"] * 3
+    assert report.restarts == 0
 
 
 def test_measurement_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        measure_first_ancilla(0.5, "mixed", np.random.default_rng(0))
+    # the mode is refused when the config is built, so no run ever meets it
+    with pytest.raises(ValueError, match="^unknown mode 'mixed'$"):
+        AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="mixed")
 
 
-def test_measurement_draws_once_when_stochastic_and_never_when_post_selected():
+def test_measurement_draws_once_when_stochastic_and_never_when_post_selected(chain):
+    model, e1, _, phi0 = chain
+    cfg = resonant_config(e1, max_iterations=2, mode="stochastic", seed=3)
     drawn = np.random.default_rng(4)
+    report = run_algorithm(model, cfg, phi0, rng=drawn)
+    assert report.restarts > 0
+    # one draw per record, each below the record's probability exactly when it is excited
     fresh = np.random.default_rng(4)
-    assert measure_first_ancilla(0.0, "post-selected", drawn)
-    first = fresh.random()
-    assert measure_first_ancilla(0.5, "stochastic", drawn) == (first < 0.5)
+    for rec, u in zip(report.records, fresh.random(len(report.records))):
+        assert (rec.outcome == "excited") == (u < rec.excitation_probability)
     assert drawn.random() == fresh.random()
+    # a post-selected run leaves the generator it is handed where it was
+    state = drawn.bit_generator.state
+    run_algorithm(model, replace(cfg, mode="post-selected"), phi0, rng=drawn)
+    assert drawn.bit_generator.state == state
+
+
+def test_a_post_selected_run_builds_no_generator(chain, monkeypatch):
+    model, e1, _, phi0 = chain
+    built = []
+    seeded = np.random.default_rng
+
+    def default_rng(*args):
+        built.append(args)
+        return seeded(*args)
+
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    report = run_algorithm(model, resonant_config(e1, max_iterations=3, seed=9), phi0)
+    assert [rec.outcome for rec in report.records] == ["excited"] * 3
+    assert built == []
+    # a stochastic run given no generator seeds its own from the config
+    run_algorithm(model, resonant_config(e1, mode="stochastic", seed=9), phi0)
+    assert built == [(9,)]
 
 
 def test_first_iteration_excitation_probability(chain):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 
@@ -295,6 +296,25 @@ def test_config_refuses_more_iterations_than_the_cap():
     over = ITERATIONS_CAP + 1
     with pytest.raises(ValueError, match=f"^need 0 to {ITERATIONS_CAP} iterations, got {over}$"):
         AlgorithmConfig(epsilon0=1.0, coupling=0.05, max_iterations=over)
+
+
+def test_config_refuses_more_restarts_than_the_cap():
+    # every draw keeps a record until the run ends, so the budget is refused before a run exists
+    from rescool.hamiltonian import RESTARTS_CAP
+
+    AlgorithmConfig(epsilon0=1.0, coupling=0.05, restart_cap=RESTARTS_CAP)
+    for bad in (RESTARTS_CAP + 1, -1):
+        with pytest.raises(ValueError, match=f"^need 0 to {RESTARTS_CAP} restarts, got {bad}$"):
+            AlgorithmConfig(epsilon0=1.0, coupling=0.05, restart_cap=bad)
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(AlgorithmConfig)])
+def test_a_built_config_cannot_be_changed(field):
+    # every cap and the mode are checked once, at construction, so no field may move after it
+    cfg = AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="stochastic")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
+    assert cfg == AlgorithmConfig(epsilon0=1.0, coupling=0.05, mode="stochastic")
 
 
 def test_system_model_validates_inputs():

@@ -290,6 +290,20 @@ def test_hermiticity_check_peaks_at_one_copy_of_the_matrix():
     assert peak <= 1.25 * h.nbytes
 
 
+def test_a_dense_complex_solve_checks_its_entries_in_two_entry_sized_arrays():
+    # the gathered entries and their gathered mirror, which the check overwrites;
+    # a copy of the mirror would add a third (7.1 copies of h in all)
+    h = random_hermitian(np.random.default_rng(5), 256)
+    assert np.count_nonzero(h) == h.size
+    tracemalloc.start()
+    try:
+        hermitian_eig(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.8 * h.nbytes
+
+
 def test_hermiticity_check_leaves_its_input_alone():
     rng = np.random.default_rng(12)
     for h in (rng.normal(size=(5, 5)), random_hermitian(rng, 5)):

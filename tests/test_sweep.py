@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,15 @@ def test_scan_refuses_a_bad_initial_state(chain):
         scan(model, cfg, np.ones(16))
     with pytest.raises(DimensionMismatch, match="^state is 4-dim, spectrum is 16-dim$"):
         scan(model, cfg, np.full(4, 0.5))
+
+
+@pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SweepConfig)])
+def test_a_built_sweep_config_cannot_be_changed(field):
+    # the grid cap is checked once, at construction, so no field may move after it
+    cfg = SweepConfig(eps_min=0.8, eps_max=1.2, points=10)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cfg, field, getattr(cfg, field))
+    assert cfg == SweepConfig(eps_min=0.8, eps_max=1.2, points=10)
 
 
 def test_sweep_config_validation():

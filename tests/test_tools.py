@@ -228,16 +228,17 @@ def test_reference_invocations_match_the_committed_outputs(
 
 
 def test_the_reference_config_file_prints_what_its_flags_print(reference_outputs):
-    # CONFIG_FILES[0] is README_QUICKSTART[3] as key=value lines, appended after every
-    # earlier invocation so that no committed output moved
-    argvs = reference_outputs.ARGVS
-    assert argvs[-len(reference_outputs.CONFIG_FILES) :] == reference_outputs.CONFIG_FILES
-    i = argvs.index(reference_outputs.CONFIG_FILES[0])
+    # CONFIG_FILES[0] is README_QUICKSTART[3] as key=value lines; each later group is
+    # appended after every earlier invocation so that no committed output moved
+    argvs, files = reference_outputs.ARGVS, reference_outputs.CONFIG_FILES
+    i = argvs.index(files[0])
+    assert argvs[i : i + len(files)] == files
+    assert argvs[i + len(files) :] == reference_outputs.RESTART_BOUND
     j = argvs.index(reference_outputs.README_QUICKSTART[3])
     committed = TOOLS / "reference"
     for suffix in ("code", "out", "err"):
         got, want = (committed / f"{k}.{suffix}" for k in (i, j))
         assert got.read_bytes() == want.read_bytes()
-    codes = [(committed / f"{k}.code").read_text() for k in range(i + 1, len(argvs))]
+    codes = [(committed / f"{k}.code").read_text() for k in range(i + 1, i + len(files))]
     assert codes == ["2\n"] * 4
     assert (committed / f"{argvs.index('cool --config maybe.cfg')}.out").read_text() == ""

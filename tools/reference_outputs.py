@@ -192,6 +192,12 @@ CONFIG_FILES = [
     "cool --model aklt1 --init file:amp0.txt --epsilon0 1",
 ]
 
+# a restart budget one past hamiltonian.RESTARTS_CAP exits 2 before the run, printing no report
+RESTART_BOUND = [
+    "cool --model aklt1 --init 1100 --auto-epsilon --mode stochastic --seed 1 --iters 3"
+    " --restart-cap 100001",
+]
+
 ARGVS = (
     README_QUICKSTART
     + PATHS
@@ -205,6 +211,7 @@ ARGVS = (
     + EXIT_CODES
     + MANY_RESTARTS
     + CONFIG_FILES
+    + RESTART_BOUND
 )
 
 
